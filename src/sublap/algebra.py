@@ -19,6 +19,7 @@ import numpy as np
 
 ZERO_TOL = 1e-12
 JACOBI_SAMPLE_TOL = 1e-10
+COEFF_LIMIT = 1e50
 
 _BUILTIN_FILES = {
     "so4_twisted": "so4_twisted.txt",
@@ -360,10 +361,20 @@ def _index(token: str, context: str) -> int:
 
 
 def _coeff(expr: str, params: dict[str, float]) -> float:
+    """Evaluate a spec coefficient, rejecting non-finite and huge values: the
+    bounds multiply up to six structure constants, which must stay finite."""
     try:
-        return eval_coefficient(expr, params)
+        val = eval_coefficient(expr, params)
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from exc
+    except ArithmeticError as exc:
+        raise SpecFormatError(f"cannot evaluate coefficient {expr!r}: {exc}") from exc
+    if not abs(val) <= COEFF_LIMIT:
+        raise SpecFormatError(
+            f"coefficient {expr!r} evaluates to {val!r}; "
+            f"it must be finite and at most {COEFF_LIMIT:g} in magnitude"
+        )
+    return val
 
 
 def _parse_oracle(

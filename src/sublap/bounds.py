@@ -18,20 +18,26 @@ import numpy as np
 
 from .algebra import ZERO_TOL, HomogeneousSpace
 from .connection import (
-    Connection,
     canonical_connection,
     nabla_torsion,
     tor2,
-    torsion,
     trace_nabla_torsion,
     trace_nabla_torsion_vertical,
     trace_tor2,
 )
-from .curvature import StructureFlags, classify, seminorm_grams, sub_ricci, rigidity
+from .curvature import (
+    SeminormGrams,
+    StructureFlags,
+    classify,
+    rigidity,
+    seminorm_grams,
+    sub_ricci,
+)
 
 __all__ = [
     "BGForm",
     "DistortionPack",
+    "Invariants",
     "MConstant",
     "BoundResult",
     "DiscrepancyNote",
@@ -39,6 +45,7 @@ __all__ = [
     "PseudohermitianBound",
     "bg_form",
     "distortion",
+    "invariants",
     "feasible_rho1",
     "m_constant",
     "bound_main",
@@ -67,6 +74,11 @@ CSV_COLUMNS = (
 
 _PSD_TOL = 1e-12
 _BISECT_TOL = 1e-10
+# Half-width of the log t bracket of the asn duality search, centred on
+# sqrt(tr G2 / tr G1).  Every t gives a sound value; the bracket only limits
+# how close the search gets to a supremum that lies far out, which happens
+# when a Gram is singular on the minimizing direction.
+_LOG_T_SPAN = 23.0
 
 
 # ---------------------------------------------------------------------------
@@ -91,25 +103,125 @@ class DistortionPack:
     t2: np.ndarray
 
 
-def _bg_terms(conn: Connection) -> tuple[np.ndarray, ...]:
-    space = conn.space
+@dataclass(frozen=True)
+class Invariants:
+    """Curvature and torsion data of a space, computed once by `invariants`.
+
+    The bound evaluators, `bg_form`, `distortion` and the CLI read every
+    quantity from here.  The curvature family is affine in x:
+    Q(x) = (1-x) q_src + (1+x) q_nt + (1+3x)/4 q_tauh, padded to the frame,
+    and the refined (asn) form adds q_tt2.
+    """
+
+    space: HomogeneousSpace
+    flags: StructureFlags
+    src: np.ndarray  # sub-Riemannian Ricci form
+    grams: SeminormGrams
+    rig: np.ndarray  # rigidity one-form
+    dist: DistortionPack
+    kappa: float  # top eigenvalue of the horizontal-paired torsion Gram on H
+    sigma: float  # top singular value of t1
+    sup_t2: float  # top eigenvalue of t2
+    t1_zero: bool
+    trnt_h_zero: bool  # horizontal torsion-derivative trace vanishes
+    product: tuple[str, float]  # asn semi-norm product term: kind, coefficient
+    q_src: np.ndarray  # sub-Ricci minus the vertical/horizontal coupling
+    q_nt: np.ndarray  # symmetrized torsion-derivative trace
+    q_tauh: np.ndarray  # horizontal-torsion Gram
+    q_tt2: np.ndarray  # 2 * symmetrized horizontal trace of TOR2
+
+    @property
+    def d(self) -> int:
+        return self.space.dim_h
+
+    def q(self, x):
+        """Q(x), or a stack of forms for an array of x."""
+        x = np.asarray(x, dtype=float)[..., None, None]
+        return (
+            (1.0 - x) * self.q_src
+            + (1.0 + x) * self.q_nt
+            + (1.0 + 3.0 * x) / 4.0 * self.q_tauh
+        )
+
+    def delta(self, x):
+        """Delta(x) = (1-x)(d-1)/d, the x-dependent part of the denominators."""
+        return (1.0 - x) * (self.d - 1) / self.d
+
+
+def _asn_product(g1: np.ndarray, g2: np.ndarray, tol: float) -> tuple[str, float]:
+    """Classify the semi-norm product term: zero, isotropic, or general."""
+    d = g1.shape[0]
+    if np.abs(g1).max(initial=0.0) <= tol or np.abs(g2).max(initial=0.0) <= tol:
+        return "zero", 0.0
+    a1 = np.trace(g1) / d
+    a2 = np.trace(g2) / d
+    if (
+        np.abs(g1 - a1 * np.eye(d)).max() <= tol
+        and np.abs(g2 - a2 * np.eye(d)).max() <= tol
+    ):
+        return "isotropic", 2.0 * math.sqrt(a1 * a2)
+    return "general", 0.0
+
+
+def invariants(space: HomogeneousSpace) -> Invariants:
+    """Build the adapted connection and derive every invariant from its
+    torsion, one torsion derivative and one iterated torsion."""
+    conn = canonical_connection(space)
     d, n = space.dim_h, space.dim
-    src = sub_ricci(conn)
+    t = conn.tor
+    nt = nabla_torsion(conn, tor=t)
+    t2t = tor2(conn, tor=t)
+    trnt = trace_nabla_torsion(conn, nt=nt)
+    trt2 = trace_tor2(conn, t2=t2t)
+    src = sub_ricci(conn, t2=t2t, trt2=trt2)
+    grams = seminorm_grams(conn, tor=t)
+    rig = rigidity(conn, tor=t)
+
+    t1 = np.einsum("kabk->ab", (t2t - nt)[:d, d:, :d, :d])
+    t1 = t1 + np.einsum("abkk->ab", t2t[d:, :d, :d, :d])
+    t1 = t1 + 4.0 * trt2[d:, :d]
+    trv = trace_nabla_torsion_vertical(conn, nt=nt)
+    w3 = np.einsum("puq,u->pq", t[:d, d:, :d], rig[d:])
+    t2m = 2.0 * grams.tau_vh[:d, :d] + trv[:d, :d] + w3
+    dist = DistortionPack(t1=t1, t2=0.5 * (t2m + t2m.T))
+
     msrc = np.zeros((n, n))
     msrc[:d, :d] = src[:d, :d]
-
-    trnt = trace_nabla_torsion(conn)
     v = np.zeros((n, n))
     v[:d, :] = trnt[:d, :]
-    mnt = 0.5 * (v + v.T)
-
-    mtauh = seminorm_grams(conn).tau_h
-
-    trt2 = trace_tor2(conn)
     w = np.zeros((n, n))
     w[d:, :d] = trt2[:d, d:].T
-    mcross = 0.5 * (w + w.T)
-    return msrc, mnt, mtauh, mcross
+    tt = np.zeros((n, n))
+    tt[:d, :d] = trt2[:d, :d] + trt2[:d, :d].T
+
+    cmax = max(1.0, float(np.abs(space.c).max()))
+    zero_cut = ZERO_TOL * cmax**3
+    kappa = float(np.linalg.eigvalsh(grams.tau_hv[:d, :d])[-1])
+    return Invariants(
+        space=space,
+        flags=classify(conn, tor=t, rig=rig),
+        src=src,
+        grams=grams,
+        rig=rig,
+        dist=dist,
+        kappa=max(kappa, 0.0),
+        sigma=float(np.linalg.svd(t1, compute_uv=False)[0]) if t1.size else 0.0,
+        sup_t2=float(np.linalg.eigvalsh(dist.t2)[-1]) if d else 0.0,
+        t1_zero=bool(np.abs(t1).max(initial=0.0) <= zero_cut),
+        trnt_h_zero=bool(np.abs(trnt[:d, :]).max(initial=0.0) <= zero_cut),
+        product=_asn_product(
+            grams.tau_vh[:d, :d], grams.tau_hv[:d, :d], 1e-12 * cmax**2
+        ),
+        q_src=msrc - 0.5 * (w + w.T),
+        q_nt=0.5 * (v + v.T),
+        q_tauh=grams.tau_h,
+        q_tt2=tt,
+    )
+
+
+def _check_x(x: float) -> None:
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"x must lie in [0, 1), got {x!r}")
 
 
 def bg_form(space: HomogeneousSpace, x: float) -> BGForm:
@@ -119,39 +231,13 @@ def bg_form(space: HomogeneousSpace, x: float) -> BGForm:
     torsion-derivative trace weighted (1+x), the horizontal-torsion Gram
     weighted (1+3x)/4, and the vertical/horizontal coupling weighted -(1-x).
     """
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must lie in [0, 1), got {x!r}")
-    conn = canonical_connection(space)
-    msrc, mnt, mtauh, mcross = _bg_terms(conn)
-    q = (1.0 - x) * (msrc - mcross) + (1.0 + x) * mnt + (1.0 + 3.0 * x) / 4.0 * mtauh
-    return BGForm(x=float(x), dim_h=space.dim_h, q=q)
-
-
-def _distortion(conn: Connection) -> DistortionPack:
-    space = conn.space
-    d = space.dim_h
-    t = torsion(conn)
-    t2t = tor2(conn)
-    nt = nabla_torsion(conn)
-    trt2 = trace_tor2(conn)
-
-    diff = (t2t - nt)[:d, d:, :d, :d]
-    t1 = np.einsum("kabk->ab", diff)
-    t1 = t1 + np.einsum("abkk->ab", t2t[d:, :d, :d, :d])
-    t1 = t1 + 4.0 * trt2[d:, :d]
-
-    g_vh = seminorm_grams(conn).tau_vh
-    trv = trace_nabla_torsion_vertical(conn)
-    rig = rigidity(conn)
-    w3 = np.einsum("puq,u->pq", t[:d, d:, :d], rig[d:])
-    t2m = 2.0 * g_vh[:d, :d] + trv[:d, :d] + w3
-    t2m = 0.5 * (t2m + t2m.T)
-    return DistortionPack(t1=t1, t2=t2m)
+    _check_x(x)
+    return BGForm(x=float(x), dim_h=space.dim_h, q=invariants(space).q(x))
 
 
 def distortion(space: HomogeneousSpace) -> DistortionPack:
     """Mixed and pure distortion tensors of the space."""
-    return _distortion(canonical_connection(space))
+    return invariants(space).dist
 
 
 # ---------------------------------------------------------------------------
@@ -258,87 +344,7 @@ def m_constant(omega: float, chi: float, psi: float) -> MConstant:
 
 
 # ---------------------------------------------------------------------------
-# Shared workspace for the theorem evaluators
-
-
-@dataclass
-class _Workspace:
-    space: HomogeneousSpace
-    conn: Connection
-    flags: StructureFlags
-    msrc: np.ndarray
-    mnt: np.ndarray
-    mtauh: np.ndarray
-    mcross: np.ndarray
-    mtt2: np.ndarray  # 2 * symmetrized horizontal trace of TOR2, padded
-    g1: np.ndarray  # Gram of the vertical-paired torsion on H
-    g2: np.ndarray  # Gram of the horizontal-paired torsion on H
-    kappa: float
-    sup_t2: float
-    sigma: float
-    t1_zero: bool
-    src_h: np.ndarray
-    tau_h_vv: np.ndarray
-    trnt_h_zero: bool
-
-    @property
-    def d(self) -> int:
-        return self.space.dim_h
-
-    @property
-    def n(self) -> int:
-        return self.space.dim
-
-    def q_of(self, x: float) -> np.ndarray:
-        return (
-            (1.0 - x) * (self.msrc - self.mcross)
-            + (1.0 + x) * self.mnt
-            + (1.0 + 3.0 * x) / 4.0 * self.mtauh
-        )
-
-    def q_asn_of(self, x: float) -> np.ndarray:
-        return self.q_of(x) + self.mtt2
-
-    def delta(self, x: float) -> float:
-        return (1.0 - x) * (self.d - 1) / self.d
-
-
-def _workspace(space: HomogeneousSpace) -> _Workspace:
-    conn = canonical_connection(space)
-    d, n = space.dim_h, space.dim
-    flags = classify(conn)
-    grams = seminorm_grams(conn)
-    msrc, mnt, mtauh, mcross = _bg_terms(conn)
-
-    trt2 = trace_tor2(conn)
-    tt = np.zeros((n, n))
-    tt[:d, :d] = trt2[:d, :d] + trt2[:d, :d].T
-    dist = _distortion(conn)
-
-    scale = max(1.0, float(np.abs(space.c).max())) ** 3
-    kappa = float(np.linalg.eigvalsh(grams.tau_hv[:d, :d])[-1])
-    sup_t2 = float(np.linalg.eigvalsh(dist.t2)[-1]) if d else 0.0
-    sigma = float(np.linalg.svd(dist.t1, compute_uv=False)[0]) if dist.t1.size else 0.0
-    trnt = trace_nabla_torsion(conn)
-    return _Workspace(
-        space=space,
-        conn=conn,
-        flags=flags,
-        msrc=msrc,
-        mnt=mnt,
-        mtauh=mtauh,
-        mcross=mcross,
-        mtt2=tt,
-        g1=grams.tau_vh[:d, :d],
-        g2=grams.tau_hv[:d, :d],
-        kappa=max(kappa, 0.0),
-        sup_t2=sup_t2,
-        sigma=max(sigma, 0.0),
-        t1_zero=bool(np.abs(dist.t1).max(initial=0.0) <= ZERO_TOL * scale),
-        src_h=sub_ricci(conn)[:d, :d],
-        tau_h_vv=grams.tau_h[d:, d:],
-        trnt_h_zero=bool(np.abs(trnt[:d, :]).max(initial=0.0) <= ZERO_TOL * scale),
-    )
+# Eliminating the vertical block
 
 
 def _rho2_base_grid(kappa: float, per_decade: int, decades: int = 6) -> np.ndarray:
@@ -347,176 +353,88 @@ def _rho2_base_grid(kappa: float, per_decade: int, decades: int = 6) -> np.ndarr
     return kappa * np.power(10.0, np.linspace(-half, half, count))
 
 
-def _rho2_candidates(base: np.ndarray, qhv: np.ndarray, qvv: np.ndarray, scale: float):
-    """Admissible rho2 values below the top of the vertical block, plus
-    near-boundary refinements and, for decoupled blocks, the boundary."""
-    mu_min = float(np.linalg.eigvalsh(qvv)[0])
+def _rho2_candidates(base: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
+    """Admissible rho2 values below the bottom of the vertical block of q,
+    plus near-boundary refinements and, for decoupled blocks, the boundary."""
+    mu_min = float(np.linalg.eigvalsh(q[d:, d:])[0])
     if mu_min <= 0.0:
-        return np.empty(0), mu_min
+        return np.empty(0)
     cands = [base[base < mu_min * (1.0 - 1e-12)]]
     cands.append(mu_min * (1.0 - np.power(10.0, -np.arange(2.0, 11.0))))
-    if np.abs(qhv).max(initial=0.0) <= _PSD_TOL * scale:
+    scale = max(1.0, float(np.abs(q).max()))
+    if np.abs(q[:d, d:]).max(initial=0.0) <= _PSD_TOL * scale:
         cands.append(np.array([mu_min]))
     out = np.unique(np.concatenate(cands))
-    return out[out > 0.0], mu_min
+    return out[out > 0.0]
 
 
-def _schur_rho1_curve(
-    qhh: np.ndarray, qhv: np.ndarray, qvv: np.ndarray, rho2s: np.ndarray
-) -> np.ndarray:
-    """Largest feasible rho1 for each rho2 via the Schur complement of the
-    vertical block; equals the PSD bisection result wherever both apply."""
-    mu, u = np.linalg.eigh(qvv)
-    w = qhv @ u
+def _schur(q: np.ndarray, d: int, rho2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Schur complements of the vertical block of q - diag(0 on H, rho2 on V),
+    one per rho2, and the mask of rho2 where the elimination is valid.
+
+    On that mask the largest rho1 keeping q - diag(rho1, rho2) positive
+    semidefinite is the bottom eigenvalue of the complement: the PSD
+    bisection `feasible_rho1` gives the same value.
+    """
+    mu, u = np.linalg.eigh(q[d:, d:])
+    w = q[:d, d:] @ u
     gap = mu[None, :] - rho2s[:, None]
     inv = np.where(gap > 0.0, 1.0 / np.where(gap > 0.0, gap, 1.0), np.inf)
     coupled = (np.abs(w) > 0.0).any(axis=0)
     inv[:, ~coupled] = 0.0  # decoupled vertical directions never penalize H
     bad = ~np.isfinite(inv).all(axis=1)
     inv[bad] = 0.0
-    stack = qhh[None, :, :] - np.einsum("aj,bj,rj->rab", w, w, inv)
-    rho1 = np.linalg.eigvalsh(stack)[:, 0]
-    rho1[bad] = np.nan
+    stack = q[None, :d, :d] - np.einsum("aj,bj,rj->rab", w, w, inv)
     # rho2 beyond the vertical minimum is infeasible outright
-    rho1[rho2s > mu[0] + _PSD_TOL * max(1.0, abs(mu[0]))] = np.nan
-    return rho1
+    ok = ~bad & (rho2s <= mu[0] + _PSD_TOL * max(1.0, abs(mu[0])))
+    return stack, ok
 
 
-def _sphere_samples(dim: int, count: int) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0]])
-    if dim == 2:
-        theta = np.linspace(0.0, math.pi, count, endpoint=False)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if dim == 3:
-        k = np.arange(count, dtype=float)
-        phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-        z = 1.0 - 2.0 * (k + 0.5) / count
-        r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((count, dim))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts
+def _golden_max(fun, lo, hi, iters: int = 60):
+    """Golden-section maximization of a unimodal fun on [lo, hi], elementwise
+    over arrays of brackets; returns the best (argument, value) among every
+    evaluation, so it never regresses."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc = fun(c)
+    fd = fun(d)
+    best_x, best_f = np.where(fd > fc, d, c), np.where(fd > fc, fd, fc)
+    for _ in range(iters):
+        left = fc >= fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
+        fx = fun(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        better = fx > best_f
+        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
+    return best_x, best_f
 
 
-def _asn_product_coeffs(ws: _Workspace):
-    """Classify the semi-norm product term: zero, isotropic, or general."""
-    d = ws.d
-    scale = max(1.0, float(np.abs(ws.space.c).max()) ** 2)
-    tol = 1e-12 * scale
-    if np.abs(ws.g1).max(initial=0.0) <= tol or np.abs(ws.g2).max(initial=0.0) <= tol:
-        return "zero", 0.0
-    a1 = np.trace(ws.g1) / d
-    a2 = np.trace(ws.g2) / d
-    if (
-        np.abs(ws.g1 - a1 * np.eye(d)).max() <= tol
-        and np.abs(ws.g2 - a2 * np.eye(d)).max() <= tol
-    ):
-        return "isotropic", 2.0 * math.sqrt(a1 * a2)
-    return "general", 0.0
+def _asn_rho1_curve(inv: Invariants, qt: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
+    """rho1(rho2) for the refined bound: the minimum over unit horizontal h
+    of h'Sh - 2 sqrt(h'G1h * h'G2h), with S the Schur complement at rho2.
 
+    A zero or isotropic product term makes this an eigenvalue.  Otherwise
+    2 sqrt(ab) <= t*a + b/t gives the weak-duality value
+    max_t lambda_min(S - t G1 - G2/t), never above the minimum and concave
+    in t; it is maximized by golden section in log t.
+    """
+    d = inv.d
+    stack, ok = _schur(qt, d, rho2s)
+    kind, coeff = inv.product
+    if kind != "general":
+        return np.where(ok, np.linalg.eigvalsh(stack)[:, 0] - coeff, np.nan)
+    g1, g2 = inv.grams.tau_vh[:d, :d], inv.grams.tau_hv[:d, :d]
 
-def _asn_rho1_curve(
-    ws: _Workspace,
-    qt: np.ndarray,
-    rho2s: np.ndarray,
-    samples: int,
-) -> np.ndarray:
-    """rho1(rho2) for the refined bound: minimize the modified form minus the
-    semi-norm product over unit horizontal vectors, after eliminating the
-    vertical argument at each rho2."""
-    d = ws.d
-    qhh, qhv, qvv = qt[:d, :d], qt[:d, d:], qt[d:, d:]
-    kind, coeff = _asn_product_coeffs(ws)
-    if kind in ("zero", "isotropic"):
-        return _schur_rho1_curve(qhh, qhv, qvv, rho2s) - coeff
+    def lam(log_t: np.ndarray) -> np.ndarray:
+        t = np.exp(log_t)[:, None, None]
+        return np.linalg.eigvalsh(stack - t * g1 - g2 / t)[:, 0]
 
-    mu, u = np.linalg.eigh(qvv)
-    w = qhv @ u
-    gap = mu[None, :] - rho2s[:, None]
-    inv = np.where(gap > 0.0, 1.0 / np.where(gap > 0.0, gap, 1.0), np.inf)
-    coupled = (np.abs(w) > 0.0).any(axis=0)
-    inv[:, ~coupled] = 0.0
-    bad = ~np.isfinite(inv).all(axis=1)
-    inv[bad] = 0.0
-
-    h = _sphere_samples(d, samples)
-    a = np.einsum("nd,de,ne->n", h, qhh, h)
-    p2 = (h @ w) ** 2
-    cross = 2.0 * np.sqrt(
-        np.maximum(np.einsum("nd,de,ne->n", h, ws.g1, h), 0.0)
-        * np.maximum(np.einsum("nd,de,ne->n", h, ws.g2, h), 0.0)
-    )
-    vals = a[None, :] - inv @ p2.T - cross[None, :]
-    rho1 = vals.min(axis=1)
-    rho1[bad] = np.nan
-    rho1[rho2s > mu[0] + _PSD_TOL * max(1.0, abs(mu[0]))] = np.nan
-    return rho1
-
-
-def _asn_polish(
-    ws: _Workspace, qt: np.ndarray, rho2: float, samples: int
-) -> tuple[float, float]:
-    """Full-budget evaluation of the sphere minimum at one (x, rho2), with
-    projected-gradient descent from the best sample.  Returns (rho1, residual)
-    where residual is the final projected-gradient norm."""
-    d = ws.d
-    qhh, qhv, qvv = qt[:d, :d], qt[:d, d:], qt[d:, d:]
-    kind, coeff = _asn_product_coeffs(ws)
-    mu, u = np.linalg.eigh(qvv)
-    w = qhv @ u
-    gap = mu - rho2
-    inv = np.where(np.abs(w).max(axis=0) > 0.0, 1.0 / np.maximum(gap, 1e-300), 0.0)
-    if np.any((gap <= 0.0) & (np.abs(w).max(axis=0) > 0.0)):
-        return math.nan, math.inf
-    s_mat = qhh - (w * inv) @ w.T
-    if kind in ("zero", "isotropic"):
-        return float(np.linalg.eigvalsh(s_mat)[0]) - coeff, 0.0
-
-    def f_and_grad(h: np.ndarray) -> tuple[float, np.ndarray]:
-        sh = s_mat @ h
-        q1 = max(float(h @ ws.g1 @ h), 0.0)
-        q2 = max(float(h @ ws.g2 @ h), 0.0)
-        root = math.sqrt(q1 * q2)
-        val = float(h @ sh) - 2.0 * root
-        grad = 2.0 * sh
-        if root > 1e-30:
-            grad = grad - 2.0 * (
-                math.sqrt(q2 / q1) * (ws.g1 @ h) + math.sqrt(q1 / q2) * (ws.g2 @ h)
-            )
-        return val, grad
-
-    hs = _sphere_samples(d, samples)
-    a = np.einsum("nd,de,ne->n", hs, s_mat, hs)
-    cross = 2.0 * np.sqrt(
-        np.maximum(np.einsum("nd,de,ne->n", hs, ws.g1, hs), 0.0)
-        * np.maximum(np.einsum("nd,de,ne->n", hs, ws.g2, hs), 0.0)
-    )
-    vals = a - cross
-    h = hs[int(np.argmin(vals))].copy()
-    best, grad = f_and_grad(h)
-    scale = max(1.0, float(np.abs(s_mat).max()))
-    residual = math.inf
-    for _ in range(500):
-        pg = grad - float(grad @ h) * h
-        residual = float(np.linalg.norm(pg))
-        if residual <= 1e-9 * scale:
-            break
-        step = 0.5 / scale
-        improved = False
-        for _ in range(40):
-            cand = h - step * pg
-            cand /= np.linalg.norm(cand)
-            val, g2 = f_and_grad(cand)
-            if val < best - 1e-18:
-                h, best, grad = cand, val, g2
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return best, residual
+    center = np.full(rho2s.shape, 0.5 * math.log(np.trace(g2) / np.trace(g1)))
+    _, rho1 = _golden_max(lam, center - _LOG_T_SPAN, center + _LOG_T_SPAN)
+    return np.where(ok, rho1, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -594,79 +512,54 @@ def _pick_best(
 
 
 def _eval_main_family(
-    ws: _Workspace, x: float, rho2s: np.ndarray, want: tuple[str, ...]
-) -> dict[str, BoundResult]:
-    d = ws.d
-    q = ws.q_of(x)
-    scale = max(1.0, float(np.abs(q).max()))
-    cands, _ = _rho2_candidates(rho2s, q[:d, d:], q[d:, d:], scale)
-    out: dict[str, BoundResult] = {}
-    if cands.size == 0:
-        return out
-    rho1 = _schur_rho1_curve(q[:d, :d], q[:d, d:], q[d:, d:], cands)
-    delta = ws.delta(x)
-    omega = ws.kappa / cands
-    chi = np.maximum(cands * ws.sup_t2, 0.0)
-    psi = cands * ws.sigma**2
-    mvals, svals = _m_arrays(omega, chi, psi)
-
-    if "main" in want:
-        vals = np.where(rho1 > mvals, (rho1 - mvals) / (delta + omega), np.nan)
-        picked = _pick_best(
-            vals,
-            cands,
-            {"rho1": rho1, "omega": omega, "chi": chi, "psi": psi, "m": mvals, "s": svals},
-        )
-        if picked is not None:
-            value, rho2, ex = picked
-            aux = {} if math.isnan(ex["s"]) else {"s": ex["s"]}
-            out["main"] = BoundResult(
-                "main", value, x, ex["rho1"], rho2, ex["omega"], ex["chi"], ex["psi"], ex["m"], aux
-            )
-    if "t1zero" in want and ws.t1_zero:
-        vals, in1 = _t1zero_values(rho1, delta, omega, chi)
-        picked = _pick_best(
-            vals,
-            cands,
-            {
-                "rho1": rho1,
-                "omega": omega,
-                "chi": chi,
-                "psi": psi,
-                "m": mvals,
-                "case": np.where(in1, 1.0, 2.0),
-            },
-        )
-        if picked is not None:
-            value, rho2, ex = picked
-            out["t1zero"] = BoundResult(
-                "t1zero",
-                value,
-                x,
-                ex["rho1"],
-                rho2,
-                ex["omega"],
-                ex["chi"],
-                0.0,
-                0.0,
-                {"case": ex["case"]},
-            )
-    return out
-
-
-def _eval_asn(
-    ws: _Workspace, x: float, rho2s: np.ndarray, samples: int
+    inv: Invariants, x: float, rho2s: np.ndarray, name: str
 ) -> BoundResult | None:
-    d = ws.d
-    qt = ws.q_asn_of(x)
-    scale = max(1.0, float(np.abs(qt).max()))
-    cands, _ = _rho2_candidates(rho2s, qt[:d, d:], qt[d:, d:], scale)
+    """The main bound, or its t1zero sharpening, at x over the rho2 grid."""
+    d = inv.d
+    q = inv.q(x)
+    cands = _rho2_candidates(rho2s, q, d)
     if cands.size == 0:
         return None
-    rho1 = _asn_rho1_curve(ws, qt, cands, samples)
-    delta = ws.delta(x)
-    omega = ws.kappa / cands
-    vals = np.where(rho1 > 0.0, rho1 / (delta + omega), np.nan)
+    stack, ok = _schur(q, d, cands)
+    rho1 = np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
+    delta = inv.delta(x)
+    omega = inv.kappa / cands
+    chi = np.maximum(cands * inv.sup_t2, 0.0)
+
+    if name == "t1zero":
+        vals, in1 = _t1zero_values(rho1, delta, omega, chi)
+        extras = {"rho1": rho1, "omega": omega, "chi": chi, "case": np.where(in1, 1.0, 2.0)}
+        picked = _pick_best(vals, cands, extras)
+        if picked is None:
+            return None
+        value, rho2, ex = picked
+        return BoundResult(
+            "t1zero", value, x, ex["rho1"], rho2, ex["omega"], ex["chi"], 0.0, 0.0,
+            {"case": ex["case"]},
+        )
+    psi = cands * inv.sigma**2
+    mvals, svals = _m_arrays(omega, chi, psi)
+    vals = np.where(rho1 > mvals, (rho1 - mvals) / (delta + omega), np.nan)
+    extras = {"rho1": rho1, "omega": omega, "chi": chi, "psi": psi, "m": mvals, "s": svals}
+    picked = _pick_best(vals, cands, extras)
+    if picked is None:
+        return None
+    value, rho2, ex = picked
+    aux = {} if math.isnan(ex["s"]) else {"s": ex["s"]}
+    return BoundResult(
+        "main", value, x, ex["rho1"], rho2, ex["omega"], ex["chi"], ex["psi"], ex["m"], aux
+    )
+
+
+def _eval_asn(inv: Invariants, x: float, rho2s: np.ndarray) -> BoundResult | None:
+    d = inv.d
+    qt = inv.q(x) + inv.q_tt2
+    cands = _rho2_candidates(rho2s, qt, d)
+    if cands.size == 0:
+        return None
+    rho1 = _asn_rho1_curve(inv, qt, cands)
+    omega = inv.kappa / cands
+    vals = np.where(rho1 > 0.0, rho1 / (inv.delta(x) + omega), np.nan)
     picked = _pick_best(vals, cands, {"rho1": rho1, "omega": omega})
     if picked is None:
         return None
@@ -676,8 +569,50 @@ def _eval_asn(
     )
 
 
+def _theorems(inv: Invariants) -> list[str]:
+    """The x-dependent theorems whose preconditions the space meets."""
+    if inv.kappa <= 0.0:
+        return []
+    names = ["main", "t1zero"] if inv.t1_zero else ["main"]
+    return names + ["asn"] if inv.flags.almost_strictly_normal else names
+
+
+def _evaluate(inv: Invariants, name: str, x: float, rho2s: np.ndarray) -> BoundResult | None:
+    if name == "asn":
+        return _eval_asn(inv, x, rho2s)
+    return _eval_main_family(inv, x, rho2s, name)
+
+
+def _sntf(inv: Invariants) -> BoundResult | None:
+    flags = inv.flags
+    applicable = flags.strictly_normal and inv.trnt_h_zero and flags.vm_integrable
+    if not applicable or inv.kappa <= 0.0:
+        return None
+    d = inv.d
+    rho1 = float(np.linalg.eigvalsh(inv.src[:d, :d])[0])
+    tau_h_vv = inv.grams.tau_h[d:, d:]
+    if tau_h_vv.size == 0:
+        return None
+    rho2 = float(np.linalg.eigvalsh(tau_h_vv)[0]) / 4.0
+    if rho2 <= 0.0 or rho1 <= 0.0:
+        return None
+    omega = inv.kappa / rho2
+    value = rho1 / ((d - 1) / d + 0.75 * omega)
+    return BoundResult("sntf", value, 1.0 / 3.0, rho1, rho2, omega, 0.0, 0.0, 0.0, {})
+
+
 # ---------------------------------------------------------------------------
 # Public theorem evaluators
+
+
+def _bound_at(
+    space: HomogeneousSpace, x: float, name: str, rho2_per_decade: int
+) -> BoundResult | None:
+    _check_x(x)
+    inv = invariants(space)
+    if name not in _theorems(inv):
+        return None
+    return _evaluate(inv, name, x, _rho2_base_grid(inv.kappa, rho2_per_decade))
 
 
 def bound_main(
@@ -689,13 +624,7 @@ def bound_main(
     """General eigenvalue bound (rho1 - m)/(Delta + omega) at parameter x,
     maximized over the rho2 grid.  Returns None when no feasible pair gives
     rho1 above the penalty m."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must lie in [0, 1), got {x!r}")
-    ws = _workspace(space)
-    if ws.kappa <= 0.0:
-        return None
-    grid = _rho2_base_grid(ws.kappa, rho2_per_decade)
-    return _eval_main_family(ws, x, grid, ("main",)).get("main")
+    return _bound_at(space, x, "main", rho2_per_decade)
 
 
 def bound_t1zero(
@@ -707,81 +636,31 @@ def bound_t1zero(
     """Sharpened two-case bound available when the mixed distortion tensor
     vanishes; inapplicable (None) otherwise or when rho1^2 <= 4*omega*chi
     for every feasible pair."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must lie in [0, 1), got {x!r}")
-    ws = _workspace(space)
-    if ws.kappa <= 0.0 or not ws.t1_zero:
-        return None
-    grid = _rho2_base_grid(ws.kappa, rho2_per_decade)
-    return _eval_main_family(ws, x, grid, ("t1zero",)).get("t1zero")
+    return _bound_at(space, x, "t1zero", rho2_per_decade)
 
 
 def bound_asn(
     space: HomogeneousSpace,
     x: float,
     *,
-    rho2: float | None = None,
     rho2_per_decade: int = 200,
-    samples: int = 100_000,
 ) -> BoundResult | None:
-    """Refined bound rho1/(Delta + omega) for almost strictly normal spaces.
+    """Refined bound rho1/(Delta + omega) for almost strictly normal spaces,
+    maximized over the rho2 grid.
 
-    rho1 is extracted by minimizing the modified curvature form minus the
-    product of the two mixed torsion semi-norms over the unit sphere
-    (deterministic samples plus projected-gradient polish).  None when the
-    space is not almost strictly normal.
+    rho1 is the minimum over unit horizontal vectors of the modified
+    curvature form minus the product of the two mixed torsion semi-norms,
+    evaluated in closed form.  None when the space is not almost strictly
+    normal.
     """
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must lie in [0, 1), got {x!r}")
-    ws = _workspace(space)
-    if not ws.flags.almost_strictly_normal or ws.kappa <= 0.0:
-        return None
-    qt = ws.q_asn_of(x)
-    if rho2 is None:
-        grid = _rho2_base_grid(ws.kappa, rho2_per_decade)
-        coarse = _eval_asn(ws, x, grid, min(samples, 4096))
-        if coarse is None:
-            return None
-        rho2 = coarse.rho2
-    rho1, residual = _asn_polish(ws, qt, float(rho2), samples)
-    if not math.isfinite(rho1) or rho1 <= 0.0:
-        return None
-    omega = ws.kappa / float(rho2)
-    value = rho1 / (ws.delta(x) + omega)
-    return BoundResult(
-        "asn",
-        value,
-        x,
-        rho1,
-        float(rho2),
-        omega,
-        math.nan,
-        math.nan,
-        math.nan,
-        {"residual": residual},
-    )
+    return _bound_at(space, x, "asn", rho2_per_decade)
 
 
 def bound_sntf(space: HomogeneousSpace) -> BoundResult | None:
     """Closed-form bound rho1/((d-1)/d + 3*omega/4) for strictly normal
     spaces with vanishing horizontal torsion-derivative trace and integrable
     vertical distribution; the x-optimization is solved exactly at x = 1/3."""
-    ws = _workspace(space)
-    applicable = (
-        ws.flags.strictly_normal and ws.trnt_h_zero and ws.flags.vm_integrable
-    )
-    if not applicable or ws.kappa <= 0.0:
-        return None
-    rho1 = float(np.linalg.eigvalsh(ws.src_h)[0])
-    if ws.tau_h_vv.size == 0:
-        return None
-    rho2 = float(np.linalg.eigvalsh(ws.tau_h_vv)[0]) / 4.0
-    if rho2 <= 0.0 or rho1 <= 0.0:
-        return None
-    omega = ws.kappa / rho2
-    d = ws.d
-    value = rho1 / ((d - 1) / d + 0.75 * omega)
-    return BoundResult("sntf", value, 1.0 / 3.0, rho1, rho2, omega, 0.0, 0.0, 0.0, {})
+    return _sntf(invariants(space))
 
 
 @dataclass(frozen=True)
@@ -825,41 +704,11 @@ def bound_pseudohermitian(n, rho, c) -> PseudohermitianBound:
 # Sweep optimizer
 
 
-def _golden_refine(fun, x_lo: float, x_hi: float, iters: int = 60):
-    """Golden-section maximization of fun on [x_lo, x_hi]; returns the best
-    (x, payload) among every evaluation, so it never regresses."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    best_x, best_val, best_payload = math.nan, -math.inf, None
-
-    def probe(x: float):
-        nonlocal best_x, best_val, best_payload
-        val, payload = fun(x)
-        if val > best_val:
-            best_x, best_val, best_payload = x, val, payload
-        return val
-
-    a, b = x_lo, x_hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = probe(c), probe(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = probe(d)
-    return best_x, best_val, best_payload
-
-
 def optimize(
     space: HomogeneousSpace,
     *,
     x_points: int = 2000,
     rho2_per_decade: int = 200,
-    asn_samples: int = 100_000,
 ) -> BoundReport:
     """Evaluate every applicable theorem over the (x, rho2) grids, refine the
     winning x by golden section, and report per-theorem bests.
@@ -868,45 +717,32 @@ def optimize(
     alone, at the most favorable admissible rho2), visiting candidates in
     decreasing order of that bound, so pruning never changes the result.
     """
-    ws = _workspace(space)
+    inv = invariants(space)
     report = BoundReport(example=space.name, entries=[], best=None)
-    if ws.kappa <= 0.0:
+    names = _theorems(inv)
+    if not names:
         return report
-    d = ws.d
-    grid = _rho2_base_grid(ws.kappa, rho2_per_decade)
-    rho2_top = float(grid[-1])
+    grid = _rho2_base_grid(inv.kappa, rho2_per_decade)
     xs = np.arange(x_points, dtype=float) / x_points
+    deltas = inv.delta(xs)
 
-    q_stack = (
-        (1.0 - xs)[:, None, None] * (ws.msrc - ws.mcross)[None]
-        + (1.0 + xs)[:, None, None] * ws.mnt[None]
-        + ((1.0 + 3.0 * xs) / 4.0)[:, None, None] * ws.mtauh[None]
-    )
-    lam_hh = np.linalg.eigvalsh(q_stack[:, :d, :d])[:, 0]
-    lam_vv = np.linalg.eigvalsh(q_stack[:, d:, d:])[:, 0]
-    deltas = (1.0 - xs) * (d - 1) / d
-    rho2_cap = np.minimum(np.where(lam_vv > 0.0, lam_vv, np.nan), rho2_top)
-    ub_main = np.where(
-        (lam_hh > 0.0) & np.isfinite(rho2_cap),
-        lam_hh / (deltas + ws.kappa / rho2_cap),
-        -np.inf,
-    )
-    ub_t1z = np.where(
-        np.isfinite(ub_main) & (ub_main > -np.inf),
-        lam_hh / np.minimum(deltas + ws.kappa / rho2_cap, 2.0 * deltas + 1.0),
-        -np.inf,
-    )
-    qa_stack = q_stack + ws.mtt2[None]
-    lam_hh_a = np.linalg.eigvalsh(qa_stack[:, :d, :d])[:, 0]
-    lam_vv_a = np.linalg.eigvalsh(qa_stack[:, d:, d:])[:, 0]
-    cap_a = np.minimum(np.where(lam_vv_a > 0.0, lam_vv_a, np.nan), rho2_top)
-    ub_asn = np.where(
-        (lam_hh_a > 0.0) & np.isfinite(cap_a),
-        lam_hh_a / (deltas + ws.kappa / cap_a),
-        -np.inf,
-    )
+    def upper(q_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-x numerator, denominator and validity of the pruning bound."""
+        d = inv.d
+        lam_hh = np.linalg.eigvalsh(q_stack[:, :d, :d])[:, 0]
+        lam_vv = np.linalg.eigvalsh(q_stack[:, d:, d:])[:, 0]
+        cap = np.minimum(np.where(lam_vv > 0.0, lam_vv, np.nan), float(grid[-1]))
+        return lam_hh, deltas + inv.kappa / cap, (lam_hh > 0.0) & np.isfinite(cap)
 
-    sweep_samples = min(asn_samples, 4096)
+    q_stack = inv.q(xs)
+    lam, den, ok = upper(q_stack)
+    bounds = {
+        "main": np.where(ok, lam / den, -np.inf),
+        "t1zero": np.where(ok, lam / np.minimum(den, 2.0 * deltas + 1.0), -np.inf),
+    }
+    lam, den, ok = upper(q_stack + inv.q_tt2)
+    bounds["asn"] = np.where(ok, lam / den, -np.inf)
+
     best: dict[str, BoundResult] = {}
 
     def consider(res: BoundResult | None) -> None:
@@ -916,75 +752,50 @@ def optimize(
         if cur is None or res.value > cur.value:
             best[res.theorem] = res
 
-    plans = [("main", ub_main), ("t1zero", ub_t1z)] if ws.t1_zero else [("main", ub_main)]
-    for name, ub in plans:
+    for name in names:
+        ub = bounds[name]
         for i in np.argsort(ub)[::-1]:
             cur = best.get(name)
             if cur is not None and ub[i] <= cur.value + 1e-15:
                 break
             if not math.isfinite(ub[i]) or ub[i] <= 0.0:
                 break
-            res = _eval_main_family(ws, float(xs[i]), grid, (name,)).get(name)
-            consider(res)
-
-    if ws.flags.almost_strictly_normal:
-        for i in np.argsort(ub_asn)[::-1]:
-            cur = best.get("asn")
-            if cur is not None and ub_asn[i] <= cur.value + 1e-15:
-                break
-            if not math.isfinite(ub_asn[i]) or ub_asn[i] <= 0.0:
-                break
-            consider(_eval_asn(ws, float(xs[i]), grid, sweep_samples))
+            consider(_evaluate(inv, name, float(xs[i]), grid))
 
     # Golden-section refinement of the winning abscissa, one theorem at a time.
     step = 1.0 / x_points
     for name in list(best):
         center = best[name].x
 
-        def fun(x: float, _name=name):
-            if not 0.0 <= x < 1.0:
-                return -math.inf, None
-            if _name == "asn":
-                res = _eval_asn(ws, x, grid, sweep_samples)
-            else:
-                res = _eval_main_family(ws, x, grid, (_name,)).get(_name)
+        def value(x: np.ndarray, _name=name) -> float:
+            res = _evaluate(inv, _name, float(x), grid)
             if res is None or not math.isfinite(res.value):
-                return -math.inf, None
-            return res.value, res
+                return -math.inf
+            return res.value
 
         lo = max(center - step, 0.0)
         hi = min(center + step, 1.0 - 1e-12)
-        _, val, payload = _golden_refine(fun, lo, hi)
-        if payload is not None and val > best[name].value:
-            best[name] = payload
+        x, val = _golden_max(value, lo, hi)
+        if val > best[name].value:
+            best[name] = _evaluate(inv, name, float(x), grid)
 
-    if "asn" in best and asn_samples > sweep_samples:
-        final = bound_asn(
-            space,
-            best["asn"].x,
-            rho2=best["asn"].rho2,
-            samples=asn_samples,
-        )
-        if final is not None:
-            best["asn"] = final  # full-budget value is the honest one
-
-    consider(bound_sntf(space))
+    consider(_sntf(inv))
 
     report.entries = [best[k] for k in sorted(best)]
     if report.entries:
         report.best = max(report.entries, key=lambda r: r.value)
-    _append_discrepancies(ws, report)
+    _append_discrepancies(inv, report)
     return report
 
 
-def _append_discrepancies(ws: _Workspace, report: BoundReport) -> None:
+def _append_discrepancies(inv: Invariants, report: BoundReport) -> None:
     """For two named examples, recompute the closed-form bound under the
     alternate normalization in circulation and report both values."""
     sntf = next((e for e in report.entries if e.theorem == "sntf"), None)
     if sntf is None:
         return
-    d = ws.d
-    if ws.space.name == "twisted_spheres":
+    d = inv.d
+    if inv.space.name == "twisted_spheres":
         # Same data with the horizontal-torsion Gram counted over unordered
         # pairs, which halves rho2 and doubles omega.
         variant = sntf.rho1 / ((d - 1) / d + 0.75 * (2.0 * sntf.omega))
@@ -996,7 +807,7 @@ def _append_discrepancies(ws: _Workspace, report: BoundReport) -> None:
                 convention="unordered-pair torsion Gram (rho2 halved)",
             )
         )
-    elif ws.space.name == "so4_alt":
+    elif inv.space.name == "so4_alt":
         variant = sntf.rho1 / (d / (d - 1) + 0.75 * sntf.omega)
         report.discrepancies.append(
             DiscrepancyNote(

@@ -22,16 +22,9 @@ from .algebra import (
     load_spec,
     validate,
 )
-from .bounds import (
-    CSV_COLUMNS,
-    _csv_row,
-    distortion,
-    optimize,
-    report_csv,
-    report_text,
-)
+from .bounds import CSV_COLUMNS, invariants, optimize, report_csv, report_text
 from .connection import canonical_connection
-from .curvature import classify, seminorm_grams, sub_ricci, rigidity
+from .curvature import classify
 from .spectral import certify
 
 _EPILOG = """\
@@ -78,17 +71,13 @@ def _load(spec: str, params: dict[str, float]) -> HomogeneousSpace:
     return load_spec(path, params)
 
 
-def _require_valid(space: HomogeneousSpace) -> list[str]:
-    return validate(space)
-
-
 def _fmt(v: float) -> str:
     return format(v, ".12g")
 
 
 def _cmd_validate(args) -> int:
     space = _load(args.spec, _parse_params(args.param))
-    problems = _require_valid(space)
+    problems = validate(space)
     if problems:
         for p in problems:
             print(f"invalid: {p}")
@@ -111,7 +100,7 @@ _FLAG_ORDER = (
 
 def _checked_space(args) -> HomogeneousSpace | int:
     space = _load(args.spec, _parse_params(args.param))
-    problems = _require_valid(space)
+    problems = validate(space)
     if problems:
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)
@@ -131,20 +120,13 @@ def _cmd_classify(args) -> int:
 
 
 def _analysis_rows(space: HomogeneousSpace) -> list[tuple[str, str]]:
-    conn = canonical_connection(space)
+    inv = invariants(space)
     d = space.dim_h
-    flags = classify(conn)
-    grams = seminorm_grams(conn)
-    dist = distortion(space)
-    src = sub_ricci(conn)
     rows: list[tuple[str, str]] = [("example", space.name)]
-    rows += [(name, "yes" if getattr(flags, name) else "no") for name in _FLAG_ORDER]
-    kappa = float(np.linalg.eigvalsh(grams.tau_hv[:d, :d])[-1])
-    sigma = float(np.linalg.svd(dist.t1, compute_uv=False)[0]) if dist.t1.size else 0.0
-    sup_t2 = float(np.linalg.eigvalsh(dist.t2)[-1])
-    rows.append(("kappa", _fmt(kappa)))
-    rows.append(("sigma", _fmt(sigma)))
-    rows.append(("sup_t2", _fmt(sup_t2)))
+    rows += [(name, "yes" if getattr(inv.flags, name) else "no") for name in _FLAG_ORDER]
+    rows.append(("kappa", _fmt(inv.kappa)))
+    rows.append(("sigma", _fmt(inv.sigma)))
+    rows.append(("sup_t2", _fmt(inv.sup_t2)))
 
     def matrix_rows(tag: str, mat: np.ndarray) -> None:
         for i in range(mat.shape[0]):
@@ -152,14 +134,13 @@ def _analysis_rows(space: HomogeneousSpace) -> list[tuple[str, str]]:
                 if mat[i, j] != 0.0:
                     rows.append((f"{tag}[{i + 1}][{j + 1}]", _fmt(float(mat[i, j]))))
 
-    matrix_rows("sub_ricci", src[:d, :d])
-    matrix_rows("gram_tau_h", grams.tau_h)
-    matrix_rows("t1", dist.t1)
-    matrix_rows("t2", dist.t2)
-    rig = rigidity(conn)
+    matrix_rows("sub_ricci", inv.src[:d, :d])
+    matrix_rows("gram_tau_h", inv.grams.tau_h)
+    matrix_rows("t1", inv.dist.t1)
+    matrix_rows("t2", inv.dist.t2)
     for i in range(space.dim):
-        if rig[i] != 0.0:
-            rows.append((f"rigidity[{i + 1}]", _fmt(float(rig[i]))))
+        if inv.rig[i] != 0.0:
+            rows.append((f"rigidity[{i + 1}]", _fmt(float(inv.rig[i]))))
     return rows
 
 
@@ -249,7 +230,7 @@ def _cmd_report(args) -> int:
     print(",".join(header))
     for value in values:
         space = _load(args.spec, {**params, name: float(value)})
-        problems = _require_valid(space)
+        problems = validate(space)
         if problems:
             for p in problems:
                 print(f"invalid at {name}={_fmt(float(value))}: {p}", file=sys.stderr)
@@ -258,15 +239,10 @@ def _cmd_report(args) -> int:
             space, x_points=args.x_grid, rho2_per_decade=args.rho2_grid
         )
         suffix = f",{_fmt(_x_frontier(float(value)))}" if with_frontier else ""
+        rows = report_csv(report, header=False).splitlines()
         if not report.entries:
-            row = ",".join([space.name, "none"] + [""] * 8)
-            print(f"{_fmt(float(value))},{row}{suffix}")
-            continue
-        for e in report.entries:
-            print(f"{_fmt(float(value))},{_csv_row(space.name, e.theorem, e, e.value)}{suffix}")
-        for note in report.discrepancies:
-            src = next(e for e in report.entries if e.theorem == note.theorem)
-            row = _csv_row(space.name, f"{note.theorem}-variant", src, note.variant)
+            rows = [",".join([space.name, "none"] + [""] * 8)]
+        for row in rows:
             print(f"{_fmt(float(value))},{row}{suffix}")
     return 0
 

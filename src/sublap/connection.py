@@ -8,7 +8,7 @@ are constants and come out of Koszul-type closed forms, one per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,13 @@ class Connection:
     """Connection coefficients on the adapted frame.
 
     ``gamma[i, j, k]`` is the inner product of the covariant derivative of
-    frame vector j along frame vector i with frame vector k.
+    frame vector j along frame vector i with frame vector k.  ``tor`` holds
+    the torsion that `canonical_connection` computed to verify it.
     """
 
     space: HomogeneousSpace
     gamma: np.ndarray
+    tor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def canonical_connection(space: HomogeneousSpace) -> Connection:
@@ -69,8 +71,9 @@ def canonical_connection(space: HomogeneousSpace) -> Connection:
         half = 0.5 * (cb.transpose(2, 1, 0) - cb)
         gamma[direction, block, block] = half.transpose(1, 0, 2)
 
-    conn = Connection(space=space, gamma=gamma)
-    problems = verify_connection(conn)
+    tor = torsion(Connection(space=space, gamma=gamma))
+    conn = Connection(space=space, gamma=gamma, tor=tor)
+    problems = verify_connection(conn, tor=tor)
     if problems:
         raise RuntimeError("; ".join(problems))
     return conn
@@ -83,14 +86,15 @@ def torsion(conn: Connection) -> np.ndarray:
     return g - g.transpose(1, 0, 2) - conn.space.c
 
 
-def nabla_torsion(conn: Connection) -> np.ndarray:
+def nabla_torsion(conn: Connection, *, tor: np.ndarray | None = None) -> np.ndarray:
     """Covariant derivative of the torsion.
 
     ``nt[a, b, c, k]`` is the k-component of the derivative of Tor along
-    frame vector b, evaluated on the pair (e_a, e_c).
+    frame vector b, evaluated on the pair (e_a, e_c).  ``tor`` may pass in
+    ``torsion(conn)`` when the caller already has it.
     """
     g = conn.gamma
-    t = torsion(conn)
+    t = torsion(conn) if tor is None else tor
     return (
         np.einsum("acl,blk->abck", t, g)
         - np.einsum("bal,lck->abck", g, t)
@@ -98,41 +102,47 @@ def nabla_torsion(conn: Connection) -> np.ndarray:
     )
 
 
-def tor2(conn: Connection) -> np.ndarray:
+def tor2(conn: Connection, *, tor: np.ndarray | None = None) -> np.ndarray:
     """Iterated torsion: ``t2[a, b, c, k]`` is the k-component of
-    Tor(e_a, Tor(e_b, e_c))."""
-    t = torsion(conn)
+    Tor(e_a, Tor(e_b, e_c)).  ``tor`` as in `nabla_torsion`."""
+    t = torsion(conn) if tor is None else tor
     return np.einsum("bcl,alk->abck", t, t)
 
 
-def trace_nabla_torsion(conn: Connection) -> np.ndarray:
+def trace_nabla_torsion(conn: Connection, *, nt: np.ndarray | None = None) -> np.ndarray:
     """Horizontal trace of the torsion derivative over its last two slots.
 
     Returns ``out[a, k]``, the k-component of the trace evaluated at e_a.
+    ``nt`` may pass in ``nabla_torsion(conn)``.
     """
     d = conn.space.dim_h
-    nt = nabla_torsion(conn)
+    nt = nabla_torsion(conn) if nt is None else nt
     return np.einsum("aiik->ak", nt[:, :d, :d, :])
 
 
-def trace_tor2(conn: Connection) -> np.ndarray:
-    """Horizontal trace of the iterated torsion over its first two slots."""
+def trace_tor2(conn: Connection, *, t2: np.ndarray | None = None) -> np.ndarray:
+    """Horizontal trace of the iterated torsion over its first two slots.
+    ``t2`` may pass in ``tor2(conn)``."""
     d = conn.space.dim_h
-    t2 = tor2(conn)
+    t2 = tor2(conn) if t2 is None else t2
     return np.einsum("iiak->ak", t2[:d, :d, :, :])
 
 
-def trace_nabla_torsion_vertical(conn: Connection) -> np.ndarray:
-    """Vertical trace of the torsion derivative over its last two slots."""
+def trace_nabla_torsion_vertical(
+    conn: Connection, *, nt: np.ndarray | None = None
+) -> np.ndarray:
+    """Vertical trace of the torsion derivative over its last two slots.
+    ``nt`` may pass in ``nabla_torsion(conn)``."""
     d = conn.space.dim_h
-    nt = nabla_torsion(conn)
+    nt = nabla_torsion(conn) if nt is None else nt
     return np.einsum("aiik->ak", nt[:, d:, d:, :])
 
 
-def verify_connection(conn: Connection) -> list[str]:
+def verify_connection(conn: Connection, *, tor: np.ndarray | None = None) -> list[str]:
     """Check the five defining properties of the adapted connection and
     return a description of each violated one (empty for the genuine
-    connection).  Useful for probing perturbed coefficient tensors."""
+    connection).  Useful for probing perturbed coefficient tensors.
+    ``tor`` may pass in ``torsion(conn)``."""
     space = conn.space
     d, n = space.dim_h, space.dim
     gamma = conn.gamma
@@ -149,7 +159,7 @@ def verify_connection(conn: Connection) -> list[str]:
     if np.abs(gamma[:, split]).max() > tol:
         problems.append("connection does not preserve the splitting")
 
-    t = torsion(conn)
+    t = torsion(conn) if tor is None else tor
     if np.abs(t[:d, :d, :d]).max() > tol:
         problems.append("torsion of two horizontal vectors is not vertical")
     if np.abs(t[d:, d:, d:]).max() > tol:

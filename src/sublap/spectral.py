@@ -179,12 +179,6 @@ class SpectrumResult:
     tail_note: str
 
 
-def _factor_grams(coeffs: np.ndarray):
-    """Per-factor and cross-factor Grams of the full-frame coefficients."""
-    grams = np.einsum("ifa,igb->fagb", coeffs, coeffs)
-    return grams
-
-
 def _tail_estimate(
     space: HomogeneousSpace, config: OracleConfig, coeffs: np.ndarray, cutoff: float
 ) -> tuple[float | None, str]:
@@ -198,7 +192,8 @@ def _tail_estimate(
     nf = len(config.factors)
     d = space.dim_h
     scale = max(1.0, float(np.abs(coeffs).max()) ** 2)
-    grams = _factor_grams(coeffs)
+    # Per-factor and cross-factor Grams of the full-frame coefficients.
+    grams = np.einsum("ifa,igb->fagb", coeffs, coeffs)
     alphas = np.zeros(nf)
     for f in range(nf):
         g = grams[f, :, f, :]

@@ -1,7 +1,8 @@
 """Shared helpers for randomized geometry tests.
 
 Random spaces come from the packaged example families with randomized
-parameters, optionally followed by a vertical metric rescaling and a blockwise
+parameters, or from a weighted so(4) frame that reaches the general asn
+branch, optionally followed by a vertical metric rescaling and a blockwise
 rotation of the adapted frame. Both operations preserve antisymmetry, the
 Jacobi identity, step-2 generation, and the horizontal/vertical splitting, so
 every generated space is valid by construction.
@@ -31,16 +32,41 @@ def rotate_frame(
     return HomogeneousSpace(space.name, d, space.dim_v, c, dict(space.params), None)
 
 
+def so4_weighted(
+    sq_lengths: tuple[float, ...] = (1.0, 1.0, 1.0, 2.0, 1.0)
+) -> HomogeneousSpace:
+    """so(4) with V = span(M12) and H = (M13, M14, M23, M24, M34), where M_ij
+    is the elementary rotation and the H vectors have the given squared
+    lengths (M12 has length 1).  The default lengths give an almost strictly
+    normal space whose asn product term is neither zero nor isotropic."""
+    pairs = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]
+    scale = np.sqrt(np.append(np.asarray(sq_lengths, dtype=float), 1.0))
+    mats = []
+    for i, j in pairs:
+        m = np.zeros((4, 4))
+        m[i, j], m[j, i] = 1.0, -1.0
+        mats.append(m)
+    flat = np.array([m.ravel() for m in mats]).T
+    c = np.zeros((6, 6, 6))
+    for a, ma in enumerate(mats):
+        for b, mb in enumerate(mats):
+            coords = np.linalg.lstsq(flat, (ma @ mb - mb @ ma).ravel(), rcond=None)[0]
+            c[a, b] = np.round(coords) * scale / (scale[a] * scale[b])
+    return HomogeneousSpace("so4_weighted", 5, 1, c)
+
+
 def random_space(rng: np.random.Generator) -> HomogeneousSpace:
-    kind = int(rng.integers(0, 4))
+    kind = int(rng.integers(0, 5))
     if kind == 0:
         space = load_builtin("so4_twisted", b=float(rng.uniform(-0.8, 0.8)))
     elif kind == 1:
         space = load_builtin("so3_twisted", c=float(rng.uniform(-0.9, 0.9)))
     elif kind == 2:
         space = load_builtin("so4_alt")
-    else:
+    elif kind == 3:
         space = load_builtin("twisted_spheres")
+    else:
+        space = so4_weighted()
     if rng.random() < 0.7:
         space = rescale_vertical(space, float(10.0 ** rng.uniform(-1.0, 1.0)))
     oh = random_orthogonal(rng, space.dim_h)

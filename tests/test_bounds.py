@@ -18,13 +18,14 @@ from sublap import (
     bound_t1zero,
     distortion,
     feasible_rho1,
+    invariants,
     load_builtin,
     m_constant,
     optimize,
     report_csv,
     report_text,
 )
-from sublap.bounds import _t1zero_values, _workspace
+from sublap.bounds import _t1zero_values
 
 CSV_HEADER = "example,theorem,bound,x,rho1,rho2,omega,chi,psi,m"
 
@@ -153,7 +154,7 @@ def test_fixed_x_bounds_on_builtin_examples():
         space = load_builtin(name, **kw)
         main = bound_main(space, 0.2)
         t1z = bound_t1zero(space, 0.2)
-        asn = bound_asn(space, 0.2, samples=20000)
+        asn = bound_asn(space, 0.2)
         assert abs(main.value - want) < 5e-9, (name, param)
         assert abs(t1z.value - main.value) < 1e-8
         assert abs(asn.value - main.value) < 1e-8
@@ -163,7 +164,7 @@ def test_sheared_so3_only_admits_the_asn_bound():
     space = load_builtin("so3_twisted", c=0.2)
     assert bound_main(space, 0.2) is None
     assert bound_t1zero(space, 0.2) is None
-    asn = bound_asn(space, 0.2, samples=20000)
+    asn = bound_asn(space, 0.2)
     assert asn is not None and abs(asn.value - 0.104732097) < 1e-6
 
 
@@ -181,10 +182,10 @@ def test_t1zero_never_falls_below_main():
 
 def test_product_gram_factors_of_sheared_so3():
     for c in (0.2, 0.5):
-        ws = _workspace(load_builtin("so3_twisted", c=c))
+        grams = invariants(load_builtin("so3_twisted", c=c)).grams
         want = c * c * (c * c + 4.0) / 4.0
-        assert np.allclose(ws.g1, want * np.eye(2)), c
-        assert np.allclose(ws.g2, np.eye(2)), c
+        assert np.allclose(grams.tau_vh[:2, :2], want * np.eye(2)), c
+        assert np.allclose(grams.tau_hv[:2, :2], np.eye(2)), c
 
 
 def test_distortion_vanishes_except_for_sheared_so3():
@@ -221,43 +222,39 @@ def test_sntf_agrees_with_asn_at_its_optimum():
     for name in ("so4_twisted", "so3_twisted", "so4_alt", "twisted_spheres"):
         space = load_builtin(name)
         sntf = bound_sntf(space)
-        asn = bound_asn(space, 1.0 / 3.0, samples=20000)
+        asn = bound_asn(space, 1.0 / 3.0)
         assert abs(sntf.value - asn.value) < 1e-9, name
 
 
 def test_optimize_on_reference_examples():
-    rep = optimize(load_builtin("so4_twisted"), x_points=400, asn_samples=20000)
+    rep = optimize(load_builtin("so4_twisted"), x_points=400)
     assert sorted(e.theorem for e in rep.entries) == ["asn", "main", "sntf", "t1zero"]
     for e in rep.entries:
         assert abs(e.value - 20.0 / 31.0) < 1e-8, e.theorem
     assert abs(rep.best.x - 1.0 / 3.0) < 1e-2
     assert rep.discrepancies == []
 
-    rep = optimize(load_builtin("so3_twisted"), x_points=400, asn_samples=20000)
+    rep = optimize(load_builtin("so3_twisted"), x_points=400)
     assert abs(rep.best.value - 0.5) < 1e-8
     assert rep.discrepancies == []
 
 
 def test_optimize_on_twist_family():
-    rep = optimize(
-        load_builtin("so4_twisted", b=0.3), x_points=400, asn_samples=20000
-    )
+    rep = optimize(load_builtin("so4_twisted", b=0.3), x_points=400)
     assert sorted(e.theorem for e in rep.entries) == ["asn", "main", "t1zero"]
     assert abs(rep.best.value - 0.275899678) < 1e-7
     assert abs(rep.best.x - 0.2085) < 1e-2
 
 
 def test_optimize_on_sheared_so3():
-    rep = optimize(
-        load_builtin("so3_twisted", c=0.2), x_points=400, asn_samples=20000
-    )
+    rep = optimize(load_builtin("so3_twisted", c=0.2), x_points=400)
     assert [e.theorem for e in rep.entries] == ["asn"]
     assert abs(rep.best.value - 0.166802985) < 1e-7
     assert abs(rep.best.x) < 1e-9
 
 
 def test_optimize_reports_convention_variants():
-    rep = optimize(load_builtin("so4_alt"), x_points=200, asn_samples=20000)
+    rep = optimize(load_builtin("so4_alt"), x_points=200)
     assert len(rep.discrepancies) == 1
     note = rep.discrepancies[0]
     assert note.theorem == "sntf"
@@ -265,7 +262,7 @@ def test_optimize_reports_convention_variants():
     assert np.isclose(note.variant, 4.0 / 9.0, rtol=1e-12)
     assert "d/(d-1)" in note.convention
 
-    rep = optimize(load_builtin("twisted_spheres"), x_points=200, asn_samples=20000)
+    rep = optimize(load_builtin("twisted_spheres"), x_points=200)
     assert len(rep.discrepancies) == 1
     note = rep.discrepancies[0]
     assert np.isclose(note.value, 6.0 / 11.0, rtol=1e-12)
@@ -275,7 +272,7 @@ def test_optimize_reports_convention_variants():
 
 def test_refinement_never_loses_to_the_grid():
     space = load_builtin("so3_twisted")
-    rep = optimize(space, x_points=37, asn_samples=20000)
+    rep = optimize(space, x_points=37)
     grid_best = max(
         bound_main(space, x).value
         for x in np.arange(37) / 37.0
@@ -297,8 +294,8 @@ def test_optimize_without_vertical_coupling_is_empty():
 
 def test_report_rendering_and_determinism():
     space = load_builtin("so4_alt")
-    rep1 = optimize(space, x_points=120, asn_samples=20000)
-    rep2 = optimize(space, x_points=120, asn_samples=20000)
+    rep1 = optimize(space, x_points=120)
+    rep2 = optimize(space, x_points=120)
     text = report_text(rep1)
     csv = report_csv(rep1)
     assert text == report_text(rep2)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,9 +236,27 @@ def test_report_rejects_malformed_sweeps(capsys):
         assert code == 2, sweep
 
 
-def test_console_script_is_installed():
-    proc = subprocess.run(
-        ["sublap", "validate", "so4_alt"], capture_output=True, text=True
+def run_module(*argv):
+    """Run ``python -m sublap`` in a fresh interpreter with src importable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run(
+        [sys.executable, "-m", "sublap", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_console_script_is_installed():
+    proc = run_module("validate", "so4_alt")
     assert proc.returncode == 0
     assert proc.stdout == "so4_alt: ok (dim_h=3, dim_v=3)\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "bound"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e200"])
+def test_non_finite_parameters_are_rejected(command, value):
+    proc = run_module(command, "so4_twisted", "--param", f"b={value}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: coefficient"), proc.stderr

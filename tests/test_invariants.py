@@ -1,0 +1,143 @@
+"""The shared invariants object: each tensor is computed once per call, and
+the closed-form asn product term on a space that needs the general branch."""
+
+from __future__ import annotations
+
+import functools
+import sys
+
+import numpy as np
+import pytest
+
+import sublap
+import sublap.cli
+from sublap import (
+    bound_asn,
+    bound_sntf,
+    invariants,
+    load_builtin,
+    optimize,
+    rescale_vertical,
+)
+from conftest import random_orthogonal, rotate_frame, so4_weighted
+
+COUNTED = ("canonical_connection", "torsion", "nabla_torsion", "tor2")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls of the connection-level builders, wrapped in every module
+    of the package that holds a reference to them."""
+    counts = dict.fromkeys(COUNTED, 0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "sublap"]
+    for name in COUNTED:
+        original = getattr(sublap.connection, name)
+
+        @functools.wraps(original)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "space",
+    [load_builtin("so4_alt"), load_builtin("so4_twisted", b=0.3), so4_weighted()],
+    ids=["so4_alt", "so4_twisted_b03", "so4_weighted"],
+)
+def test_each_tensor_is_built_once_per_entry_point(calls, space):
+    optimize(space, x_points=20)
+    assert calls == dict.fromkeys(COUNTED, 1)
+
+    calls.update(dict.fromkeys(COUNTED, 0))
+    bound_sntf(space)
+    assert calls == dict.fromkeys(COUNTED, 1)
+
+
+def test_analyze_builds_each_tensor_once(calls, capsys):
+    assert sublap.cli.main(["analyze", "so4_twisted", "--param", "b=0.3"]) == 0
+    capsys.readouterr()
+    assert calls == dict.fromkeys(COUNTED, 1)
+
+
+def _objective(h: np.ndarray, s: np.ndarray, g1: np.ndarray, g2: np.ndarray):
+    """h'Sh - 2 sqrt(h'G1h * h'G2h) for each row h."""
+    a = np.einsum("nd,de,ne->n", h, s, h)
+    q1 = np.maximum(np.einsum("nd,de,ne->n", h, g1, h), 0.0)
+    q2 = np.maximum(np.einsum("nd,de,ne->n", h, g2, h), 0.0)
+    return a - 2.0 * np.sqrt(q1 * q2)
+
+
+def _sphere_min(s, g1, g2, rng) -> float:
+    """Minimum of the objective over a dense sample of the unit sphere: a
+    uniform sample, then shrinking balls around each of its 64 best points.
+    Every point lies on the sphere, so the result never undercuts the true
+    minimum."""
+    d = s.shape[0]
+    h = rng.standard_normal((200_000, d))
+    h /= np.linalg.norm(h, axis=1, keepdims=True)
+    vals = _objective(h, s, g1, g2)
+    keep = np.argsort(vals)[:64]
+    starts, low = h[keep], vals[keep]
+    for radius in 0.5 ** np.arange(1.0, 40.0):
+        cand = starts[:, None, :] + radius * rng.standard_normal((64, 200, d))
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        cvals = _objective(cand.reshape(-1, d), s, g1, g2).reshape(64, 200)
+        pick = np.argmin(cvals, axis=1)
+        better = cvals[np.arange(64), pick] < low
+        starts[better] = cand[np.arange(64), pick][better]
+        low = np.minimum(low, cvals[np.arange(64), pick])
+    return float(low.min())
+
+
+def test_weighted_so4_reaches_the_general_asn_branch():
+    inv = invariants(so4_weighted())
+    assert inv.flags.almost_strictly_normal
+    assert inv.product == ("general", 0.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.1, 0.2, 0.31])
+def test_closed_form_asn_is_sound_and_tight(x):
+    space = so4_weighted()
+    inv = invariants(space)
+    d = space.dim_h
+    res = bound_asn(space, x)
+    assert res is not None
+    # Schur complement of the vertical block at the reported rho2, built
+    # directly from the modified curvature form; the pseudo-inverse drops a
+    # decoupled vertical direction sitting at its boundary.
+    q = inv.q(x) + inv.q_tt2
+    shifted = q[d:, d:] - res.rho2 * np.eye(space.dim_v)
+    s = q[:d, :d] - q[:d, d:] @ np.linalg.pinv(shifted) @ q[d:, :d]
+    g1, g2 = inv.grams.tau_vh[:d, :d], inv.grams.tau_hv[:d, :d]
+
+    sample = _sphere_min(s, g1, g2, np.random.default_rng(17))
+    assert res.rho1 <= sample + 1e-12
+    assert sample - res.rho1 <= 1e-6
+
+    # the golden search in t found the dual maximum
+    ts = np.logspace(-4.0, 4.0, 4001)[:, None, None]
+    dual = np.linalg.eigvalsh(s[None] - ts * g1[None] - g2[None] / ts)[:, 0]
+    assert dual.max() <= res.rho1 + 1e-12
+
+
+def test_closed_form_asn_reproduces_the_sampled_value():
+    # The sphere sample plus projected-gradient polish that this closed form
+    # replaced gave 0.27149321267 here.
+    res = bound_asn(so4_weighted(), 0.2)
+    assert abs(res.value - 0.27149321267) < 1e-9
+
+
+def test_closed_form_asn_is_frame_invariant():
+    space = so4_weighted()
+    want = bound_asn(space, 0.2).value
+    rng = np.random.default_rng(23)
+    for t in (0.3, 1.0, 4.0):
+        moved = rescale_vertical(space, t)
+        moved = rotate_frame(moved, random_orthogonal(rng, 5), random_orthogonal(rng, 1))
+        assert invariants(moved).product[0] == "general"
+        assert abs(bound_asn(moved, 0.2).value - want) < 1e-9, t

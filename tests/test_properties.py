@@ -137,14 +137,14 @@ def _bound_fingerprint(space):
     for label, result in (
         ("main", bound_main(space, 0.2)),
         ("t1zero", bound_t1zero(space, 0.2)),
-        ("asn", bound_asn(space, 0.2, samples=20000)),
+        ("asn", bound_asn(space, 0.2)),
         ("sntf", bound_sntf(space)),
     ):
         if result is None:
             rows[label] = None
         else:
             rows[label] = (result.value, result.omega, result.chi, result.psi)
-    best = optimize(space, x_points=200, asn_samples=10000).best
+    best = optimize(space, x_points=200).best
     rows["best"] = None if best is None else best.value
     return rows
 

@@ -237,7 +237,7 @@ def test_lambda1_aborts_when_the_operator_degenerates():
 
 def test_certify_reference_example():
     space = load_builtin("so4_twisted")
-    report = optimize(space, x_points=200, asn_samples=20000)
+    report = optimize(space, x_points=200)
     result = certify(space, report)
     assert result.all_passed
     assert abs(result.lambda1 - 2.0) < 1e-10
@@ -250,7 +250,7 @@ def test_certify_reference_example():
 
 def test_certify_checks_convention_variants_too():
     space = load_builtin("so4_alt")
-    report = optimize(space, x_points=200, asn_samples=20000)
+    report = optimize(space, x_points=200)
     result = certify(space, report)
     assert result.all_passed
     variant = [e for e in result.entries if e.theorem == "sntf-variant"]
@@ -261,6 +261,6 @@ def test_certify_checks_convention_variants_too():
 
 def test_certify_demands_enough_spectral_headroom():
     space = load_builtin("so4_alt")
-    report = optimize(space, x_points=100, asn_samples=20000)
+    report = optimize(space, x_points=100)
     with pytest.raises(ValueError, match="four times"):
         certify(space, report, cutoff=1.8)
