@@ -18,20 +18,19 @@ import numpy as np
 
 from .algebra import ZERO_TOL, HomogeneousSpace
 from .connection import (
+    _trace_nt,
+    _trace_t2,
     canonical_connection,
     nabla_torsion,
     tor2,
-    trace_nabla_torsion,
-    trace_nabla_torsion_vertical,
-    trace_tor2,
 )
 from .curvature import (
     SeminormGrams,
     StructureFlags,
-    classify,
+    _classify,
+    _sub_ricci,
     rigidity,
     seminorm_grams,
-    sub_ricci,
 )
 
 __all__ = [
@@ -169,18 +168,18 @@ def invariants(space: HomogeneousSpace) -> Invariants:
     conn = canonical_connection(space)
     d, n = space.dim_h, space.dim
     t = conn.tor
-    nt = nabla_torsion(conn, tor=t)
-    t2t = tor2(conn, tor=t)
-    trnt = trace_nabla_torsion(conn, nt=nt)
-    trt2 = trace_tor2(conn, t2=t2t)
-    src = sub_ricci(conn, t2=t2t, trt2=trt2)
-    grams = seminorm_grams(conn, tor=t)
-    rig = rigidity(conn, tor=t)
+    nt = nabla_torsion(conn)
+    t2t = tor2(conn)
+    trnt = _trace_nt(nt, slice(0, d))
+    trt2 = _trace_t2(t2t, d)
+    src = _sub_ricci(conn, t2t, trt2)
+    grams = seminorm_grams(conn)
+    rig = rigidity(conn)
 
     t1 = np.einsum("kabk->ab", (t2t - nt)[:d, d:, :d, :d])
     t1 = t1 + np.einsum("abkk->ab", t2t[d:, :d, :d, :d])
     t1 = t1 + 4.0 * trt2[d:, :d]
-    trv = trace_nabla_torsion_vertical(conn, nt=nt)
+    trv = _trace_nt(nt, slice(d, None))
     w3 = np.einsum("puq,u->pq", t[:d, d:, :d], rig[d:])
     t2m = 2.0 * grams.tau_vh[:d, :d] + trv[:d, :d] + w3
     dist = DistortionPack(t1=t1, t2=0.5 * (t2m + t2m.T))
@@ -199,7 +198,7 @@ def invariants(space: HomogeneousSpace) -> Invariants:
     kappa = float(np.linalg.eigvalsh(grams.tau_hv[:d, :d])[-1])
     return Invariants(
         space=space,
-        flags=classify(conn, tor=t, rig=rig),
+        flags=_classify(conn, rig, ZERO_TOL),
         src=src,
         grams=grams,
         rig=rig,
@@ -412,29 +411,43 @@ def _golden_max(fun, lo, hi, iters: int = 60):
     return best_x, best_f
 
 
-def _asn_rho1_curve(inv: Invariants, qt: np.ndarray, rho2s: np.ndarray) -> np.ndarray:
+def _asn_rho1_curve(
+    inv: Invariants, qt: np.ndarray, rho2s: np.ndarray, den: np.ndarray
+) -> np.ndarray:
     """rho1(rho2) for the refined bound: the minimum over unit horizontal h
     of h'Sh - 2 sqrt(h'G1h * h'G2h), with S the Schur complement at rho2.
 
     A zero or isotropic product term makes this an eigenvalue.  Otherwise
     2 sqrt(ab) <= t*a + b/t gives the weak-duality value
     max_t lambda_min(S - t G1 - G2/t), never above the minimum and concave
-    in t; it is maximized by golden section in log t.
+    in t; it is maximized by golden section in log t.  That search runs only
+    where rho1/den can still reach the best of the curve (NaN elsewhere).
     """
     d = inv.d
     stack, ok = _schur(qt, d, rho2s)
     kind, coeff = inv.product
+    lam_s = np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
     if kind != "general":
-        return np.where(ok, np.linalg.eigvalsh(stack)[:, 0] - coeff, np.nan)
+        return lam_s - coeff
     g1, g2 = inv.grams.tau_vh[:d, :d], inv.grams.tau_hv[:d, :d]
+    center = 0.5 * math.log(np.trace(g2) / np.trace(g1))
 
-    def lam(log_t: np.ndarray) -> np.ndarray:
-        t = np.exp(log_t)[:, None, None]
-        return np.linalg.eigvalsh(stack - t * g1 - g2 / t)[:, 0]
+    def search(s: np.ndarray) -> np.ndarray:
+        def lam(log_t: np.ndarray) -> np.ndarray:
+            t = np.exp(log_t)[:, None, None]
+            return np.linalg.eigvalsh(s - t * g1 - g2 / t)[:, 0]
 
-    center = np.full(rho2s.shape, 0.5 * math.log(np.trace(g2) / np.trace(g1)))
-    _, rho1 = _golden_max(lam, center - _LOG_T_SPAN, center + _LOG_T_SPAN)
-    return np.where(ok, rho1, np.nan)
+        lo = np.full(s.shape[0], center - _LOG_T_SPAN)
+        return _golden_max(lam, lo, lo + 2.0 * _LOG_T_SPAN)[1]
+
+    # G1 and G2 are PSD, so lambda_min(S) caps rho1 up to rounding; den > 0.
+    slack = _PSD_TOL * max(1.0, float(np.abs(qt).max()))
+    cap = np.where(ok, (lam_s + slack) / den, -np.inf)
+    top = int(np.argmax(cap))
+    live = ok & (cap >= search(stack[top : top + 1])[0] / den[top])
+    rho1 = np.full(rho2s.shape, np.nan)
+    rho1[live] = search(stack[live])
+    return rho1
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +570,10 @@ def _eval_asn(inv: Invariants, x: float, rho2s: np.ndarray) -> BoundResult | Non
     cands = _rho2_candidates(rho2s, qt, d)
     if cands.size == 0:
         return None
-    rho1 = _asn_rho1_curve(inv, qt, cands)
     omega = inv.kappa / cands
-    vals = np.where(rho1 > 0.0, rho1 / (inv.delta(x) + omega), np.nan)
+    den = inv.delta(x) + omega
+    rho1 = _asn_rho1_curve(inv, qt, cands, den)
+    vals = np.where(rho1 > 0.0, rho1 / den, np.nan)
     picked = _pick_best(vals, cands, {"rho1": rho1, "omega": omega})
     if picked is None:
         return None
@@ -648,10 +662,12 @@ def bound_asn(
     """Refined bound rho1/(Delta + omega) for almost strictly normal spaces,
     maximized over the rho2 grid.
 
-    rho1 is the minimum over unit horizontal vectors of the modified
-    curvature form minus the product of the two mixed torsion semi-norms,
-    evaluated in closed form.  None when the space is not almost strictly
-    normal.
+    rho1 bounds from below the minimum over unit horizontal vectors of the
+    modified curvature form minus the product of the two mixed torsion
+    semi-norms.  With a zero or isotropic product term it is that minimum;
+    otherwise it is the weak-duality value max over t > 0 of
+    lambda_min(S - t G1 - G2/t), which is always sound and can fall below
+    the minimum.  None when the space is not almost strictly normal.
     """
     return _bound_at(space, x, "asn", rho2_per_decade)
 

@@ -32,13 +32,16 @@ class Connection:
     """Connection coefficients on the adapted frame.
 
     ``gamma[i, j, k]`` is the inner product of the covariant derivative of
-    frame vector j along frame vector i with frame vector k.  ``tor`` holds
-    the torsion that `canonical_connection` computed to verify it.
+    frame vector j along frame vector i with frame vector k.  ``tor`` is
+    ``torsion`` of these coefficients, computed once on construction.
     """
 
     space: HomogeneousSpace
     gamma: np.ndarray
-    tor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    tor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tor", torsion(self))
 
 
 def canonical_connection(space: HomogeneousSpace) -> Connection:
@@ -71,9 +74,8 @@ def canonical_connection(space: HomogeneousSpace) -> Connection:
         half = 0.5 * (cb.transpose(2, 1, 0) - cb)
         gamma[direction, block, block] = half.transpose(1, 0, 2)
 
-    tor = torsion(Connection(space=space, gamma=gamma))
-    conn = Connection(space=space, gamma=gamma, tor=tor)
-    problems = verify_connection(conn, tor=tor)
+    conn = Connection(space=space, gamma=gamma)
+    problems = verify_connection(conn)
     if problems:
         raise RuntimeError("; ".join(problems))
     return conn
@@ -86,15 +88,14 @@ def torsion(conn: Connection) -> np.ndarray:
     return g - g.transpose(1, 0, 2) - conn.space.c
 
 
-def nabla_torsion(conn: Connection, *, tor: np.ndarray | None = None) -> np.ndarray:
+def nabla_torsion(conn: Connection) -> np.ndarray:
     """Covariant derivative of the torsion.
 
     ``nt[a, b, c, k]`` is the k-component of the derivative of Tor along
-    frame vector b, evaluated on the pair (e_a, e_c).  ``tor`` may pass in
-    ``torsion(conn)`` when the caller already has it.
+    frame vector b, evaluated on the pair (e_a, e_c).
     """
     g = conn.gamma
-    t = torsion(conn) if tor is None else tor
+    t = conn.tor
     return (
         np.einsum("acl,blk->abck", t, g)
         - np.einsum("bal,lck->abck", g, t)
@@ -102,47 +103,45 @@ def nabla_torsion(conn: Connection, *, tor: np.ndarray | None = None) -> np.ndar
     )
 
 
-def tor2(conn: Connection, *, tor: np.ndarray | None = None) -> np.ndarray:
+def tor2(conn: Connection) -> np.ndarray:
     """Iterated torsion: ``t2[a, b, c, k]`` is the k-component of
-    Tor(e_a, Tor(e_b, e_c)).  ``tor`` as in `nabla_torsion`."""
-    t = torsion(conn) if tor is None else tor
+    Tor(e_a, Tor(e_b, e_c))."""
+    t = conn.tor
     return np.einsum("bcl,alk->abck", t, t)
 
 
-def trace_nabla_torsion(conn: Connection, *, nt: np.ndarray | None = None) -> np.ndarray:
+def trace_nabla_torsion(conn: Connection) -> np.ndarray:
     """Horizontal trace of the torsion derivative over its last two slots.
 
     Returns ``out[a, k]``, the k-component of the trace evaluated at e_a.
-    ``nt`` may pass in ``nabla_torsion(conn)``.
     """
-    d = conn.space.dim_h
-    nt = nabla_torsion(conn) if nt is None else nt
-    return np.einsum("aiik->ak", nt[:, :d, :d, :])
+    return _trace_nt(nabla_torsion(conn), slice(0, conn.space.dim_h))
 
 
-def trace_tor2(conn: Connection, *, t2: np.ndarray | None = None) -> np.ndarray:
-    """Horizontal trace of the iterated torsion over its first two slots.
-    ``t2`` may pass in ``tor2(conn)``."""
-    d = conn.space.dim_h
-    t2 = tor2(conn) if t2 is None else t2
+def trace_tor2(conn: Connection) -> np.ndarray:
+    """Horizontal trace of the iterated torsion over its first two slots."""
+    return _trace_t2(tor2(conn), conn.space.dim_h)
+
+
+def trace_nabla_torsion_vertical(conn: Connection) -> np.ndarray:
+    """Vertical trace of the torsion derivative over its last two slots."""
+    return _trace_nt(nabla_torsion(conn), slice(conn.space.dim_h, None))
+
+
+def _trace_nt(nt: np.ndarray, block: slice) -> np.ndarray:
+    """Trace of a torsion derivative over its last two slots on one block."""
+    return np.einsum("aiik->ak", nt[:, block, block, :])
+
+
+def _trace_t2(t2: np.ndarray, d: int) -> np.ndarray:
+    """Trace of an iterated torsion over its first two horizontal slots."""
     return np.einsum("iiak->ak", t2[:d, :d, :, :])
 
 
-def trace_nabla_torsion_vertical(
-    conn: Connection, *, nt: np.ndarray | None = None
-) -> np.ndarray:
-    """Vertical trace of the torsion derivative over its last two slots.
-    ``nt`` may pass in ``nabla_torsion(conn)``."""
-    d = conn.space.dim_h
-    nt = nabla_torsion(conn) if nt is None else nt
-    return np.einsum("aiik->ak", nt[:, d:, d:, :])
-
-
-def verify_connection(conn: Connection, *, tor: np.ndarray | None = None) -> list[str]:
+def verify_connection(conn: Connection) -> list[str]:
     """Check the five defining properties of the adapted connection and
     return a description of each violated one (empty for the genuine
-    connection).  Useful for probing perturbed coefficient tensors.
-    ``tor`` may pass in ``torsion(conn)``."""
+    connection).  Useful for probing perturbed coefficient tensors."""
     space = conn.space
     d, n = space.dim_h, space.dim
     gamma = conn.gamma
@@ -159,7 +158,7 @@ def verify_connection(conn: Connection, *, tor: np.ndarray | None = None) -> lis
     if np.abs(gamma[:, split]).max() > tol:
         problems.append("connection does not preserve the splitting")
 
-    t = torsion(conn) if tor is None else tor
+    t = conn.tor
     if np.abs(t[:d, :d, :d]).max() > tol:
         problems.append("torsion of two horizontal vectors is not vertical")
     if np.abs(t[d:, d:, d:]).max() > tol:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ZERO_TOL, HomogeneousSpace
-from .connection import Connection, tor2, torsion, trace_tor2
+from .connection import Connection, _trace_t2, tor2
 
 __all__ = [
     "SeminormGrams",
@@ -51,34 +51,34 @@ def trace_rm(conn: Connection) -> np.ndarray:
     return np.einsum("kabk->ab", rm[:d, :, :, :d])
 
 
-def sub_ricci(
-    conn: Connection, *, t2: np.ndarray | None = None, trt2: np.ndarray | None = None
-) -> np.ndarray:
+def sub_ricci(conn: Connection) -> np.ndarray:
     """Sub-Riemannian Ricci form as a full matrix on the frame.
 
     Off the horizontal block the torsion corrections vanish by construction
     and the curvature trace vanishes because the connection preserves the
-    splitting, so the matrix is supported on the horizontal block.  ``t2``
-    and ``trt2`` may pass in ``tor2(conn)`` and ``trace_tor2(conn)``.
+    splitting, so the matrix is supported on the horizontal block.
     """
+    t2 = tor2(conn)
+    return _sub_ricci(conn, t2, _trace_t2(t2, conn.space.dim_h))
+
+
+def _sub_ricci(conn: Connection, t2: np.ndarray, trt2: np.ndarray) -> np.ndarray:
+    """`sub_ricci` from the iterated torsion and its horizontal trace."""
     d = conn.space.dim_h
     src = trace_rm(conn)
-    t2 = tor2(conn) if t2 is None else t2
-    trt2 = trace_tor2(conn, t2=t2) if trt2 is None else trt2
     src[:d, :d] -= 0.5 * np.einsum("kabk->ab", t2[:d, :d, :d, :d])
     src[:d, :d] -= trt2[:d, :d]
     return src
 
 
-def rigidity(conn: Connection, *, tor: np.ndarray | None = None) -> np.ndarray:
+def rigidity(conn: Connection) -> np.ndarray:
     """Rigidity one-form on the frame, as the vector of its components.
 
     The entry for a horizontal vector traces the mixed torsion against the
     vertical frame; for a vertical vector, against the horizontal frame.
-    ``tor`` may pass in ``torsion(conn)``.
     """
     d = conn.space.dim_h
-    t = torsion(conn) if tor is None else tor
+    t = conn.tor
     return np.einsum("kak->a", t[:d, :, :d]) + np.einsum("kak->a", t[d:, :, d:])
 
 
@@ -99,10 +99,9 @@ class SeminormGrams:
     tau_h: np.ndarray
 
 
-def seminorm_grams(conn: Connection, *, tor: np.ndarray | None = None) -> SeminormGrams:
-    """Gram matrices of the torsion semi-norms; ``tor`` as in `rigidity`."""
+def seminorm_grams(conn: Connection) -> SeminormGrams:
     d = conn.space.dim_h
-    t = torsion(conn) if tor is None else tor
+    t = conn.tor
     mixed_vh = t[:, d:, :d]  # <Tor(e_p, U_k), E_i>
     mixed_hv = t[:, :d, d:]  # <Tor(e_p, E_i), U_k>
     horiz = t[:d, :d, :]  # <Tor(E_i, E_j), e_p>, both orders counted
@@ -127,27 +126,24 @@ class StructureFlags:
     almost_strictly_normal: bool
 
 
-def classify(
-    conn: Connection,
-    tol: float = ZERO_TOL,
-    *,
-    tor: np.ndarray | None = None,
-    rig: np.ndarray | None = None,
-) -> StructureFlags:
+def classify(conn: Connection, tol: float = ZERO_TOL) -> StructureFlags:
     """Decide the torsion-shape flags used as theorem preconditions.
 
     h_normal / v_normal record whether mixed torsion values stay vertical,
     respectively horizontal; strictly normal means they vanish outright.
-    vm_integrable records whether vertical brackets stay vertical.  ``tor``
-    and ``rig`` may pass in ``torsion(conn)`` and ``rigidity(conn)``.
+    vm_integrable records whether vertical brackets stay vertical.
     """
+    return _classify(conn, rigidity(conn), tol)
+
+
+def _classify(conn: Connection, r: np.ndarray, tol: float) -> StructureFlags:
+    """`classify` given the rigidity one-form ``r`` of ``conn``."""
     space = conn.space
     d = space.dim_h
     scale = max(1.0, float(np.abs(space.c).max()) ** 2)
     cut = tol * scale
 
-    t = torsion(conn) if tor is None else tor
-    r = rigidity(conn, tor=t) if rig is None else rig
+    t = conn.tor
     h_rigid = bool(np.abs(r[:d]).max(initial=0.0) <= cut)
     v_rigid = bool(np.abs(r[d:]).max(initial=0.0) <= cut)
 

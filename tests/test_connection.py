@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from sublap import (
@@ -171,3 +173,14 @@ def test_trace_map_shapes():
     assert trace_nabla_torsion(conn).shape == (n, n)
     assert trace_nabla_torsion_vertical(conn).shape == (n, n)
     assert trace_tor2(conn).shape == (n, n)
+
+
+def test_stored_torsion_follows_the_coefficients():
+    conn = canonical_connection(load_builtin("so4_twisted", b=0.3))
+    assert np.array_equal(conn.tor, torsion(conn))
+    g = conn.gamma.copy()
+    g[0, 1, 2] += 0.1
+    g[0, 2, 1] -= 0.1
+    moved = dataclasses.replace(conn, gamma=g)
+    assert np.array_equal(moved.tor, torsion(moved))
+    assert not np.array_equal(moved.tor, conn.tor)
