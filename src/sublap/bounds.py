@@ -4,8 +4,16 @@ The bound machinery works with a one-parameter family of quadratic curvature
 forms Q(x) on the frame, two distortion tensors, and a handful of scalar
 constants derived from them.  Every theorem evaluator reduces to finite
 linear algebra plus a scalar optimization; the optimizer sweeps deterministic
-grids (with provably sound upper-bound pruning) and then refines the best
-abscissa by golden section, so identical inputs always give identical output.
+grids and then refines the best abscissa by golden section, so identical
+inputs always give identical output.
+
+The x sweep evaluates only the x whose cap can still beat the best value
+found.  The cap bounds rho1 by the Rayleigh quotient of the Schur complement
+at the bottom eigenvector of Q_HH, over the same rho2 candidates the
+evaluators use.  It is sound for three reasons: that quotient is at least the
+complement's bottom eigenvalue (Courant-Fischer); the torsion penalty obeys
+m >= 2 sqrt(omega chi) = 2 sqrt(kappa sup T2+); and the asn semi-norm Grams
+are positive semidefinite, so the asn rho1 never exceeds that eigenvalue.
 """
 
 from __future__ import annotations
@@ -78,6 +86,11 @@ _BISECT_TOL = 1e-10
 # how close the search gets to a supremum that lies far out, which happens
 # when a Gram is singular on the minimizing direction.
 _LOG_T_SPAN = 23.0
+# Entries of one (x, rho2 candidate, vertical direction) array in the cap
+# pass of `optimize`: 2^14 float64 values (128 KB), so that its transient
+# arrays together stay near 1 MB.  Larger chunks ran no faster and raised
+# the peak RSS of a 2000-point sweep by up to 7 MB.
+_CHUNK_ENTRIES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -352,41 +365,90 @@ def _rho2_base_grid(kappa: float, per_decade: int, decades: int = 6) -> np.ndarr
     return kappa * np.power(10.0, np.linspace(-half, half, count))
 
 
-def _rho2_candidates(base: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
-    """Admissible rho2 values below the bottom of the vertical block of q,
-    plus near-boundary refinements and, for decoupled blocks, the boundary."""
-    mu_min = float(np.linalg.eigvalsh(q[d:, d:])[0])
-    if mu_min <= 0.0:
-        return np.empty(0)
-    cands = [base[base < mu_min * (1.0 - 1e-12)]]
-    cands.append(mu_min * (1.0 - np.power(10.0, -np.arange(2.0, 11.0))))
-    scale = max(1.0, float(np.abs(q).max()))
-    if np.abs(q[:d, d:]).max(initial=0.0) <= _PSD_TOL * scale:
-        cands.append(np.array([mu_min]))
-    out = np.unique(np.concatenate(cands))
-    return out[out > 0.0]
+def _vertical(
+    q: np.ndarray, d: int, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertical block of q, or of each form in a stack, as the one place
+    that serves both the elimination and the rho2 candidates.
+
+    Returns its ascending eigenvalues mu, the coupling w = Q_HV U in its
+    eigenbasis, and the admissible rho2 candidates: the base grid below the
+    vertical minimum mu_min, the near-boundary refinements mu_min(1 - 10^-k)
+    and, for a decoupled block, mu_min itself, with NaN in unused slots;
+    mu_min <= 0 leaves none.
+    """
+    mu, u = np.linalg.eigh(q[..., d:, d:])
+    w = q[..., :d, d:] @ u
+    # The candidates take mu_min from eigvalsh, which can differ from mu[0]
+    # in the last bit on a degenerate block.  The best rho2 sits at the
+    # boundary there, and the golden refinement follows such bits: with
+    # mu[0], rotated twisted_spheres frames report 0.54545454541 in place
+    # of 0.545454545455.
+    mu_min = np.linalg.eigvalsh(q[..., d:, d:])[..., :1]
+    scale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))[..., None]
+    coupling = np.abs(q[..., :d, d:]).max(axis=(-2, -1), initial=0.0)[..., None]
+    base = base[base < mu_min.max() * (1.0 - 1e-12)]  # columns some form keeps
+    below = np.where(base < mu_min * (1.0 - 1e-12), base, np.nan)
+    near = mu_min * (1.0 - np.power(10.0, -np.arange(2.0, 11.0)))
+    edge = np.where(coupling <= _PSD_TOL * scale, mu_min, np.nan)
+    rho2 = np.concatenate([below, near, edge], axis=-1)
+    return mu, w, np.where((mu_min > 0.0) & (rho2 > 0.0), rho2, np.nan)
 
 
-def _schur(q: np.ndarray, d: int, rho2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Schur complements of the vertical block of q - diag(0 on H, rho2 on V),
-    one per rho2, and the mask of rho2 where the elimination is valid.
+def _weights(
+    mu: np.ndarray, w: np.ndarray, rho2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights 1/(mu_j - rho2) of the coupled vertical directions j at each
+    candidate, indexed [..., j, candidate] (0 on decoupled directions, which
+    never penalize H), and the mask where the elimination is valid: every
+    coupled gap is positive and rho2 is at most mu_min.  Works on one form
+    or on a stack."""
+    coupled = (np.abs(w) > 0.0).any(axis=-2)
+    # mu is ascending, so every coupled gap is positive below the lowest
+    # coupled eigenvalue (this also rejects the NaN padding)
+    bad = ~(rho2 < np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True))
+    keep = coupled[..., :, None] & ~bad[..., None, :]
+    with np.errstate(divide="ignore"):
+        inv = np.where(keep, 1.0 / (mu[..., :, None] - rho2[..., None, :]), 0.0)
+    mu_min = mu[..., :1]
+    ok = ~bad & (rho2 <= mu_min + _PSD_TOL * np.maximum(1.0, np.abs(mu_min)))
+    return inv, ok
+
+
+def _schur(
+    q: np.ndarray, d: int, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted rho2 candidates of one form q, the Schur complements of the
+    vertical block of q - diag(0 on H, rho2 on V), one per candidate, and
+    the mask of candidates where the elimination is valid.
 
     On that mask the largest rho1 keeping q - diag(rho1, rho2) positive
     semidefinite is the bottom eigenvalue of the complement: the PSD
     bisection `feasible_rho1` gives the same value.
     """
-    mu, u = np.linalg.eigh(q[d:, d:])
-    w = q[:d, d:] @ u
-    gap = mu[None, :] - rho2s[:, None]
-    inv = np.where(gap > 0.0, 1.0 / np.where(gap > 0.0, gap, 1.0), np.inf)
-    coupled = (np.abs(w) > 0.0).any(axis=0)
-    inv[:, ~coupled] = 0.0  # decoupled vertical directions never penalize H
-    bad = ~np.isfinite(inv).all(axis=1)
-    inv[bad] = 0.0
-    stack = q[None, :d, :d] - np.einsum("aj,bj,rj->rab", w, w, inv)
-    # rho2 beyond the vertical minimum is infeasible outright
-    ok = ~bad & (rho2s <= mu[0] + _PSD_TOL * max(1.0, abs(mu[0])))
-    return stack, ok
+    mu, w, rho2 = _vertical(q, d, base)
+    rho2 = np.sort(rho2[~np.isnan(rho2)])
+    inv, ok = _weights(mu, w, rho2)
+    return rho2, q[None, :d, :d] - np.einsum("aj,bj,jr->rab", w, w, inv), ok
+
+
+def _rayleigh(
+    q: np.ndarray, d: int, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of forms: an upper bound r on rho1 at every rho2 candidate,
+    and the candidates.
+
+    r is the Rayleigh quotient of the Schur complement at the bottom
+    eigenvector e of Q_HH, lambda_min(Q_HH) - sum_j (e.w_j)^2 / (mu_j - rho2),
+    padded for rounding.  By Courant-Fischer it is at least the bottom
+    eigenvalue of the complement.  r is -inf where the elimination is invalid.
+    """
+    lam, vec = np.linalg.eigh(q[:, :d, :d])
+    mu, w, rho2 = _vertical(q, d, base)
+    inv, ok = _weights(mu, w, rho2)
+    proj = np.einsum("xa,xaj->xj", vec[:, :, 0], w) ** 2
+    top = lam[:, :1] + _PSD_TOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))[:, None]
+    return np.where(ok, top - (proj[:, :, None] * inv).sum(axis=1), -np.inf), rho2
 
 
 def _golden_max(fun, lo, hi, iters: int = 60):
@@ -412,7 +474,7 @@ def _golden_max(fun, lo, hi, iters: int = 60):
 
 
 def _asn_rho1_curve(
-    inv: Invariants, qt: np.ndarray, rho2s: np.ndarray, den: np.ndarray
+    inv: Invariants, qt: np.ndarray, stack: np.ndarray, ok: np.ndarray, den: np.ndarray
 ) -> np.ndarray:
     """rho1(rho2) for the refined bound: the minimum over unit horizontal h
     of h'Sh - 2 sqrt(h'G1h * h'G2h), with S the Schur complement at rho2.
@@ -424,7 +486,6 @@ def _asn_rho1_curve(
     where rho1/den can still reach the best of the curve (NaN elsewhere).
     """
     d = inv.d
-    stack, ok = _schur(qt, d, rho2s)
     kind, coeff = inv.product
     lam_s = np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
     if kind != "general":
@@ -445,7 +506,7 @@ def _asn_rho1_curve(
     cap = np.where(ok, (lam_s + slack) / den, -np.inf)
     top = int(np.argmax(cap))
     live = ok & (cap >= search(stack[top : top + 1])[0] / den[top])
-    rho1 = np.full(rho2s.shape, np.nan)
+    rho1 = np.full(ok.shape, np.nan)
     rho1[live] = search(stack[live])
     return rho1
 
@@ -528,12 +589,9 @@ def _eval_main_family(
     inv: Invariants, x: float, rho2s: np.ndarray, name: str
 ) -> BoundResult | None:
     """The main bound, or its t1zero sharpening, at x over the rho2 grid."""
-    d = inv.d
-    q = inv.q(x)
-    cands = _rho2_candidates(rho2s, q, d)
+    cands, stack, ok = _schur(inv.q(x), inv.d, rho2s)
     if cands.size == 0:
         return None
-    stack, ok = _schur(q, d, cands)
     rho1 = np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
     delta = inv.delta(x)
     omega = inv.kappa / cands
@@ -565,14 +623,13 @@ def _eval_main_family(
 
 
 def _eval_asn(inv: Invariants, x: float, rho2s: np.ndarray) -> BoundResult | None:
-    d = inv.d
     qt = inv.q(x) + inv.q_tt2
-    cands = _rho2_candidates(rho2s, qt, d)
+    cands, stack, ok = _schur(qt, inv.d, rho2s)
     if cands.size == 0:
         return None
     omega = inv.kappa / cands
     den = inv.delta(x) + omega
-    rho1 = _asn_rho1_curve(inv, qt, cands, den)
+    rho1 = _asn_rho1_curve(inv, qt, stack, ok, den)
     vals = np.where(rho1 > 0.0, rho1 / den, np.nan)
     picked = _pick_best(vals, cands, {"rho1": rho1, "omega": omega})
     if picked is None:
@@ -720,6 +777,72 @@ def bound_pseudohermitian(n, rho, c) -> PseudohermitianBound:
 # Sweep optimizer
 
 
+def _t1zero_cap(
+    r: np.ndarray, delta: np.ndarray, omega: np.ndarray, chi: np.ndarray, pad: np.ndarray
+) -> np.ndarray:
+    """Supremum of the t1zero closed form over rho1 <= r, one case at a time.
+
+    Each case increases in rho1.  Case 1 holds only while
+    rho1^2 - 4 omega chi < 4 chi delta, and there its value stays below
+    rho1/(2 delta + 1), so past that threshold it is capped at the threshold.
+    """
+    vals, in1 = _t1zero_values(r, delta, omega, chi)
+    top1 = (np.sqrt(4.0 * chi * (omega + delta)) + pad) / (2.0 * delta + 1.0)
+    return np.where(np.isnan(vals), -np.inf, np.where(in1, vals, np.maximum(vals, top1)))
+
+
+def _ratio_cap(
+    r: np.ndarray, rho2: np.ndarray, delta: np.ndarray, kappa: float, lift: float
+) -> np.ndarray:
+    """Per-x maximum over the candidates of (r - lift)/(Delta + kappa/rho2),
+    -inf where r <= lift at every candidate."""
+    return np.where(r > lift, (r - lift) / (delta + kappa / rho2), -np.inf).max(axis=1)
+
+
+def _caps(
+    inv: Invariants, names: list[str], xs: np.ndarray, grid: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Per-x upper bound on each theorem's value over its rho2 candidates.
+
+    Built from the Rayleigh-quotient bound r >= rho1 of `_rayleigh`:
+    main is capped by (r - 2 sqrt(kappa sup T2+))/(Delta + omega), since
+    m >= 2 sqrt(omega chi) = 2 sqrt(kappa sup T2+); t1zero by `_t1zero_cap`,
+    which is main's cap when sup T2 <= 0 (then chi = 0 and the closed form
+    is rho1/(Delta + omega)); asn by (r - coeff)/(Delta + omega) with r taken
+    on Q + q_tt2, since the Grams G1 and G2 are PSD and so the weak-duality
+    rho1 is at most the bottom eigenvalue of the complement.  The x grid is
+    processed in chunks of `_CHUNK_ENTRIES` (x, candidate) entries.
+    """
+    caps = {name: np.full(xs.size, -np.inf) for name in names}
+    m_floor = 2.0 * math.sqrt(inv.kappa * max(inv.sup_t2, 0.0))
+    coeff = inv.product[1]
+    tt2 = bool(np.any(inv.q_tt2))
+    step = max(1, _CHUNK_ENTRIES // ((grid.size + 10) * inv.space.dim_v))
+    for lo in range(0, xs.size, step):
+        x = xs[lo : lo + step]
+        rows = slice(lo, lo + x.size)
+        q = inv.q(x)
+        delta = inv.delta(x)[:, None]
+        r, rho2 = _rayleigh(q, inv.d, grid)
+        main = caps["main"][rows] = _ratio_cap(r, rho2, delta, inv.kappa, m_floor)
+        if "t1zero" in caps:
+            if inv.sup_t2 <= 0.0:
+                caps["t1zero"][rows] = main
+            else:
+                pad = _PSD_TOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))[:, None]
+                chi = rho2 * inv.sup_t2
+                cap = _t1zero_cap(r, delta, inv.kappa / rho2, chi, pad)
+                caps["t1zero"][rows] = cap.max(axis=1)
+        if "asn" in caps:
+            if tt2:
+                r, rho2 = _rayleigh(q + inv.q_tt2, inv.d, grid)
+            if tt2 or coeff != m_floor:
+                caps["asn"][rows] = _ratio_cap(r, rho2, delta, inv.kappa, coeff)
+            else:
+                caps["asn"][rows] = main
+    return caps
+
+
 def optimize(
     space: HomogeneousSpace,
     *,
@@ -729,10 +852,20 @@ def optimize(
     """Evaluate every applicable theorem over the (x, rho2) grids, refine the
     winning x by golden section, and report per-theorem bests.
 
-    The x sweep is pruned by a sound per-x upper bound (the horizontal block
-    alone, at the most favorable admissible rho2), visiting candidates in
-    decreasing order of that bound, so pruning never changes the result.
+    Each theorem visits the x grid in decreasing order of a sound per-x cap
+    and stops at the first x whose cap cannot beat the best value found, so
+    pruning never changes the result.  The cap comes from the Rayleigh
+    quotient r of the Schur complement at the bottom eigenvector of Q_HH,
+    taken over the very rho2 candidates that get evaluated.  It holds
+    because r >= rho1 (Courant-Fischer), because m >= 2 sqrt(kappa sup T2+),
+    and because the asn Grams are PSD.  Raises ValueError when a grid size
+    is below 1.
     """
+    if x_points < 1 or rho2_per_decade < 1:
+        raise ValueError(
+            f"grid sizes must be at least 1, got x_points={x_points!r}, "
+            f"rho2_per_decade={rho2_per_decade!r}"
+        )
     inv = invariants(space)
     report = BoundReport(example=space.name, entries=[], best=None)
     names = _theorems(inv)
@@ -740,24 +873,7 @@ def optimize(
         return report
     grid = _rho2_base_grid(inv.kappa, rho2_per_decade)
     xs = np.arange(x_points, dtype=float) / x_points
-    deltas = inv.delta(xs)
-
-    def upper(q_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-x numerator, denominator and validity of the pruning bound."""
-        d = inv.d
-        lam_hh = np.linalg.eigvalsh(q_stack[:, :d, :d])[:, 0]
-        lam_vv = np.linalg.eigvalsh(q_stack[:, d:, d:])[:, 0]
-        cap = np.minimum(np.where(lam_vv > 0.0, lam_vv, np.nan), float(grid[-1]))
-        return lam_hh, deltas + inv.kappa / cap, (lam_hh > 0.0) & np.isfinite(cap)
-
-    q_stack = inv.q(xs)
-    lam, den, ok = upper(q_stack)
-    bounds = {
-        "main": np.where(ok, lam / den, -np.inf),
-        "t1zero": np.where(ok, lam / np.minimum(den, 2.0 * deltas + 1.0), -np.inf),
-    }
-    lam, den, ok = upper(q_stack + inv.q_tt2)
-    bounds["asn"] = np.where(ok, lam / den, -np.inf)
+    caps = _caps(inv, names, xs, grid)
 
     best: dict[str, BoundResult] = {}
 
@@ -769,7 +885,7 @@ def optimize(
             best[res.theorem] = res
 
     for name in names:
-        ub = bounds[name]
+        ub = caps[name]
         for i in np.argsort(ub)[::-1]:
             cur = best.get(name)
             if cur is not None and ub[i] <= cur.value + 1e-15:

@@ -159,19 +159,31 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _grids(args) -> dict[str, int]:
+    """The optimize grid sizes from --x-grid and --rho2-grid, each at least 1."""
+    for flag, value in (("--x-grid", args.x_grid), ("--rho2-grid", args.rho2_grid)):
+        if value < 1:
+            raise SpecFormatError(f"{flag} must be at least 1, got {value}")
+    return {"x_points": args.x_grid, "rho2_per_decade": args.rho2_grid}
+
+
 def _cmd_bound(args) -> int:
+    grids = _grids(args)
     space = _checked_space(args)
     if isinstance(space, int):
         return space
-    report = optimize(
-        space, x_points=args.x_grid, rho2_per_decade=args.rho2_grid
-    )
+    report = optimize(space, **grids)
     text = report_csv(report) if args.format == "csv" else report_text(report)
     print(text, end="")
     return 0
 
 
 def _cmd_certify(args) -> int:
+    grids = _grids(args)
+    if args.cutoff is not None and not 0.0 < args.cutoff < math.inf:
+        raise SpecFormatError(
+            f"--cutoff must be a positive finite number, got {args.cutoff}"
+        )
     space = _checked_space(args)
     if isinstance(space, int):
         return space
@@ -182,9 +194,7 @@ def _cmd_certify(args) -> int:
             file=sys.stderr,
         )
         return _EXIT_BAD_SPEC
-    report = optimize(
-        space, x_points=args.x_grid, rho2_per_decade=args.rho2_grid
-    )
+    report = optimize(space, **grids)
     result = certify(space, report, cutoff=args.cutoff)
     print(f"example = {space.name}")
     print(f"lambda1 = {_fmt(result.lambda1)} at irrep {result.witness}")
@@ -220,6 +230,7 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
 
 
 def _cmd_report(args) -> int:
+    grids = _grids(args)
     params = _parse_params(args.param)
     name, values = _parse_sweep(args.sweep)
     probe = _load(args.spec, params)
@@ -235,9 +246,7 @@ def _cmd_report(args) -> int:
             for p in problems:
                 print(f"invalid at {name}={_fmt(float(value))}: {p}", file=sys.stderr)
             return _EXIT_INVALID
-        report = optimize(
-            space, x_points=args.x_grid, rho2_per_decade=args.rho2_grid
-        )
+        report = optimize(space, **grids)
         suffix = f",{_fmt(_x_frontier(float(value)))}" if with_frontier else ""
         rows = report_csv(report, header=False).splitlines()
         if not report.entries:

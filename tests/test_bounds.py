@@ -282,6 +282,13 @@ def test_refinement_never_loses_to_the_grid():
     assert rep.best.value <= 0.5 + 1e-9
 
 
+def test_optimize_rejects_grid_sizes_below_one():
+    space = load_builtin("so3_twisted")
+    for grids in ({"x_points": 0}, {"x_points": -5}, {"rho2_per_decade": 0}):
+        with pytest.raises(ValueError, match="at least 1"):
+            optimize(space, **grids)
+
+
 def test_optimize_without_vertical_coupling_is_empty():
     flat = HomogeneousSpace("flat", 3, 1, np.zeros((4, 4, 4)))
     rep = optimize(flat, x_points=50)
