@@ -9,6 +9,7 @@ advisory otherwise) controls everything beyond the cutoff.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,20 +36,28 @@ _ZERO_EIG = 1e-8
 _HERM_TOL = 1e-10
 
 
-def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Skew-Hermitian spin generators (G1, G2, G3) of dimension two_j + 1
-    with [G1, G2] = G3 and cyclic permutations."""
+def _spin_bands(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and superdiagonals, stacked over (G1, G2, G3), of the
+    spin generators, which are tridiagonal in the basis m = j, j - 1, ..., -j."""
     if two_j < 0:
         raise ValueError("spin must be nonnegative")
     j = two_j / 2.0
     m = j - np.arange(two_j + 1)
-    jz = np.diag(m).astype(complex)
     amp = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-    jplus = np.zeros((two_j + 1, two_j + 1), dtype=complex)
-    jplus[np.arange(two_j), np.arange(1, two_j + 1)] = amp
-    jx = 0.5 * (jplus + jplus.conj().T)
-    jy = -0.5j * (jplus - jplus.conj().T)
-    return -1j * jx, -1j * jy, -1j * jz
+    zero_off, zero_diag = np.zeros_like(amp), np.zeros_like(m)
+    sub = np.array([-0.5j * amp, 0.5 * amp, zero_off])
+    diag = np.array([zero_diag, zero_diag, -1j * m])
+    sup = np.array([-0.5j * amp, -0.5 * amp, zero_off])
+    return sub, diag, sup
+
+
+def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Skew-Hermitian spin generators (G1, G2, G3) of dimension two_j + 1
+    with [G1, G2] = G3 and cyclic permutations."""
+    sub, diag, sup = _spin_bands(two_j)
+    return tuple(
+        np.diag(diag[a]) + np.diag(sub[a], -1) + np.diag(sup[a], 1) for a in range(3)
+    )
 
 
 def _coeff_array(config: OracleConfig, dim: int) -> np.ndarray:
@@ -77,35 +86,42 @@ def _check_homomorphism(space: HomogeneousSpace, coeffs: np.ndarray) -> None:
                 )
 
 
-def _embedded_generators(two_js: tuple[int, ...]) -> list[tuple[np.ndarray, ...]]:
-    """Per-factor generators acting on the tensor product space."""
-    blocks = [spin_matrices(t) for t in two_js]
-    dims = [t + 1 for t in two_js]
-    out = []
-    for f, gens in enumerate(blocks):
-        embedded = []
-        for g in gens:
-            op = np.array([[1.0 + 0.0j]])
-            for k, dk in enumerate(dims):
-                op = np.kron(op, g if k == f else np.eye(dk, dtype=complex))
-            embedded.append(op)
-        out.append(tuple(embedded))
-    return out
+def _embed(dims: list[int], ops: dict[int, np.ndarray]) -> np.ndarray:
+    """Tensor product with ops[k] in slot k and the identity elsewhere."""
+    return functools.reduce(
+        np.kron, [ops[k] if k in ops else np.eye(dk) for k, dk in enumerate(dims)]
+    )
+
+
+def _oracle(space: HomogeneousSpace) -> OracleConfig:
+    if space.oracle is None:
+        raise ValueError(f"{space.name}: no spectral model attached")
+    return space.oracle
+
+
+def _model_coeffs(
+    space: HomogeneousSpace, two_js: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """The spectral model's frame coefficients, checked to define a Lie
+    algebra homomorphism; two_js, when given, must hold one spin per factor."""
+    config = _oracle(space)
+    if two_js is not None and len(two_js) != len(config.factors):
+        raise ValueError("one spin per factor required")
+    coeffs = _coeff_array(config, space.dim)
+    _check_homomorphism(space, coeffs)
+    return coeffs
 
 
 def irrep_matrices(
     space: HomogeneousSpace, two_js: tuple[int, ...]
 ) -> list[np.ndarray]:
     """Images of all frame vectors in the irrep with the given doubled spins."""
-    config = space.oracle
-    if config is None:
-        raise ValueError(f"{space.name}: no spectral model attached")
-    if len(two_js) != len(config.factors):
-        raise ValueError("one spin per factor required")
-    coeffs = _coeff_array(config, space.dim)
-    _check_homomorphism(space, coeffs)
-    gens = _embedded_generators(two_js)
-    dim = int(np.prod([t + 1 for t in two_js]))
+    coeffs = _model_coeffs(space, two_js)
+    dims = [t + 1 for t in two_js]
+    gens = [
+        [_embed(dims, {f: g}) for g in spin_matrices(t)] for f, t in enumerate(two_js)
+    ]
+    dim = math.prod(dims)
     images = []
     for i in range(space.dim):
         op = np.zeros((dim, dim), dtype=complex)
@@ -117,19 +133,84 @@ def irrep_matrices(
     return images
 
 
-def hlap_matrix(space: HomogeneousSpace, two_js: tuple[int, ...]) -> np.ndarray:
-    """Horizontal Laplacian -sum_i X_i^2 in one irrep; Hermitian and positive
-    semidefinite by construction, both verified numerically."""
-    images = irrep_matrices(space, two_js)
-    d = space.dim_h
-    lap = np.zeros_like(images[0])
-    for i in range(d):
-        lap = lap - images[i] @ images[i]
+def _horizontal_gram(coeffs: np.ndarray, dim_h: int) -> np.ndarray:
+    """gram[f, a, g, b] = sum over horizontal i of coeffs[i, f, a] coeffs[i, g, b]."""
+    return np.einsum("ifa,igb->fagb", coeffs[:dim_h], coeffs[:dim_h])
+
+
+def _factor_block(m: np.ndarray, two_j: int) -> np.ndarray:
+    """sum_{a,b} m[a, b] G_a G_b in the spin rep, built from the generators'
+    bands: each product of two tridiagonal generators is pentadiagonal."""
+    sub, diag, sup = _spin_bands(two_j)
+
+    def q(x, y):
+        return np.einsum("ab,ak,bk->k", m, x, y)
+
+    # Band by band, (G_a G_b)[k, l] sums G_a[k, i] G_b[i, l] over the i with
+    # |k - i| <= 1 and |i - l| <= 1.
+    n = two_j + 1
+    k = np.arange(n)
+    out = np.zeros((n, n), dtype=complex)
+    out[k, k] = q(diag, diag)
+    out[k[1:], k[1:]] += q(sub, sup)
+    out[k[:-1], k[:-1]] += q(sup, sub)
+    out[k[:-1], k[1:]] = q(diag[:, :-1], sup) + q(sup, diag[:, 1:])
+    out[k[1:], k[:-1]] = q(diag[:, 1:], sub) + q(sub, diag[:, :-1])
+    out[k[:-2], k[2:]] = q(sup[:, :-1], sup[:, 1:])
+    out[k[2:], k[:-2]] = q(sub[:, 1:], sub[:, :-1])
+    return out
+
+
+def _assemble(gram: np.ndarray, two_js: tuple[int, ...]) -> np.ndarray:
+    """-sum_i X_i^2 over the horizontal frame in one irrep, from per-factor
+    blocks and without products of full-size matrices.
+
+    With X_i = sum_{f,a} c_i^{fa} G_a^{(f)}, the sum splits into the factor
+    blocks A_f = sum_{a,b} gram[f,a,f,b] G_a G_b, each formed in its own spin
+    rep, and the cross terms gram[f,a,g,b] G_a^{(f)} G_b^{(g)}; generators of
+    different factors commute, so each pair f < g appears twice.
+    """
+    dims = [t + 1 for t in two_js]
+    n = math.prod(dims)
+    lap = np.zeros((n, n), dtype=complex)
+    for f, two_j in enumerate(two_js):
+        if gram[f, :, f, :].any():
+            lap -= _embed(dims, {f: _factor_block(gram[f, :, f, :], two_j)})
+    for f, g in itertools.combinations(range(len(two_js)), 2):
+        block = gram[f, :, g, :]
+        rows = [a for a in range(3) if block[a].any()]
+        if not rows:
+            continue
+        gens_f = spin_matrices(two_js[f])
+        # h[a] = 2 sum_b block[a, b] G_b in factor g.
+        h = np.tensordot(2.0 * block, np.array(spin_matrices(two_js[g])), axes=1)
+        for a in rows:
+            lap -= _embed(dims, {f: gens_f[a], g: h[a]})
+    return lap
+
+
+def _checked_spectrum(lap: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an assembled Laplacian after checking that it is
+    Hermitian, then that the spectrum is nonnegative."""
     scale = max(1.0, float(np.abs(lap).max()))
     if np.abs(lap - lap.conj().T).max() > _HERM_TOL * scale:
         raise RuntimeError("assembled Laplacian is not Hermitian")
-    if float(np.linalg.eigvalsh(lap)[0]) < -_HERM_TOL * scale:
+    eig = np.linalg.eigvalsh(lap)
+    if float(eig[0]) < -_HERM_TOL * scale:
         raise RuntimeError("assembled Laplacian is not positive semidefinite")
+    return eig
+
+
+def hlap_matrix(space: HomogeneousSpace, two_js: tuple[int, ...]) -> np.ndarray:
+    """Horizontal Laplacian -sum_i X_i^2 in one irrep.
+
+    The spectral model, the spin count and the homomorphism property are
+    validated; the operator is assembled from per-factor su(2) blocks, as in
+    `lambda1`, and verified to be Hermitian and positive semidefinite.
+    """
+    coeffs = _model_coeffs(space, two_js)
+    lap = _assemble(_horizontal_gram(coeffs, space.dim_h), two_js)
+    _checked_spectrum(lap)
     return lap
 
 
@@ -254,26 +335,26 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     """Smallest nonzero Laplacian eigenvalue over all irreps within the
     Casimir cutoff, with the tail beyond the cutoff bounded when possible.
 
-    The trivial irrep carries the constants (kernel dimension one); a zero
-    eigenvalue anywhere else means the model is inconsistent and aborts.
+    The oracle is validated once per call.  Each irrep's Laplacian is
+    assembled from per-factor su(2) blocks, as in `hlap_matrix`, checked to be
+    Hermitian and diagonalized once; the positivity check reads that same
+    spectrum.  The trivial irrep carries the constants (kernel dimension
+    one); a zero eigenvalue anywhere else means the model is inconsistent and
+    aborts.
     """
+    coeffs = _model_coeffs(space)
     config = space.oracle
-    if config is None:
-        raise ValueError(f"{space.name}: no spectral model attached")
     if cutoff is None:
         cutoff = config.cutoff
-    coeffs = _coeff_array(config, space.dim)
-    _check_homomorphism(space, coeffs)
+    gram = _horizontal_gram(coeffs, space.dim_h)
 
     table: list[IrrepSpectrum] = []
     best: float | None = None
     witness = ""
     for combo in _enumerate_irreps(config, cutoff):
-        lap = hlap_matrix(space, combo)
-        eig = np.linalg.eigvalsh(lap).real
-        dim = lap.shape[0]
+        eig = _checked_spectrum(_assemble(gram, combo))
         label = _label(combo)
-        table.append(IrrepSpectrum(label, combo, dim, eig))
+        table.append(IrrepSpectrum(label, combo, len(eig), eig))
         if all(t == 0 for t in combo):
             kernel = int(np.count_nonzero(eig < _ZERO_EIG))
             if kernel != 1:
@@ -339,13 +420,14 @@ def certify(
     candidates += [
         (f"{n.theorem}-variant", n.variant) for n in report.discrepancies
     ]
-    spectrum = lambda1(space, cutoff=cutoff)
+    cutoff = float(_oracle(space).cutoff if cutoff is None else cutoff)
     top = max((v for _, v in candidates), default=0.0)
-    if candidates and spectrum.cutoff < 4.0 * top:
+    if candidates and cutoff < 4.0 * top:
         raise ValueError(
-            f"cutoff {spectrum.cutoff} is below four times the candidate "
+            f"cutoff {cutoff} is below four times the candidate "
             f"bound {top}; raise it before certifying"
         )
+    spectrum = lambda1(space, cutoff=cutoff)
     entries = [
         CertifyEntry(theorem=t, bound=v, passed=bool(v <= spectrum.lambda1 + 1e-9))
         for t, v in candidates

@@ -168,11 +168,13 @@ def test_certify_requires_a_spectral_model(capsys, tmp_path):
 
 
 def test_certify_rejects_a_low_cutoff(capsys):
-    code, out, err = run(
-        capsys, "certify", "so4_alt", "--x-grid", "100", "--cutoff", "1.8"
-    )
-    assert code == 3
-    assert "four times" in out + err
+    # 1 leaves no nontrivial irrep, so the headroom check must come first
+    for cutoff in ("1.8", "1"):
+        code, out, err = run(
+            capsys, "certify", "so4_alt", "--x-grid", "100", "--cutoff", cutoff
+        )
+        assert code == 3, cutoff
+        assert "four times" in out + err, cutoff
 
 
 def test_certify_failure_exit_code(monkeypatch, capsys):

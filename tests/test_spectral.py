@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import sublap.spectral
 from sublap import (
     HomogeneousSpace,
     OracleConfig,
@@ -217,6 +218,8 @@ def test_lambda1_rejects_a_non_homomorphic_model():
     space = HomogeneousSpace("badmap", 2, 1, c, {}, oracle)
     with pytest.raises(ValueError, match="homomorphism"):
         lambda1(space)
+    with pytest.raises(ValueError, match="homomorphism"):
+        hlap_matrix(space, (2,))
 
 
 def test_lambda1_aborts_when_the_operator_degenerates():
@@ -259,8 +262,90 @@ def test_certify_checks_convention_variants_too():
     assert variant[0].passed
 
 
-def test_certify_demands_enough_spectral_headroom():
+def test_certify_demands_enough_spectral_headroom(monkeypatch):
     space = load_builtin("so4_alt")
     report = optimize(space, x_points=100)
-    with pytest.raises(ValueError, match="four times"):
-        certify(space, report, cutoff=1.8)
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("lambda1 called before the headroom check")
+
+    monkeypatch.setattr(sublap.spectral, "lambda1", no_spectrum)
+    for cutoff in (1.8, 1.0):
+        with pytest.raises(ValueError, match="four times"):
+            certify(space, report, cutoff=cutoff)
+
+
+REFERENCE_SPACES = [
+    ("so4_twisted", {}),
+    ("so3_twisted", {}),
+    ("so4_alt", {}),
+    ("twisted_spheres", {}),
+    ("so4_twisted", {"b": 0.3}),
+    ("so3_twisted", {"c": 0.3}),
+]
+
+
+def _reference_laplacian(space, two_js):
+    mats = irrep_matrices(space, two_js)
+    return -sum(m @ m for m in mats[: space.dim_h])
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    REFERENCE_SPACES,
+    ids=[n + "".join(f"_{k}{v}" for k, v in p.items()) for n, p in REFERENCE_SPACES],
+)
+def test_hlap_matrix_matches_the_frame_image_reference(name, params):
+    space = load_builtin(name, **params)
+    nf = len(space.oracle.factors)
+    if nf == 1:
+        spins = [(0,), (1,), (4,), (21,), (24,)]
+    else:
+        spins = [(0,) * nf, (1,) * nf, (1, 2), (2, 3), (20, 1), (3, 22)]
+    for two_js in spins:
+        lap = hlap_matrix(space, two_js)
+        ref = _reference_laplacian(space, two_js)
+        assert lap.shape == ref.shape, two_js
+        tol = 1e-10 * max(1.0, float(np.abs(lap).max()))
+        assert np.abs(lap - ref).max() <= tol, two_js
+
+    res = lambda1(space)
+    for entry in res.table:
+        ref = np.linalg.eigvalsh(_reference_laplacian(space, entry.two_js))
+        tol = 1e-9 * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(entry.eigenvalues - ref) <= tol), entry.label
+
+
+def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
+    # The tail estimate diagonalizes small factor-weight matrices of its own;
+    # its calls are counted apart from the irreps'.
+    counts = dict.fromkeys(("irreps", "tail", "homomorphism"), 0)
+    in_tail = []
+    eigvalsh = np.linalg.eigvalsh
+    check = sublap.spectral._check_homomorphism
+    tail = sublap.spectral._tail_estimate
+
+    def counted_eigvalsh(*args, **kwargs):
+        counts["tail" if in_tail else "irreps"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counted_check(*args, **kwargs):
+        counts["homomorphism"] += 1
+        return check(*args, **kwargs)
+
+    def marked_tail(*args, **kwargs):
+        in_tail.append(True)
+        try:
+            return tail(*args, **kwargs)
+        finally:
+            in_tail.pop()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(sublap.spectral, "_check_homomorphism", counted_check)
+    monkeypatch.setattr(sublap.spectral, "_tail_estimate", marked_tail)
+    for name in ("so4_twisted", "so3_twisted", "so4_alt", "twisted_spheres"):
+        counts.update(irreps=0, tail=0, homomorphism=0)
+        res = lambda1(load_builtin(name))
+        assert counts["irreps"] == len(res.table), name
+        assert counts["homomorphism"] == 1, name
+        assert counts["tail"] <= 3, name
