@@ -2,10 +2,12 @@
 
 The bound machinery works with a one-parameter family of quadratic curvature
 forms Q(x) on the frame, two distortion tensors, and a handful of scalar
-constants derived from them.  Every theorem evaluator reduces to finite
-linear algebra plus a scalar optimization; the optimizer sweeps deterministic
-grids and then refines the best abscissa by golden section, so identical
-inputs always give identical output.
+constants derived from them.  Every theorem reduces to finite linear algebra
+plus a scalar optimization; the optimizer sweeps deterministic grids and then
+refines the best abscissas by golden section, so identical inputs always give
+identical output.  At each x, main, t1zero and asn read one Schur curve of
+Q(x) (asn a second one, on Q(x) + q_tt2, only when q_tt2 is nonzero), and a
+single golden-section pass refines the winning abscissas of all of them.
 
 The x sweep evaluates only the x whose cap can still beat the best value
 found.  The cap bounds rho1 by the Rayleigh quotient of the Schur complement
@@ -418,18 +420,22 @@ def _weights(
 def _schur(
     q: np.ndarray, d: int, base: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted rho2 candidates of one form q, the Schur complements of the
-    vertical block of q - diag(0 on H, rho2 on V), one per candidate, and
-    the mask of candidates where the elimination is valid.
+    """The Schur curve of one form q: the sorted rho2 candidates, the Schur
+    complements S of the vertical block of q - diag(0 on H, rho2 on V), one
+    per candidate, and lambda_min(S) where the elimination is valid (NaN
+    elsewhere).
 
-    On that mask the largest rho1 keeping q - diag(rho1, rho2) positive
-    semidefinite is the bottom eigenvalue of the complement: the PSD
-    bisection `feasible_rho1` gives the same value.
+    There lambda_min(S) is the largest rho1 keeping q - diag(rho1, rho2)
+    positive semidefinite: the PSD bisection `feasible_rho1` gives the same
+    value.
     """
     mu, w, rho2 = _vertical(q, d, base)
     rho2 = np.sort(rho2[~np.isnan(rho2)])
     inv, ok = _weights(mu, w, rho2)
-    return rho2, q[None, :d, :d] - np.einsum("aj,bj,jr->rab", w, w, inv), ok
+    stack = q[None, :d, :d] - np.einsum("aj,bj,jr->rab", w, w, inv)
+    if rho2.size == 0:  # no candidate, nothing to diagonalize
+        return rho2, stack, rho2
+    return rho2, stack, np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
 
 
 def _rayleigh(
@@ -474,10 +480,11 @@ def _golden_max(fun, lo, hi, iters: int = 60):
 
 
 def _asn_rho1_curve(
-    inv: Invariants, qt: np.ndarray, stack: np.ndarray, ok: np.ndarray, den: np.ndarray
+    inv: Invariants, qt: np.ndarray, stack: np.ndarray, lam: np.ndarray, den: np.ndarray
 ) -> np.ndarray:
     """rho1(rho2) for the refined bound: the minimum over unit horizontal h
-    of h'Sh - 2 sqrt(h'G1h * h'G2h), with S the Schur complement at rho2.
+    of h'Sh - 2 sqrt(h'G1h * h'G2h), with S the Schur complement at rho2 and
+    lam = lambda_min(S) from `_schur` (NaN where the elimination fails).
 
     A zero or isotropic product term makes this an eigenvalue.  Otherwise
     2 sqrt(ab) <= t*a + b/t gives the weak-duality value
@@ -487,26 +494,25 @@ def _asn_rho1_curve(
     """
     d = inv.d
     kind, coeff = inv.product
-    lam_s = np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
     if kind != "general":
-        return lam_s - coeff
+        return lam - coeff
     g1, g2 = inv.grams.tau_vh[:d, :d], inv.grams.tau_hv[:d, :d]
     center = 0.5 * math.log(np.trace(g2) / np.trace(g1))
 
     def search(s: np.ndarray) -> np.ndarray:
-        def lam(log_t: np.ndarray) -> np.ndarray:
+        def bottom(log_t: np.ndarray) -> np.ndarray:
             t = np.exp(log_t)[:, None, None]
             return np.linalg.eigvalsh(s - t * g1 - g2 / t)[:, 0]
 
         lo = np.full(s.shape[0], center - _LOG_T_SPAN)
-        return _golden_max(lam, lo, lo + 2.0 * _LOG_T_SPAN)[1]
+        return _golden_max(bottom, lo, lo + 2.0 * _LOG_T_SPAN)[1]
 
     # G1 and G2 are PSD, so lambda_min(S) caps rho1 up to rounding; den > 0.
     slack = _PSD_TOL * max(1.0, float(np.abs(qt).max()))
-    cap = np.where(ok, (lam_s + slack) / den, -np.inf)
+    cap = np.where(np.isnan(lam), -np.inf, (lam + slack) / den)
     top = int(np.argmax(cap))
-    live = ok & (cap >= search(stack[top : top + 1])[0] / den[top])
-    rho1 = np.full(ok.shape, np.nan)
+    live = cap >= search(stack[top : top + 1])[0] / den[top]
+    rho1 = np.full(lam.shape, np.nan)
     rho1[live] = search(stack[live])
     return rho1
 
@@ -574,72 +580,6 @@ def _t1zero_values(
     return vals, in1
 
 
-def _pick_best(
-    values: np.ndarray, rho2s: np.ndarray, extras: dict[str, np.ndarray]
-) -> tuple[float, float, dict[str, float]] | None:
-    ok = np.isfinite(values)
-    if not ok.any():
-        return None
-    idx = int(np.nanargmax(np.where(ok, values, -np.inf)))
-    picked = {k: float(v[idx]) for k, v in extras.items()}
-    return float(values[idx]), float(rho2s[idx]), picked
-
-
-def _eval_main_family(
-    inv: Invariants, x: float, rho2s: np.ndarray, name: str
-) -> BoundResult | None:
-    """The main bound, or its t1zero sharpening, at x over the rho2 grid."""
-    cands, stack, ok = _schur(inv.q(x), inv.d, rho2s)
-    if cands.size == 0:
-        return None
-    rho1 = np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
-    delta = inv.delta(x)
-    omega = inv.kappa / cands
-    chi = np.maximum(cands * inv.sup_t2, 0.0)
-
-    if name == "t1zero":
-        vals, in1 = _t1zero_values(rho1, delta, omega, chi)
-        extras = {"rho1": rho1, "omega": omega, "chi": chi, "case": np.where(in1, 1.0, 2.0)}
-        picked = _pick_best(vals, cands, extras)
-        if picked is None:
-            return None
-        value, rho2, ex = picked
-        return BoundResult(
-            "t1zero", value, x, ex["rho1"], rho2, ex["omega"], ex["chi"], 0.0, 0.0,
-            {"case": ex["case"]},
-        )
-    psi = cands * inv.sigma**2
-    mvals, svals = _m_arrays(omega, chi, psi)
-    vals = np.where(rho1 > mvals, (rho1 - mvals) / (delta + omega), np.nan)
-    extras = {"rho1": rho1, "omega": omega, "chi": chi, "psi": psi, "m": mvals, "s": svals}
-    picked = _pick_best(vals, cands, extras)
-    if picked is None:
-        return None
-    value, rho2, ex = picked
-    aux = {} if math.isnan(ex["s"]) else {"s": ex["s"]}
-    return BoundResult(
-        "main", value, x, ex["rho1"], rho2, ex["omega"], ex["chi"], ex["psi"], ex["m"], aux
-    )
-
-
-def _eval_asn(inv: Invariants, x: float, rho2s: np.ndarray) -> BoundResult | None:
-    qt = inv.q(x) + inv.q_tt2
-    cands, stack, ok = _schur(qt, inv.d, rho2s)
-    if cands.size == 0:
-        return None
-    omega = inv.kappa / cands
-    den = inv.delta(x) + omega
-    rho1 = _asn_rho1_curve(inv, qt, stack, ok, den)
-    vals = np.where(rho1 > 0.0, rho1 / den, np.nan)
-    picked = _pick_best(vals, cands, {"rho1": rho1, "omega": omega})
-    if picked is None:
-        return None
-    value, rho2, ex = picked
-    return BoundResult(
-        "asn", value, x, ex["rho1"], rho2, ex["omega"], math.nan, math.nan, math.nan, {}
-    )
-
-
 def _theorems(inv: Invariants) -> list[str]:
     """The x-dependent theorems whose preconditions the space meets."""
     if inv.kappa <= 0.0:
@@ -648,10 +588,51 @@ def _theorems(inv: Invariants) -> list[str]:
     return names + ["asn"] if inv.flags.almost_strictly_normal else names
 
 
-def _evaluate(inv: Invariants, name: str, x: float, rho2s: np.ndarray) -> BoundResult | None:
-    if name == "asn":
-        return _eval_asn(inv, x, rho2s)
-    return _eval_main_family(inv, x, rho2s, name)
+def _evaluate(
+    inv: Invariants, names: list[str], x: float, grid: np.ndarray
+) -> dict[str, BoundResult | None]:
+    """Each named theorem at x, maximized over its rho2 candidates (None when
+    no candidate gives a finite value).
+
+    main, t1zero and asn all read one Schur curve of Q(x); asn builds its own
+    on Q(x) + q_tt2 only when q_tt2 is nonzero.
+    """
+    delta = inv.delta(x)
+    curves: dict[bool, tuple] = {}
+    out: dict[str, BoundResult | None] = {}
+    for name in names:
+        own = name == "asn" and bool(np.any(inv.q_tt2))
+        if own not in curves:
+            q = inv.q(x) + inv.q_tt2 if own else inv.q(x)
+            curves[own] = (q, *_schur(q, inv.d, grid))
+        q, rho2, stack, rho1 = curves[own]
+        omega = inv.kappa / rho2
+        chi = np.maximum(rho2 * inv.sup_t2, 0.0)
+        if name == "main":
+            psi = rho2 * inv.sigma**2
+            m, s = _m_arrays(omega, chi, psi)
+            vals = np.where(rho1 > m, (rho1 - m) / (delta + omega), np.nan)
+            aux = {"s": s}
+        elif name == "t1zero":
+            vals, in1 = _t1zero_values(rho1, delta, omega, chi)
+            psi = m = 0.0
+            aux = {"case": np.where(in1, 1.0, 2.0)}
+        else:
+            if rho2.size:
+                rho1 = _asn_rho1_curve(inv, q, stack, rho1, delta + omega)
+            vals = np.where(rho1 > 0.0, rho1 / (delta + omega), np.nan)
+            chi = psi = m = math.nan
+            aux = {}
+        finite = np.isfinite(vals)
+        if not finite.any():
+            out[name] = None
+            continue
+        i = int(np.argmax(np.where(finite, vals, -np.inf)))
+        cols = (rho1, rho2, omega, chi, psi, m)
+        row = [float(np.broadcast_to(a, rho2.shape)[i]) for a in cols]
+        aux = {k: float(a[i]) for k, a in aux.items() if not math.isnan(a[i])}
+        out[name] = BoundResult(name, float(vals[i]), x, *row, aux)
+    return out
 
 
 def _sntf(inv: Invariants) -> BoundResult | None:
@@ -683,7 +664,7 @@ def _bound_at(
     inv = invariants(space)
     if name not in _theorems(inv):
         return None
-    return _evaluate(inv, name, x, _rho2_base_grid(inv.kappa, rho2_per_decade))
+    return _evaluate(inv, [name], x, _rho2_base_grid(inv.kappa, rho2_per_decade))[name]
 
 
 def bound_main(
@@ -850,7 +831,8 @@ def optimize(
     rho2_per_decade: int = 200,
 ) -> BoundReport:
     """Evaluate every applicable theorem over the (x, rho2) grids, refine the
-    winning x by golden section, and report per-theorem bests.
+    winning x of all of them in one golden-section pass, and report
+    per-theorem bests.
 
     Each theorem visits the x grid in decreasing order of a sound per-x cap
     and stops at the first x whose cap cannot beat the best value found, so
@@ -892,24 +874,29 @@ def optimize(
                 break
             if not math.isfinite(ub[i]) or ub[i] <= 0.0:
                 break
-            consider(_evaluate(inv, name, float(xs[i]), grid))
+            consider(_evaluate(inv, [name], float(xs[i]), grid)[name])
 
-    # Golden-section refinement of the winning abscissa, one theorem at a time.
+    # One golden-section pass refines every winning abscissa together; each
+    # step evaluates every distinct x once, for all theorems that share it.
+    won = list(best)
+    center = np.array([best[name].x for name in won])
     step = 1.0 / x_points
-    for name in list(best):
-        center = best[name].x
 
-        def value(x: np.ndarray, _name=name) -> float:
-            res = _evaluate(inv, _name, float(x), grid)
-            if res is None or not math.isfinite(res.value):
-                return -math.inf
-            return res.value
+    def values(points: np.ndarray) -> np.ndarray:
+        out = np.full(len(won), -math.inf)
+        for x in np.unique(points):
+            at = np.flatnonzero(points == x)
+            res = _evaluate(inv, [won[k] for k in at], float(x), grid)
+            for k in at:
+                if res[won[k]] is not None:
+                    out[k] = res[won[k]].value
+        return out
 
-        lo = max(center - step, 0.0)
-        hi = min(center + step, 1.0 - 1e-12)
-        x, val = _golden_max(value, lo, hi)
-        if val > best[name].value:
-            best[name] = _evaluate(inv, name, float(x), grid)
+    lo = np.maximum(center - step, 0.0)
+    x, val = _golden_max(values, lo, np.minimum(center + step, 1.0 - 1e-12))
+    for k, name in enumerate(won):
+        if val[k] > best[name].value:
+            best[name] = _evaluate(inv, [name], float(x[k]), grid)[name]
 
     consider(_sntf(inv))
 
@@ -992,9 +979,7 @@ def report_text(report: BoundReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_row(example: str, theorem: str, e: BoundResult | None, value: float) -> str:
-    if e is None:
-        return ",".join([example, theorem, _fmt(value)] + [""] * 7)
+def _csv_row(example: str, theorem: str, e: BoundResult, value: float) -> str:
     return ",".join(
         [
             example,

@@ -222,8 +222,12 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
         raise SpecFormatError(
             f"--sweep expects name=start:stop:count, got {text!r}"
         )
-    lo, hi = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise SpecFormatError(
+            f"--sweep expects numbers start:stop and an integer count, got {rng!r}"
+        ) from exc
     if count < 1:
         raise SpecFormatError("--sweep count must be at least 1")
     return name, np.linspace(lo, hi, count)
@@ -338,16 +342,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecFormatError as exc:
+    except (SpecFormatError, FileNotFoundError) as exc:  # before its base ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_SPEC
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BAD_SPEC
-    except (RuntimeError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    except ValueError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
 

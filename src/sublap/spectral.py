@@ -34,6 +34,12 @@ __all__ = [
 
 _ZERO_EIG = 1e-8
 _HERM_TOL = 1e-10
+# Largest irrep dimension `lambda1` enumerates, taken as the product over the
+# factors of the largest spin dimension the cutoff admits.  The benchmark's
+# largest cutoffs give 281 (so3_twisted at 20000) and 24 x 24 = 576 (two
+# factors at 150); cutoffs far above the limit would exhaust memory while the
+# irreps are enumerated.
+_MAX_IRREP_DIM = 1024
 
 
 def _spin_bands(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,10 +220,14 @@ def hlap_matrix(space: HomogeneousSpace, two_js: tuple[int, ...]) -> np.ndarray:
     return lap
 
 
-def _allowed_two_js(kind: str, cutoff: float) -> list[int]:
+def _top_two_j(kind: str, cutoff: float) -> int:
+    """Largest 2j of the factor's spin kind with Casimir j(j+1) <= cutoff."""
     top = int(math.floor(2.0 * (-0.5 + math.sqrt(cutoff + 0.25))))
-    step = 2 if kind == "integer" else 1
-    return list(range(0, top + 1, step))
+    return top - top % 2 if kind == "integer" else top
+
+
+def _allowed_two_js(kind: str, cutoff: float) -> list[int]:
+    return list(range(0, _top_two_j(kind, cutoff) + 1, 2 if kind == "integer" else 1))
 
 
 def _casimir(two_j: int) -> float:
@@ -346,6 +356,12 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     config = space.oracle
     if cutoff is None:
         cutoff = config.cutoff
+    dim = math.prod(_top_two_j(f.spins, cutoff) + 1 for f in config.factors)
+    if dim > _MAX_IRREP_DIM:
+        raise ValueError(
+            f"cutoff {cutoff:g} is too large to enumerate: its factor spins reach "
+            f"irrep dimension {dim}, above {_MAX_IRREP_DIM}"
+        )
     gram = _horizontal_gram(coeffs, space.dim_h)
 
     table: list[IrrepSpectrum] = []

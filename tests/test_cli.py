@@ -276,6 +276,9 @@ def test_non_finite_parameters_are_rejected(command, value):
         ("certify", "so4_alt", "--cutoff", "nan"),
         ("certify", "so4_alt", "--cutoff", "-1"),
         ("certify", "so4_alt", "--cutoff", "0"),
+        ("report", "so4_twisted", "--sweep", "b=0:0.4:x"),
+        ("report", "so4_twisted", "--sweep", "b=a:0.4:3"),
+        ("report", "so4_twisted", "--sweep", "b=0:0.4:2.5"),
     ],
 )
 def test_bad_option_values_are_rejected(argv):
@@ -284,6 +287,15 @@ def test_bad_option_values_are_rejected(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --"), proc.stderr
+
+
+@pytest.mark.parametrize("cutoff", ["1e17", "1e19", "1e300"])
+def test_certify_rejects_a_cutoff_too_large_to_enumerate(cutoff):
+    proc = run_module("certify", "so4_alt", "--x-grid", "100", "--cutoff", cutoff)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "too large to enumerate" in lines[0], proc.stderr
 
 
 # Outputs recorded before the x sweep of optimize was pruned by the
@@ -295,6 +307,13 @@ GOLDEN_RUNS = {
     **{f"certify_{n}.txt": ("certify", n) for n in sublap.builtin_names()},
     "bound_so4_twisted_b0.3.csv": ("bound", "so4_twisted", "--param", "b=0.3", "--format", "csv"),
     "report_so4_twisted_b0-0.4-3.csv": ("report", "so4_twisted", "--sweep", "b=0:0.4:3"),
+    # Text output, which also carries the aux lines (main's s, t1zero's case);
+    # so3_twisted c=0.05 has the three theorems at different x, t1zero in
+    # case 1 and main with s.  Recorded before the theorems shared one Schur
+    # curve per x.
+    **{f"bound_{n}.txt": ("bound", n) for n in sublap.builtin_names()},
+    "bound_so4_twisted_b0.3.txt": ("bound", "so4_twisted", "--param", "b=0.3"),
+    "bound_so3_twisted_c0.05.txt": ("bound", "so3_twisted", "--param", "c=0.05"),
 }
 
 

@@ -1,4 +1,5 @@
-"""Soundness of the caps that prune the x sweep of `optimize`.
+"""Soundness of the caps that prune the x sweep of `optimize`, and the
+sharing of Schur curves between theorems.
 
 At every x the cap of a theorem must be at least the value that theorem
 reaches there over its rho2 candidates, so that visiting x in decreasing cap
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import sublap.bounds
 from sublap import (
     HomogeneousSpace,
     bound_asn,
@@ -68,11 +70,10 @@ def test_cap_is_at_least_the_value_at_every_x(key):
     grid = _rho2_base_grid(inv.kappa, per_decade)
     xs = np.arange(100, dtype=float) / 100
     caps = _caps(inv, names, xs, grid)
-    for name in names:
-        for x, cap in zip(xs, caps[name]):
-            res = _evaluate(inv, name, float(x), grid)
+    for i, x in enumerate(xs):
+        for name, res in _evaluate(inv, names, float(x), grid).items():
             if res is not None and math.isfinite(res.value):
-                assert cap >= res.value, (name, x, cap, res.value)
+                assert caps[name][i] >= res.value, (name, x, caps[name][i], res.value)
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -98,3 +99,45 @@ def test_t1zero_cap_bounds_every_rho1_up_to_r():
         vals, _ = _t1zero_values(np.linspace(0.0, r, 2001), delta, omega, chi)
         cap = _t1zero_cap(np.array(r), delta, omega, chi, 1e-12)
         assert np.nanmax(vals, initial=-math.inf) <= cap
+
+
+@pytest.mark.parametrize(
+    "key", ["so4_twisted-b0.3", "so3_twisted-c0.05", "so4_alt", "so4_weighted"]
+)
+def test_shared_curve_gives_each_theorem_its_own_result(key):
+    # main, t1zero and asn evaluated together read one Schur curve (two when
+    # q_tt2 is nonzero, as on so3_twisted and so4_weighted); in either order,
+    # each result must equal the one the theorem gets alone, to the last bit.
+    space, per_decade = _space(key)
+    inv = invariants(space)
+    names = _theorems(inv)
+    grid = _rho2_base_grid(inv.kappa, per_decade)
+    for x in np.linspace(0.0, 0.95, 12):
+        alone = {name: _evaluate(inv, [name], float(x), grid)[name] for name in names}
+        for order in (names, names[::-1]):
+            together = _evaluate(inv, order, float(x), grid)
+            assert repr(together) == repr({name: alone[name] for name in order}), x
+
+
+@pytest.mark.parametrize(
+    "name, params, most",
+    [
+        ("so4_twisted", {"b": 0.3}, 70),
+        ("so4_alt", {}, 70),
+        ("twisted_spheres", {}, 70),
+        # the theorems peak at different x here, so no golden step shares a
+        # curve between them
+        ("so3_twisted", {"c": 0.05}, 193),
+    ],
+)
+def test_optimize_builds_one_schur_curve_per_refined_x(monkeypatch, name, params, most):
+    calls = []
+    schur = sublap.bounds._schur
+
+    def counted(*args):
+        calls.append(args)
+        return schur(*args)
+
+    monkeypatch.setattr(sublap.bounds, "_schur", counted)
+    optimize(load_builtin(name, **params))
+    assert len(calls) <= most

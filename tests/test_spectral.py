@@ -166,6 +166,19 @@ def test_spectrum_table_structure():
     assert labels == ["(0, 0)", "(1/2, 0)", "(0, 1)"]
 
 
+def test_lambda1_enumerates_only_cutoffs_up_to_the_dimension_limit(monkeypatch):
+    # With no irrep enumerated, a cutoff the limit admits ends in "no
+    # nontrivial irrep"; one it rejects raises before any enumeration.
+    monkeypatch.setattr(sublap.spectral, "_enumerate_irreps", lambda config, cutoff: [])
+    admitted = (("so3_twisted", 20000.0), ("so4_twisted", 150.0), ("so4_alt", 100.0))
+    for name, cutoff in admitted:
+        with pytest.raises(RuntimeError, match="no nontrivial irrep"):
+            lambda1(load_builtin(name), cutoff=cutoff)
+    for name, cutoff in (("so3_twisted", 1e17), ("so4_alt", 1e300)):
+        with pytest.raises(ValueError, match="too large to enumerate"):
+            lambda1(load_builtin(name), cutoff=cutoff)
+
+
 def test_lambda1_is_stable_under_cutoff_growth():
     for name, cut in (("so3_twisted", 20.0), ("so4_alt", 12.0)):
         lo = lambda1(load_builtin(name), cutoff=cut)
