@@ -115,7 +115,7 @@ def validate(space: HomogeneousSpace) -> list[str]:
             )
 
     # jac[i,j,k,:] = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
-    comp = np.einsum("ijl,lkm->ijkm", c, c)
+    comp = np.tensordot(c, c, axes=(2, 0))  # comp[i,j,k,m] = sum_l c[i,j,l] c[l,k,m]
     jac = comp + comp.transpose(1, 2, 0, 3) + comp.transpose(2, 0, 1, 3)
     bad = np.argwhere(np.max(np.abs(jac), axis=3) > ZERO_TOL)
     seen = set()

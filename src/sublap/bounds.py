@@ -28,11 +28,13 @@ import numpy as np
 
 from .algebra import ZERO_TOL, HomogeneousSpace
 from .connection import (
-    _trace_nt,
-    _trace_t2,
+    _nabla_tor_vh,
+    _tor2_inner_vh,
+    _tor2_outer,
     canonical_connection,
-    nabla_torsion,
-    tor2,
+    trace_nabla_torsion,
+    trace_nabla_torsion_vertical,
+    trace_tor2,
 )
 from .curvature import (
     SeminormGrams,
@@ -179,22 +181,21 @@ def _asn_product(g1: np.ndarray, g2: np.ndarray, tol: float) -> tuple[str, float
 
 def invariants(space: HomogeneousSpace) -> Invariants:
     """Build the adapted connection and derive every invariant from its
-    torsion, one torsion derivative and one iterated torsion."""
+    torsion.  The traces and blocks of the torsion derivative and of the
+    iterated torsion are contracted directly; neither tensor is formed."""
     conn = canonical_connection(space)
     d, n = space.dim_h, space.dim
     t = conn.tor
-    nt = nabla_torsion(conn)
-    t2t = tor2(conn)
-    trnt = _trace_nt(nt, slice(0, d))
-    trt2 = _trace_t2(t2t, d)
-    src = _sub_ricci(conn, t2t, trt2)
+    trnt = trace_nabla_torsion(conn)
+    trt2 = trace_tor2(conn)
+    outer = _tor2_outer(conn)
+    src = _sub_ricci(conn, outer, trt2)
     grams = seminorm_grams(conn)
     rig = rigidity(conn)
 
-    t1 = np.einsum("kabk->ab", (t2t - nt)[:d, d:, :d, :d])
-    t1 = t1 + np.einsum("abkk->ab", t2t[d:, :d, :d, :d])
-    t1 = t1 + 4.0 * trt2[d:, :d]
-    trv = _trace_nt(nt, slice(d, None))
+    t1 = (outer[:, d:, :d] - _nabla_tor_vh(conn)).sum(axis=0)
+    t1 = t1 + _tor2_inner_vh(conn) + 4.0 * trt2[d:, :d]
+    trv = trace_nabla_torsion_vertical(conn)
     w3 = np.einsum("puq,u->pq", t[:d, d:, :d], rig[d:])
     t2m = 2.0 * grams.tau_vh[:d, :d] + trv[:d, :d] + w3
     dist = DistortionPack(t1=t1, t2=0.5 * (t2m + t2m.T))

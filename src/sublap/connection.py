@@ -4,6 +4,11 @@ The connection is determined by requiring metric compatibility, that parallel
 transport preserve both distributions, and that the torsion exchange the two
 distributions on pure pairs.  On an orthonormal adapted frame all coefficients
 are constants and come out of Koszul-type closed forms, one per block.
+
+The pipeline reads only traces and blocks of the torsion derivative and of
+the iterated torsion, and contracts them straight from the coefficients and
+the torsion.  `nabla_torsion` and `tor2` build the full n^4 tensors; they are
+reference implementations that no pipeline path calls.
 """
 
 from __future__ import annotations
@@ -115,27 +120,67 @@ def trace_nabla_torsion(conn: Connection) -> np.ndarray:
 
     Returns ``out[a, k]``, the k-component of the trace evaluated at e_a.
     """
-    return _trace_nt(nabla_torsion(conn), slice(0, conn.space.dim_h))
+    return _trace_nabla_tor(conn, slice(0, conn.space.dim_h))
 
 
 def trace_tor2(conn: Connection) -> np.ndarray:
-    """Horizontal trace of the iterated torsion over its first two slots."""
-    return _trace_t2(tor2(conn), conn.space.dim_h)
+    """Horizontal trace of the iterated torsion over its first two slots:
+    ``out[a, k]`` sums ``t2[i, i, a, k]`` over the horizontal frame."""
+    h = conn.tor[: conn.space.dim_h]
+    return np.einsum("ial,ilk->iak", h, h).sum(axis=0)
 
 
 def trace_nabla_torsion_vertical(conn: Connection) -> np.ndarray:
     """Vertical trace of the torsion derivative over its last two slots."""
-    return _trace_nt(nabla_torsion(conn), slice(conn.space.dim_h, None))
+    return _trace_nabla_tor(conn, slice(conn.space.dim_h, None))
 
 
-def _trace_nt(nt: np.ndarray, block: slice) -> np.ndarray:
-    """Trace of a torsion derivative over its last two slots on one block."""
-    return np.einsum("aiik->ak", nt[:, block, block, :])
+# The helpers below contract `nabla_torsion` and `tor2` straight from the
+# coefficients.  Each builds the terms of its tensor at every value of the
+# traced index, combines them as the tensor does and sums over that index
+# last, so it adds in the same order as a trace of the full tensor and gives
+# the same bits.
 
 
-def _trace_t2(t2: np.ndarray, d: int) -> np.ndarray:
-    """Trace of an iterated torsion over its first two horizontal slots."""
-    return np.einsum("iiak->ak", t2[:d, :d, :, :])
+def _trace_nabla_tor(conn: Connection, block: slice) -> np.ndarray:
+    """``out[a, k]``: sum of ``nt[a, i, i, k]`` over i in one block, where
+    ``nt`` is `nabla_torsion`."""
+    g, t = conn.gamma[block], conn.tor
+    tb = t[:, block]
+    nt = (
+        np.einsum("ail,ilk->iak", tb, g)
+        - np.einsum("ial,lik->iak", g, tb)
+        - np.einsum("iil,alk->iak", g[:, block], t)
+    )
+    return nt.sum(axis=0)
+
+
+def _nabla_tor_vh(conn: Connection) -> np.ndarray:
+    """``out[k, a, b]`` is ``nt[k, a, b, k]`` for k horizontal, a vertical
+    and b horizontal, where ``nt`` is `nabla_torsion`."""
+    d = conn.space.dim_h
+    g, t = conn.gamma[d:], conn.tor
+    return (
+        np.einsum("kbl,alk->kab", t[:d, :d], g[:, :, :d])
+        - np.einsum("akl,lbk->kab", g[:, :d], t[:, :d, :d])
+        - np.einsum("abl,klk->kab", g[:, :d], t[:d, :, :d])
+    )
+
+
+def _tor2_outer(conn: Connection) -> np.ndarray:
+    """``out[k, a, b]`` is ``t2[k, a, b, k]`` for k horizontal, where ``t2``
+    is `tor2`."""
+    t = conn.tor
+    d = conn.space.dim_h
+    return np.einsum("abl,klk->kab", t, t[:d, :, :d])
+
+
+def _tor2_inner_vh(conn: Connection) -> np.ndarray:
+    """``out[a, b]``: sum of ``t2[a, b, k, k]`` over horizontal k, for a
+    vertical and b horizontal."""
+    d = conn.space.dim_h
+    t = conn.tor
+    return np.einsum("bkl,alk->kab", t[:d, :d], t[d:, :, :d]).sum(axis=0)
 
 
 def verify_connection(conn: Connection) -> list[str]:

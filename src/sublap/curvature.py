@@ -3,7 +3,9 @@
 Everything here is a constant tensor on the orthonormal frame, so the
 invariants are plain numpy arrays: the full curvature tensor, the horizontal
 Ricci-type trace, the sub-Riemannian Ricci form, the rigidity one-form, and
-the Gram matrices of the three torsion semi-norms.
+the Gram matrices of the three torsion semi-norms.  The horizontal trace and
+the Ricci form are contracted straight from the connection coefficients;
+`riemann` builds the full curvature tensor only as their reference.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ZERO_TOL, HomogeneousSpace
-from .connection import Connection, _trace_t2, tor2
+from .connection import Connection, _tor2_outer, trace_tor2
 
 __all__ = [
     "SeminormGrams",
@@ -45,10 +47,21 @@ def riemann(conn: Connection) -> np.ndarray:
 
 def trace_rm(conn: Connection) -> np.ndarray:
     """Horizontal trace of the curvature: ``out[a, b]`` sums the sectional
-    terms of R(E_k, e_a) e_b against E_k over the horizontal frame."""
+    terms of R(E_k, e_a) e_b against E_k over the horizontal frame.
+
+    Contracted straight from the connection coefficients: the three terms
+    of `riemann` at every horizontal k, summed over k last as a trace of the
+    full tensor would be.
+    """
     d = conn.space.dim_h
-    rm = riemann(conn)
-    return np.einsum("kabk->ab", rm[:d, :, :, :d])
+    g, c = conn.gamma, conn.space.c
+    gh = g[:, :, :d]
+    rm = (
+        np.einsum("abl,klk->kab", g, gh[:d])
+        - np.einsum("kbl,alk->kab", g[:d], gh)
+        - np.einsum("kam,mbk->kab", c[:d], gh)
+    )
+    return rm.sum(axis=0)
 
 
 def sub_ricci(conn: Connection) -> np.ndarray:
@@ -58,15 +71,15 @@ def sub_ricci(conn: Connection) -> np.ndarray:
     and the curvature trace vanishes because the connection preserves the
     splitting, so the matrix is supported on the horizontal block.
     """
-    t2 = tor2(conn)
-    return _sub_ricci(conn, t2, _trace_t2(t2, conn.space.dim_h))
+    return _sub_ricci(conn, _tor2_outer(conn), trace_tor2(conn))
 
 
-def _sub_ricci(conn: Connection, t2: np.ndarray, trt2: np.ndarray) -> np.ndarray:
-    """`sub_ricci` from the iterated torsion and its horizontal trace."""
+def _sub_ricci(conn: Connection, outer: np.ndarray, trt2: np.ndarray) -> np.ndarray:
+    """`sub_ricci` from two contractions of the iterated torsion t2:
+    ``outer[k, a, b]`` is ``t2[k, a, b, k]`` and ``trt2`` is `trace_tor2`."""
     d = conn.space.dim_h
     src = trace_rm(conn)
-    src[:d, :d] -= 0.5 * np.einsum("kabk->ab", t2[:d, :d, :d, :d])
+    src[:d, :d] -= 0.5 * outer[:, :d, :d].sum(axis=0)
     src[:d, :d] -= trt2[:d, :d]
     return src
 

@@ -350,12 +350,15 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     Hermitian and diagonalized once; the positivity check reads that same
     spectrum.  The trivial irrep carries the constants (kernel dimension
     one); a zero eigenvalue anywhere else means the model is inconsistent and
-    aborts.
+    aborts.  A cutoff that is negative, infinite or NaN, or too large to
+    enumerate, raises ValueError before any irrep is built.
     """
     coeffs = _model_coeffs(space)
     config = space.oracle
     if cutoff is None:
         cutoff = config.cutoff
+    if not 0.0 <= cutoff < math.inf:
+        raise ValueError(f"cutoff must be a finite nonnegative number, got {cutoff}")
     dim = math.prod(_top_two_j(f.spins, cutoff) + 1 for f in config.factors)
     if dim > _MAX_IRREP_DIM:
         raise ValueError(

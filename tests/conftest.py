@@ -5,7 +5,9 @@ parameters, or from a weighted so(4) frame that reaches the general asn
 branch, optionally followed by a vertical metric rescaling and a blockwise
 rotation of the adapted frame. Both operations preserve antisymmetry, the
 Jacobi identity, step-2 generation, and the horizontal/vertical splitting, so
-every generated space is valid by construction.
+every generated space is valid by construction.  The step-2 nilpotent
+algebras (Heisenberg, free) reach dimension 15 and have no positive curvature
+constants, so no bound applies to them.
 """
 
 from __future__ import annotations
@@ -69,6 +71,42 @@ def random_space(rng: np.random.Generator) -> HomogeneousSpace:
         space = so4_weighted()
     if rng.random() < 0.7:
         space = rescale_vertical(space, float(10.0 ** rng.uniform(-1.0, 1.0)))
+    oh = random_orthogonal(rng, space.dim_h)
+    ov = random_orthogonal(rng, space.dim_v)
+    return rotate_frame(space, oh, ov)
+
+
+def heisenberg(k: int) -> HomogeneousSpace:
+    """H_{2k+1}: [X_i, Y_i] = Z, with the X_i, Y_i horizontal."""
+    n = 2 * k + 1
+    c = np.zeros((n, n, n))
+    for i in range(k):
+        c[i, k + i, n - 1] = 1.0
+        c[k + i, i, n - 1] = -1.0
+    return HomogeneousSpace(f"heisenberg{n}", 2 * k, 1, c)
+
+
+def free_step2(r: int) -> HomogeneousSpace:
+    """Free step-2 nilpotent algebra on r horizontal generators:
+    [e_i, e_j] = e_ij, one vertical vector per pair i < j."""
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    n = r + len(pairs)
+    c = np.zeros((n, n, n))
+    for p, (i, j) in enumerate(pairs):
+        c[i, j, r + p] = 1.0
+        c[j, i, r + p] = -1.0
+    return HomogeneousSpace(f"free_step2_r{r}", r, len(pairs), c)
+
+
+def nilpotent_spaces() -> list[HomogeneousSpace]:
+    """Heisenberg H3 to H15 and the free step-2 algebras on 3 to 5 generators."""
+    return [heisenberg(k) for k in range(1, 8)] + [free_step2(r) for r in range(3, 6)]
+
+
+def moved_frame(space: HomogeneousSpace, rng: np.random.Generator) -> HomogeneousSpace:
+    """The space with its vertical metric rescaled by a random factor in
+    [0.1, 10] and its adapted frame rotated blockwise at random."""
+    space = rescale_vertical(space, float(10.0 ** rng.uniform(-1.0, 1.0)))
     oh = random_orthogonal(rng, space.dim_h)
     ov = random_orthogonal(rng, space.dim_v)
     return rotate_frame(space, oh, ov)

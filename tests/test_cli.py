@@ -322,3 +322,24 @@ def test_output_matches_golden_file(capsys, name):
     code, out, _ = run(capsys, *GOLDEN_RUNS[name], "--x-grid", "400")
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# `analyze` output, recorded before the invariants were contracted straight
+# from the connection coefficients.  It prints only nonzero entries, so byte
+# identity also catches an exact zero that turns into rounding noise.
+ANALYZE_RUNS = {
+    f"analyze_{label}.{ext}": ("analyze", *args, "--format", fmt)
+    for label, args in (
+        *((n, (n,)) for n in sublap.builtin_names()),
+        ("so4_twisted_b0.3", ("so4_twisted", "--param", "b=0.3")),
+        ("so3_twisted_c0.05", ("so3_twisted", "--param", "c=0.05")),
+    )
+    for fmt, ext in (("text", "txt"), ("csv", "csv"))
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_RUNS))
+def test_analyze_matches_golden_file(capsys, name):
+    code, out, _ = run(capsys, *ANALYZE_RUNS[name])
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -14,6 +14,7 @@ from sublap import (
     classify,
     distortion,
     feasible_rho1,
+    invariants,
     load_builtin,
     nabla_torsion,
     optimize,
@@ -25,7 +26,12 @@ from sublap import (
     validate,
     verify_connection,
 )
-from conftest import random_space
+from conftest import (
+    nilpotent_spaces,
+    random_orthogonal,
+    random_space,
+    rotate_frame,
+)
 
 N_CASES = 120
 
@@ -176,4 +182,72 @@ def test_bounds_are_invariant_under_vertical_rescaling():
                 assert np.array_equal(nan, np.isnan(b)), (name, kw, t, key)
                 assert np.allclose(a[~nan], b[~nan], atol=1e-8, rtol=1e-8), (
                     name, kw, t, key,
+                )
+
+
+def _frame_fingerprint(space):
+    """Frame-independent data of a space: flags, the constants and spectra
+    of its invariants, and the value of every bound."""
+    inv = invariants(space)
+    d = space.dim_h
+    spec = np.linalg.eigvalsh
+    report = optimize(space, x_points=20, rho2_per_decade=20)
+    sntf = bound_sntf(space)
+    return {
+        "flags": inv.flags,
+        "product": inv.product[0],
+        "zero": (inv.t1_zero, inv.trnt_h_zero),
+        "constants": np.array([inv.kappa, inv.sigma, inv.sup_t2, inv.product[1]]),
+        "src": spec(inv.src[:d, :d]),
+        "tau_vh": spec(inv.grams.tau_vh),
+        "tau_hv": spec(inv.grams.tau_hv),
+        "tau_h": spec(inv.grams.tau_h),
+        "t1": np.linalg.svd(inv.dist.t1, compute_uv=False),
+        "t2": spec(inv.dist.t2),
+        "rig": np.array([np.linalg.norm(inv.rig[:d]), np.linalg.norm(inv.rig[d:])]),
+        "sntf": None if sntf is None else sntf.value,
+        "bounds": {e.theorem: e.value for e in report.entries},
+    }
+
+
+FRAME_BASES = [
+    load_builtin("so4_twisted"),
+    load_builtin("so4_twisted", b=0.3),
+    load_builtin("so3_twisted", c=0.05),
+    load_builtin("so4_alt"),
+    load_builtin("twisted_spheres"),
+    *nilpotent_spaces(),
+]
+
+
+def test_invariants_and_bounds_are_frame_invariant():
+    # Rotating each block of the adapted frame, at two vertical scales, moves
+    # no invariant and no bound.  The nilpotent algebras have no positive
+    # curvature constants and take the paths where no bound applies.
+    rng = np.random.default_rng(108)
+    for base in FRAME_BASES:
+        nilpotent = base.name.startswith(("heisenberg", "free_step2"))
+        for t in (0.5, 2.0):
+            space = rescale_vertical(base, t)
+            want = _frame_fingerprint(space)
+            if nilpotent:
+                assert want["sntf"] is None and not want["bounds"], base.name
+            oh = random_orthogonal(rng, space.dim_h)
+            ov = random_orthogonal(rng, space.dim_v)
+            got = _frame_fingerprint(rotate_frame(space, oh, ov))
+            for key in ("flags", "product", "zero"):
+                assert got[key] == want[key], (base.name, t, key)
+            assert (got["sntf"] is None) == (want["sntf"] is None), base.name
+            assert got["bounds"].keys() == want["bounds"].keys(), base.name
+            for key in ("constants", "src", "tau_vh", "tau_hv", "tau_h", "t1", "t2", "rig"):
+                assert np.allclose(got[key], want[key], rtol=1e-10, atol=1e-10), (
+                    base.name, t, key,
+                )
+            if want["sntf"] is not None:
+                assert abs(got["sntf"] - want["sntf"]) <= 1e-10, base.name
+            # optimize resolves main's optimum, which sits at the edge of its
+            # rho2 ladder, only to about 1e-7 relative in a rotated frame
+            for key, value in want["bounds"].items():
+                assert np.isclose(got["bounds"][key], value, rtol=1e-6, atol=0.0), (
+                    base.name, t, key,
                 )

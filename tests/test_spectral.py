@@ -179,6 +179,23 @@ def test_lambda1_enumerates_only_cutoffs_up_to_the_dimension_limit(monkeypatch):
             lambda1(load_builtin(name), cutoff=cutoff)
 
 
+def test_lambda1_and_certify_reject_a_cutoff_that_is_not_finite(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("irreps enumerated for a bad cutoff")
+
+    monkeypatch.setattr(sublap.spectral, "_enumerate_irreps", no_enumeration)
+    space = load_builtin("so4_alt")
+    report = optimize(space, x_points=20)
+    calls = [(lambda c: lambda1(space, cutoff=c), (math.inf, math.nan, -1.0)),
+             (lambda c: certify(space, report, cutoff=c), (math.inf, math.nan))]
+    for call, cutoffs in calls:
+        for cutoff in cutoffs:
+            with pytest.raises(ValueError) as err:
+                call(cutoff)
+            want = f"cutoff must be a finite nonnegative number, got {cutoff}"
+            assert str(err.value) == want
+
+
 def test_lambda1_is_stable_under_cutoff_growth():
     for name, cut in (("so3_twisted", 20.0), ("so4_alt", 12.0)):
         lo = lambda1(load_builtin(name), cutoff=cut)
