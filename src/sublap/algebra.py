@@ -13,20 +13,15 @@ import ast
 import importlib.resources
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 ZERO_TOL = 1e-12
-JACOBI_SAMPLE_TOL = 1e-10
 COEFF_LIMIT = 1e50
 
-_BUILTIN_FILES = {
-    "so4_twisted": "so4_twisted.txt",
-    "so4_alt": "so4_alt.txt",
-    "so3_twisted": "so3_twisted.txt",
-    "twisted_spheres": "twisted_spheres.txt",
-}
+# Each builtin is the spec file data/<name>.txt.
+_BUILTINS = ("so3_twisted", "so4_alt", "so4_twisted", "twisted_spheres")
 
 
 @dataclass(frozen=True)
@@ -45,6 +40,12 @@ class OracleConfig:
     integer_sum: bool = False
 
 
+# The theorems a `variant` line may name, and the names its formula may read:
+# d and the values of that theorem's reported entry.
+VARIANT_THEOREMS = ("main", "t1zero", "asn", "sntf")
+VARIANT_NAMES = ("d", "rho1", "rho2", "omega")
+
+
 @dataclass(frozen=True)
 class HomogeneousSpace:
     """Structure constants of a homogeneous space in an adapted orthonormal frame."""
@@ -55,6 +56,8 @@ class HomogeneousSpace:
     c: np.ndarray = field(repr=False)
     params: dict[str, float] = field(default_factory=dict)
     oracle: OracleConfig | None = field(default=None, repr=False)
+    # (theorem, formula, convention) of each `variant` line of the spec
+    variants: tuple[tuple[str, str, str], ...] = field(default=(), repr=False)
 
     @property
     def dim(self) -> int:
@@ -154,14 +157,9 @@ def rescale_vertical(space: HomogeneousSpace, t: float) -> HomogeneousSpace:
     f = np.ones(space.dim)
     f[space.dim_h :] = 1.0 / math.sqrt(t)
     c = space.c * f[:, None, None] * f[None, :, None] / f[None, None, :]
-    return HomogeneousSpace(
-        name=space.name,
-        dim_h=space.dim_h,
-        dim_v=space.dim_v,
-        c=c,
-        params=dict(space.params),
-        oracle=None,  # the oracle frame map describes the unscaled metric only
-    )
+    # name, dimensions and variants carry over; the oracle frame map
+    # describes the unscaled metric only
+    return replace(space, c=c, params=dict(space.params), oracle=None)
 
 
 _ALLOWED_BINOPS = {
@@ -227,16 +225,19 @@ def parse_spec_text(
         bracket 1 2 = -1 3
         bracket 1 3 = -c 1; 1 + c**2 2
         oracle { ... }
+        variant sntf = rho1 / (d / (d - 1) + 0.75 * omega) : denominator uses d/(d-1)
 
     Only i < j bracket lines are allowed; antisymmetric completion is automatic and
     unlisted brackets are zero. Each bracket term is an arithmetic expression over
-    the params followed by the 1-based target index.
+    the params followed by the 1-based target index.  A variant line names a
+    theorem, a formula over `VARIANT_NAMES` and, after the colon, its convention.
     """
     name = ""
     dim_h = dim_v = -1
     params: dict[str, float] = {}
     bracket_lines: list[tuple[int, int, str]] = []
     oracle_lines: list[str] = []
+    variants: list[tuple[str, str, str]] = []
 
     lines = text.splitlines()
     pos = 0
@@ -274,6 +275,8 @@ def parse_spec_text(
                     f"bracket indices must satisfy i < j, got {i} {j}"
                 )
             bracket_lines.append((i, j, rhs))
+        elif line.startswith("variant"):
+            variants.append(_variant(line))
         else:
             raise SpecFormatError(f"unrecognized line {line!r}")
 
@@ -314,7 +317,28 @@ def parse_spec_text(
         c=c,
         params=params,
         oracle=oracle,
+        variants=tuple(variants),
     )
+
+
+def _variant(line: str) -> tuple[str, str, str]:
+    """(theorem, formula, convention) of a `variant` line; the formula is
+    tried at unit values, so bad syntax and unknown names fail here."""
+    head, _, rhs = line.partition("=")
+    parts = head.split()
+    formula, _, convention = (s.strip() for s in rhs.partition(":"))
+    if len(parts) != 2 or parts[1] not in VARIANT_THEOREMS or not (formula and convention):
+        raise SpecFormatError(
+            f"bad variant line {line!r}; expected 'variant THEOREM = FORMULA : CONVENTION' "
+            f"with THEOREM one of {', '.join(VARIANT_THEOREMS)}"
+        )
+    try:
+        eval_coefficient(formula, dict.fromkeys(VARIANT_NAMES, 1.0))
+    except ValueError as exc:
+        raise SpecFormatError(f"bad variant formula: {exc}") from exc
+    except ArithmeticError:
+        pass  # well formed; only the unit sample values fail
+    return parts[1], formula, convention
 
 
 def _read_block(rest: str, lines: list[str], pos: int) -> tuple[list[str], int]:
@@ -452,18 +476,18 @@ def load_spec(path: str, overrides: dict[str, float] | None = None) -> Homogeneo
 
 
 def builtin_names() -> list[str]:
-    return sorted(_BUILTIN_FILES)
+    return sorted(_BUILTINS)
 
 
 def load_builtin(name: str, **params: float) -> HomogeneousSpace:
     """Load a built-in example by name, optionally binding its parameters."""
-    if name not in _BUILTIN_FILES:
+    if name not in _BUILTINS:
         raise KeyError(
             f"unknown builtin {name!r}; available: {', '.join(builtin_names())}"
         )
     text = (
         importlib.resources.files("sublap.data")
-        .joinpath(_BUILTIN_FILES[name])
+        .joinpath(f"{name}.txt")
         .read_text(encoding="utf-8")
     )
     return parse_spec_text(text, params or None)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ZERO_TOL, HomogeneousSpace
+from .algebra import VARIANT_NAMES, ZERO_TOL, HomogeneousSpace, eval_coefficient
 from .connection import (
     _nabla_tor_vh,
     _tor2_inner_vh,
@@ -70,6 +70,7 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
+# The columns from x on are the BoundResult fields of the same name.
 CSV_COLUMNS = (
     "example",
     "theorem",
@@ -145,6 +146,7 @@ class Invariants:
     q_nt: np.ndarray  # symmetrized torsion-derivative trace
     q_tauh: np.ndarray  # horizontal-torsion Gram
     q_tt2: np.ndarray  # 2 * symmetrized horizontal trace of TOR2
+    tt2: bool  # q_tt2 is nonzero, so asn needs a curve of its own
 
     @property
     def d(self) -> int:
@@ -231,6 +233,7 @@ def invariants(space: HomogeneousSpace) -> Invariants:
         q_nt=0.5 * (v + v.T),
         q_tauh=grams.tau_h,
         q_tt2=tt,
+        tt2=bool(np.any(tt)),
     )
 
 
@@ -538,8 +541,9 @@ class BoundResult:
 
 @dataclass
 class DiscrepancyNote:
-    """A second value for the same theorem under an alternate normalization
-    that circulates for this example; reported next to ours, never merged."""
+    """A second value for the same theorem under an alternate normalization,
+    declared by a `variant` line of the spec; reported next to ours, never
+    merged."""
 
     theorem: str
     value: float
@@ -602,7 +606,7 @@ def _evaluate(
     curves: dict[bool, tuple] = {}
     out: dict[str, BoundResult | None] = {}
     for name in names:
-        own = name == "asn" and bool(np.any(inv.q_tt2))
+        own = name == "asn" and inv.tt2
         if own not in curves:
             q = inv.q(x) + inv.q_tt2 if own else inv.q(x)
             curves[own] = (q, *_schur(q, inv.d, grid))
@@ -643,10 +647,7 @@ def _sntf(inv: Invariants) -> BoundResult | None:
         return None
     d = inv.d
     rho1 = float(np.linalg.eigvalsh(inv.src[:d, :d])[0])
-    tau_h_vv = inv.grams.tau_h[d:, d:]
-    if tau_h_vv.size == 0:
-        return None
-    rho2 = float(np.linalg.eigvalsh(tau_h_vv)[0]) / 4.0
+    rho2 = float(np.linalg.eigvalsh(inv.grams.tau_h[d:, d:])[0]) / 4.0
     if rho2 <= 0.0 or rho1 <= 0.0:
         return None
     omega = inv.kappa / rho2
@@ -798,7 +799,6 @@ def _caps(
     caps = {name: np.full(xs.size, -np.inf) for name in names}
     m_floor = 2.0 * math.sqrt(inv.kappa * max(inv.sup_t2, 0.0))
     coeff = inv.product[1]
-    tt2 = bool(np.any(inv.q_tt2))
     step = max(1, _CHUNK_ENTRIES // ((grid.size + 10) * inv.space.dim_v))
     for lo in range(0, xs.size, step):
         x = xs[lo : lo + step]
@@ -816,9 +816,9 @@ def _caps(
                 cap = _t1zero_cap(r, delta, inv.kappa / rho2, chi, pad)
                 caps["t1zero"][rows] = cap.max(axis=1)
         if "asn" in caps:
-            if tt2:
+            if inv.tt2:
                 r, rho2 = _rayleigh(q + inv.q_tt2, inv.d, grid)
-            if tt2 or coeff != m_floor:
+            if inv.tt2 or coeff != m_floor:
                 caps["asn"][rows] = _ratio_cap(r, rho2, delta, inv.kappa, coeff)
             else:
                 caps["asn"][rows] = main
@@ -908,35 +908,42 @@ def optimize(
     return report
 
 
+def _largest_psd_x(inv: Invariants) -> float | None:
+    """Largest x in [0, 1] with Q(x) positive semidefinite, to the tolerance
+    `_weights` allows mu_min; None when no x qualifies.  Q is affine in x, so
+    lambda_min(Q(x)) is concave and the admissible x form an interval: golden
+    section finds a point of it when x = 0 is not one, and bisection from
+    there finds its right end to the last bit."""
+
+    def margin(x):
+        lam = np.linalg.eigvalsh(inv.q(x))[..., 0]
+        return lam + _PSD_TOL * np.maximum(1.0, np.abs(lam))
+
+    if margin(1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    if margin(lo) < 0.0:
+        lo, top = (float(v) for v in _golden_max(margin, 0.0, 1.0))
+        if top < 0.0:
+            return None
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if margin(mid) >= 0.0 else (lo, mid)
+    return lo
+
+
 def _append_discrepancies(inv: Invariants, report: BoundReport) -> None:
-    """For two named examples, recompute the closed-form bound under the
-    alternate normalization in circulation and report both values."""
-    sntf = next((e for e in report.entries if e.theorem == "sntf"), None)
-    if sntf is None:
-        return
-    d = inv.d
-    if inv.space.name == "twisted_spheres":
-        # Same data with the horizontal-torsion Gram counted over unordered
-        # pairs, which halves rho2 and doubles omega.
-        variant = sntf.rho1 / ((d - 1) / d + 0.75 * (2.0 * sntf.omega))
-        report.discrepancies.append(
-            DiscrepancyNote(
-                theorem="sntf",
-                value=sntf.value,
-                variant=variant,
-                convention="unordered-pair torsion Gram (rho2 halved)",
-            )
-        )
-    elif inv.space.name == "so4_alt":
-        variant = sntf.rho1 / (d / (d - 1) + 0.75 * sntf.omega)
-        report.discrepancies.append(
-            DiscrepancyNote(
-                theorem="sntf",
-                value=sntf.value,
-                variant=variant,
-                convention="denominator uses d/(d-1)",
-            )
-        )
+    """Evaluate each convention variant the spec declares on its theorem's
+    reported entry, and report both values."""
+    for theorem, formula, convention in inv.space.variants:
+        e = next((e for e in report.entries if e.theorem == theorem), None)
+        if e is None:
+            continue
+        values = (inv.d, e.rho1, e.rho2, e.omega)
+        try:
+            variant = eval_coefficient(formula, dict(zip(VARIANT_NAMES, values)))
+        except ArithmeticError as exc:
+            raise ValueError(f"variant {theorem} = {formula}: {exc}") from None
+        report.discrepancies.append(DiscrepancyNote(theorem, e.value, variant, convention))
 
 
 # ---------------------------------------------------------------------------
@@ -960,13 +967,7 @@ def report_text(report: BoundReport) -> str:
         lines.append("")
         lines.append(f"theorem = {e.theorem}")
         lines.append(f"bound = {_fmt(e.value)}")
-        lines.append(f"x = {_fmt(e.x)}")
-        lines.append(f"rho1 = {_fmt(e.rho1)}")
-        lines.append(f"rho2 = {_fmt(e.rho2)}")
-        lines.append(f"omega = {_fmt(e.omega)}")
-        lines.append(f"chi = {_fmt(e.chi)}")
-        lines.append(f"psi = {_fmt(e.psi)}")
-        lines.append(f"m = {_fmt(e.m)}")
+        lines += [f"{k} = {_fmt(getattr(e, k))}" for k in CSV_COLUMNS[3:]]
         for k in sorted(e.aux):
             lines.append(f"{k} = {_fmt(e.aux[k])}")
     for note in report.discrepancies:
@@ -981,20 +982,8 @@ def report_text(report: BoundReport) -> str:
 
 
 def _csv_row(example: str, theorem: str, e: BoundResult, value: float) -> str:
-    return ",".join(
-        [
-            example,
-            theorem,
-            _fmt(value),
-            _fmt(e.x),
-            _fmt(e.rho1),
-            _fmt(e.rho2),
-            _fmt(e.omega),
-            _fmt(e.chi),
-            _fmt(e.psi),
-            _fmt(e.m),
-        ]
-    )
+    cells = [_fmt(value)] + [_fmt(getattr(e, k)) for k in CSV_COLUMNS[3:]]
+    return ",".join([example, theorem, *cells])
 
 
 def report_csv(report: BoundReport, header: bool = True) -> str:

@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -22,9 +23,10 @@ from .algebra import (
     load_spec,
     validate,
 )
-from .bounds import CSV_COLUMNS, invariants, optimize, report_csv, report_text
+from .bounds import CSV_COLUMNS, _largest_psd_x, invariants, optimize
+from .bounds import report_csv, report_text
 from .connection import canonical_connection
-from .curvature import classify
+from .curvature import StructureFlags, classify
 from .spectral import certify
 
 _EPILOG = """\
@@ -39,8 +41,9 @@ CSV columns for bound reports (bound --format csv, report):
   chi      rho2 * sup T2 (clamped at 0)
   psi      rho2 * sigma^2
   m        torsion penalty inf_s (s*omega + chi/s + psi/s^2)
-report prepends the swept parameter value to each row and, when sweeping b
-on so4_twisted, appends x_frontier, the largest admissible x at that b.
+report prepends the swept parameter value to each row and appends
+x_frontier, the largest x in [0, 1] with Q(x) positive semidefinite at that
+value (empty when no x qualifies).
 """
 
 _EXIT_BAD_SPEC = 2
@@ -86,16 +89,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-_FLAG_ORDER = (
-    "h_rigid",
-    "v_rigid",
-    "totally_rigid",
-    "h_normal",
-    "v_normal",
-    "strictly_normal",
-    "vm_integrable",
-    "almost_strictly_normal",
-)
+_FLAG_ORDER = tuple(f.name for f in dataclasses.fields(StructureFlags))
 
 
 def _checked_space(args) -> HomogeneousSpace | int:
@@ -207,13 +201,6 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _x_frontier(b: float) -> float:
-    """Largest x admissible at twist b: below it the curvature form keeps a
-    positive horizontal block for some vertical weight."""
-    q = 0.25 * b * b / (1.0 + b * b)
-    return ((1.0 - q) + 2.0 * math.sqrt(1.0 - q)) / (3.0 + q)
-
-
 def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
     name, sep, rng = text.partition("=")
     name = name.strip()
@@ -237,21 +224,17 @@ def _cmd_report(args) -> int:
     grids = _grids(args)
     params = _parse_params(args.param)
     name, values = _parse_sweep(args.sweep)
-    probe = _load(args.spec, params)
-    with_frontier = probe.name == "so4_twisted" and name == "b"
-    header = [name, *CSV_COLUMNS]
-    if with_frontier:
-        header.append("x_frontier")
-    print(",".join(header))
-    for value in values:
-        space = _load(args.spec, {**params, name: float(value)})
+    spaces = [_load(args.spec, {**params, name: float(v)}) for v in values]
+    print(",".join([name, *CSV_COLUMNS, "x_frontier"]))
+    for value, space in zip(values, spaces):
         problems = validate(space)
         if problems:
             for p in problems:
                 print(f"invalid at {name}={_fmt(float(value))}: {p}", file=sys.stderr)
             return _EXIT_INVALID
         report = optimize(space, **grids)
-        suffix = f",{_fmt(_x_frontier(float(value)))}" if with_frontier else ""
+        frontier = _largest_psd_x(invariants(space))
+        suffix = "," if frontier is None else f",{_fmt(frontier)}"
         rows = report_csv(report, header=False).splitlines()
         if not report.entries:
             rows = [",".join([space.name, "none"] + [""] * 8)]

@@ -25,13 +25,16 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 def rotate_frame(
     space: HomogeneousSpace, oh: np.ndarray, ov: np.ndarray
 ) -> HomogeneousSpace:
-    """Re-express the structure constants in a rotated adapted frame."""
+    """Re-express the structure constants in a rotated adapted frame.  The
+    name, params and convention variants carry over; the oracle does not."""
     n, d = space.dim, space.dim_h
     o = np.zeros((n, n))
     o[:d, :d] = oh
     o[d:, d:] = ov
     c = np.einsum("ai,bj,abg,gk->ijk", o, o, space.c, o)
-    return HomogeneousSpace(space.name, d, space.dim_v, c, dict(space.params), None)
+    return HomogeneousSpace(
+        space.name, d, space.dim_v, c, dict(space.params), None, space.variants
+    )
 
 
 def so4_weighted(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from sublap import (
     report_csv,
     report_text,
 )
-from sublap.bounds import _t1zero_values
+from sublap.bounds import _largest_psd_x, _t1zero_values
 
 CSV_HEADER = "example,theorem,bound,x,rho1,rho2,omega,chi,psi,m"
 
@@ -367,3 +369,23 @@ def test_pseudohermitian_rejects_bad_arguments():
                       (2, 1, -0.1)):
         with pytest.raises(ValueError):
             bound_pseudohermitian(n, rho, c)
+
+
+def _affine_form(a, b):
+    """A stand-in for Invariants whose Q(x) = diag(a) + x diag(b)."""
+    a, b = np.diag(a), np.diag(b)
+    return SimpleNamespace(q=lambda x: a + np.asarray(x, dtype=float)[..., None, None] * b)
+
+
+def test_largest_psd_x_finds_the_right_end_of_the_admissible_interval():
+    assert _largest_psd_x(_affine_form([1.0, 0.0], [-1.0, 0.5])) == 1.0
+    # Q(0) is not PSD: golden section finds a point inside [0.2, 0.9] first
+    got = _largest_psd_x(_affine_form([-0.2, 0.9], [1.0, -1.0]))
+    assert abs(got - 0.9) < 1e-11
+    assert _largest_psd_x(_affine_form([-0.6, 0.4], [1.0, -1.0])) is None
+    # the root of the (e1, e6) block of so4_twisted, x = s/(2 - s) with
+    # s = 1/sqrt(1 + b^2), at every twist (b = 0 is admissible up to x = 1)
+    for b in (0.0, 0.1, -0.3, 0.7, 2.0, 5.0):
+        s = 1.0 / math.sqrt(1.0 + b * b)
+        got = _largest_psd_x(invariants(load_builtin("so4_twisted", b=b)))
+        assert abs(got - s / (2.0 - s)) < 1e-10, b

@@ -208,10 +208,11 @@ def test_report_sweep_with_frontier_column(capsys):
     assert len(lines) == 1 + 4 + 3 + 3
     for line in lines[1:]:
         cells = line.split(",")
-        b = float(cells[0])
-        q = 0.25 * b * b / (1.0 + b * b)
-        want = ((1.0 - q) + 2.0 * math.sqrt(1.0 - q)) / (3.0 + q)
-        assert abs(float(cells[-1]) - want) < 1e-10
+        # Q(x) turns singular on the (e1, e6) block
+        # [[1 - x, -(1 + x) b], [-(1 + x) b, (1 + 3x)(1 + b^2)]], at
+        # x = s/(2 - s) with s = 1/sqrt(1 + b^2)
+        s = 1.0 / math.sqrt(1.0 + float(cells[0]) ** 2)
+        assert abs(float(cells[-1]) - s / (2.0 - s)) < 1e-10
     values: dict[float, list[float]] = {}
     for line in lines[1:]:
         cells = line.split(",")
@@ -228,8 +229,20 @@ def test_report_sweep_without_frontier(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "c,example,theorem,bound,x,rho1,rho2,omega,chi,psi,m"
+    assert lines[0] == "c,example,theorem,bound,x,rho1,rho2,omega,chi,psi,m,x_frontier"
     assert len(lines) == 1 + 4 + 1
+    # Q(1) stays PSD (bottom eigenvalue 0) at every shear, so x_frontier = 1
+    assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_report_loads_every_sweep_point_before_printing(capsys):
+    # an unknown parameter, or a coefficient out of range at a later point,
+    # fails before the header or any row is printed
+    for sweep in ("z=0:0.2:2", "b=0:1e60:2"):
+        code, out, err = run(capsys, "report", "so4_twisted", "--sweep", sweep)
+        assert code == 2, sweep
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_report_rejects_malformed_sweeps(capsys):
@@ -307,6 +320,11 @@ GOLDEN_RUNS = {
     **{f"certify_{n}.txt": ("certify", n) for n in sublap.builtin_names()},
     "bound_so4_twisted_b0.3.csv": ("bound", "so4_twisted", "--param", "b=0.3", "--format", "csv"),
     "report_so4_twisted_b0-0.4-3.csv": ("report", "so4_twisted", "--sweep", "b=0:0.4:3"),
+    # Recorded when x_frontier became Q(x)'s own LMI root for every spec; the
+    # sweep ends where no theorem applies (c = 0.5), at its own x grid.
+    "report_so3_twisted_c0-0.5-3.csv": (
+        "report", "so3_twisted", "--sweep", "c=0:0.5:3", "--x-grid", "200"
+    ),
     # Text output, which also carries the aux lines (main's s, t1zero's case);
     # so3_twisted c=0.05 has the three theorems at different x, t1zero in
     # case 1 and main with s.  Recorded before the theorems shared one Schur
@@ -319,7 +337,9 @@ GOLDEN_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_matches_golden_file(capsys, name):
-    code, out, _ = run(capsys, *GOLDEN_RUNS[name], "--x-grid", "400")
+    command, *rest = GOLDEN_RUNS[name]
+    # an --x-grid of the entry's own comes later and overrides 400
+    code, out, _ = run(capsys, command, "--x-grid", "400", *rest)
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
