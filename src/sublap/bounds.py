@@ -6,8 +6,10 @@ constants derived from them.  Every theorem reduces to finite linear algebra
 plus a scalar optimization; the optimizer sweeps deterministic grids and then
 refines the best abscissas by golden section, so identical inputs always give
 identical output.  At each x, main, t1zero and asn read one Schur curve of
-Q(x) (asn a second one, on Q(x) + q_tt2, only when q_tt2 is nonzero), and a
-single golden-section pass refines the winning abscissas of all of them.
+Q(x) (asn a second one, on Q(x) + q_tt2, only when q_tt2 is nonzero).  The
+theorems sweep x in lockstep, so those that reach the same x share its curve;
+a single golden-section pass refines the winning abscissas of all of them,
+and no x is evaluated again after it.
 
 The x sweep evaluates only the x whose cap can still beat the best value
 found.  The cap bounds rho1 by the Rayleigh quotient of the Schur complement
@@ -835,14 +837,11 @@ def optimize(
     winning x of all of them in one golden-section pass, and report
     per-theorem bests.
 
-    Each theorem visits the x grid in decreasing order of a sound per-x cap
-    and stops at the first x whose cap cannot beat the best value found, so
-    pruning never changes the result.  The cap comes from the Rayleigh
-    quotient r of the Schur complement at the bottom eigenvector of Q_HH,
-    taken over the very rho2 candidates that get evaluated.  It holds
-    because r >= rho1 (Courant-Fischer), because m >= 2 sqrt(kappa sup T2+),
-    and because the asn Grams are PSD.  Raises ValueError when a grid size
-    is below 1.
+    The theorems sweep the x grid in lockstep, each in decreasing order of its
+    sound cap (see the module docstring) until the cap cannot beat its best
+    value, so pruning never changes the result.  Each x is evaluated once for
+    all the theorems that reach it, and none again after the golden pass.
+    Raises ValueError when a grid size is below 1.
     """
     if x_points < 1 or rho2_per_decade < 1:
         raise ValueError(
@@ -860,46 +859,46 @@ def optimize(
 
     best: dict[str, BoundResult] = {}
 
-    def consider(res: BoundResult | None) -> None:
-        if res is None or not math.isfinite(res.value) or res.value <= 0.0:
-            return
-        cur = best.get(res.theorem)
-        if cur is None or res.value > cur.value:
-            best[res.theorem] = res
+    def run(points: dict[str, float]) -> dict[str, BoundResult | None]:
+        """Evaluate each distinct x once, for every theorem that asks for it,
+        and keep a positive result when it beats its theorem's best."""
+        out: dict[str, BoundResult | None] = {}
+        for x in dict.fromkeys(points.values()):
+            out.update(_evaluate(inv, [n for n in points if points[n] == x], x, grid))
+        for name, res in out.items():
+            if res is not None and res.value > (best[name].value if name in best else 0.0):
+                best[name] = res
+        return out
 
-    for name in names:
-        ub = caps[name]
-        for i in np.argsort(ub)[::-1]:
-            cur = best.get(name)
-            if cur is not None and ub[i] <= cur.value + 1e-15:
-                break
-            if not math.isfinite(ub[i]) or ub[i] <= 0.0:
-                break
-            consider(_evaluate(inv, [name], float(xs[i]), grid)[name])
+    # The theorems step through their own cap orders together, sharing the curve
+    # of any x they meet at; each stops once its cap cannot beat its best.
+    live = {name: iter(np.argsort(caps[name])[::-1]) for name in names}
+    while live:
+        points = {}
+        for name, order in list(live.items()):
+            i = next(order, None)
+            ub = -math.inf if i is None else caps[name][i]
+            if not 0.0 < ub < math.inf or (name in best and ub <= best[name].value + 1e-15):
+                del live[name]
+            else:
+                points[name] = float(xs[i])
+        run(points)
 
-    # One golden-section pass refines every winning abscissa together; each
-    # step evaluates every distinct x once, for all theorems that share it.
+    # One golden-section pass refines every winning abscissa together.  `run`
+    # keeps the strictly better points in the order `_golden_max` does.
     won = list(best)
     center = np.array([best[name].x for name in won])
     step = 1.0 / x_points
 
     def values(points: np.ndarray) -> np.ndarray:
-        out = np.full(len(won), -math.inf)
-        for x in np.unique(points):
-            at = np.flatnonzero(points == x)
-            res = _evaluate(inv, [won[k] for k in at], float(x), grid)
-            for k in at:
-                if res[won[k]] is not None:
-                    out[k] = res[won[k]].value
-        return out
+        res = run(dict(zip(won, points.tolist())))
+        return np.array([-math.inf if res[n] is None else res[n].value for n in won])
 
     lo = np.maximum(center - step, 0.0)
-    x, val = _golden_max(values, lo, np.minimum(center + step, 1.0 - 1e-12))
-    for k, name in enumerate(won):
-        if val[k] > best[name].value:
-            best[name] = _evaluate(inv, [name], float(x[k]), grid)[name]
+    _golden_max(values, lo, np.minimum(center + step, 1.0 - 1e-12))
 
-    consider(_sntf(inv))
+    if (sntf := _sntf(inv)) is not None:
+        best["sntf"] = sntf
 
     report.entries = [best[k] for k in sorted(best)]
     if report.entries:

@@ -225,19 +225,20 @@ def _cmd_report(args) -> int:
     params = _parse_params(args.param)
     name, values = _parse_sweep(args.sweep)
     spaces = [_load(args.spec, {**params, name: float(v)}) for v in values]
-    print(",".join([name, *CSV_COLUMNS, "x_frontier"]))
     for value, space in zip(values, spaces):
         problems = validate(space)
         if problems:
             for p in problems:
                 print(f"invalid at {name}={_fmt(float(value))}: {p}", file=sys.stderr)
             return _EXIT_INVALID
+    print(",".join([name, *CSV_COLUMNS, "x_frontier"]))
+    for value, space in zip(values, spaces):
         report = optimize(space, **grids)
         frontier = _largest_psd_x(invariants(space))
         suffix = "," if frontier is None else f",{_fmt(frontier)}"
         rows = report_csv(report, header=False).splitlines()
         if not report.entries:
-            rows = [",".join([space.name, "none"] + [""] * 8)]
+            rows = [f"{space.name},none" + "," * (len(CSV_COLUMNS) - 2)]
         for row in rows:
             print(f"{_fmt(float(value))},{row}{suffix}")
     return 0

@@ -33,6 +33,17 @@ bracket 2 3 = 1 2
 """
 
 
+SHEAR_SPEC = """\
+name shear
+dim_h 2
+dim_v 1
+params { a = 1 }
+bracket 1 2 = a 3
+bracket 1 3 = -1 2
+bracket 2 3 = 1 1
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -235,7 +246,7 @@ def test_report_sweep_without_frontier(capsys):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
-def test_report_loads_every_sweep_point_before_printing(capsys):
+def test_report_loads_every_sweep_point_before_printing(capsys, tmp_path):
     # an unknown parameter, or a coefficient out of range at a later point,
     # fails before the header or any row is printed
     for sweep in ("z=0:0.2:2", "b=0:1e60:2"):
@@ -243,6 +254,14 @@ def test_report_loads_every_sweep_point_before_printing(capsys):
         assert code == 2, sweep
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    # so does a later point that loads but is invalid: at a = 0 the bracket
+    # no longer generates the vertical direction
+    path = tmp_path / "shear.txt"
+    path.write_text(SHEAR_SPEC, encoding="utf-8")
+    code, out, err = run(capsys, "report", str(path), "--sweep", "a=1:0:2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invalid at a=0: "), err
 
 
 def test_report_rejects_malformed_sweeps(capsys):

@@ -33,7 +33,7 @@ from sublap.bounds import (
     invariants,
 )
 
-from conftest import random_space, so4_weighted
+from conftest import free_step2, heisenberg, random_space, so4_weighted
 
 BOUNDS = {"main": bound_main, "t1zero": bound_t1zero, "asn": bound_asn}
 
@@ -120,17 +120,21 @@ def test_shared_curve_gives_each_theorem_its_own_result(key):
 
 
 @pytest.mark.parametrize(
-    "name, params, most",
+    "make, x_points, most",
     [
-        ("so4_twisted", {"b": 0.3}, 70),
-        ("so4_alt", {}, 70),
-        ("twisted_spheres", {}, 70),
+        pytest.param(lambda: load_builtin("so4_twisted", b=0.3), 2000, 63, id="so4_twisted"),
+        pytest.param(lambda: load_builtin("so4_alt"), 2000, 63, id="so4_alt"),
+        pytest.param(lambda: load_builtin("twisted_spheres"), 2000, 63, id="twisted_spheres"),
         # the theorems peak at different x here, so no golden step shares a
         # curve between them
-        ("so3_twisted", {"c": 0.05}, 193),
+        pytest.param(lambda: load_builtin("so3_twisted", c=0.05), 2000, 190, id="so3_twisted"),
+        # no theorem yields a bound, so each sweeps every x; stepping together,
+        # they build one curve per x, not one per theorem and x
+        pytest.param(lambda: heisenberg(1), 200, 200, id="heisenberg3"),
+        pytest.param(lambda: free_step2(3), 200, 200, id="free_step2_r3"),
     ],
 )
-def test_optimize_builds_one_schur_curve_per_refined_x(monkeypatch, name, params, most):
+def test_optimize_builds_one_schur_curve_per_refined_x(monkeypatch, make, x_points, most):
     calls = []
     schur = sublap.bounds._schur
 
@@ -139,5 +143,5 @@ def test_optimize_builds_one_schur_curve_per_refined_x(monkeypatch, name, params
         return schur(*args)
 
     monkeypatch.setattr(sublap.bounds, "_schur", counted)
-    optimize(load_builtin(name, **params))
+    optimize(make(), x_points=x_points)
     assert len(calls) <= most
