@@ -13,6 +13,7 @@ import ast
 import importlib.resources
 import math
 import operator
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +23,8 @@ COEFF_LIMIT = 1e50
 
 # Each builtin is the spec file data/<name>.txt.
 _BUILTINS = ("so3_twisted", "so4_alt", "so4_twisted", "twisted_spheres")
+# The keyword of a spec line or block entry: its first word, ended by a blank, '=' or '{'.
+_KEYWORD = re.compile(r"[^\s={]*")
 
 
 @dataclass(frozen=True)
@@ -246,13 +249,14 @@ def parse_spec_text(
         pos += 1
         if not line:
             continue
-        if line.startswith("name"):
+        word = _KEYWORD.match(line).group()
+        if word == "name":
             name = line[len("name") :].strip()
-        elif line.startswith("dim_h"):
+        elif word == "dim_h":
             dim_h = _int_field(line)
-        elif line.startswith("dim_v"):
+        elif word == "dim_v":
             dim_v = _int_field(line)
-        elif line.startswith("params"):
+        elif word == "params":
             body, pos = _read_block(line[len("params") :], lines, pos)
             for entry in body:
                 if "=" not in entry:
@@ -262,9 +266,9 @@ def parse_spec_text(
                     params[key.strip()] = float(val)
                 except ValueError as exc:
                     raise SpecFormatError(f"bad params entry {entry!r}") from exc
-        elif line.startswith("oracle"):
+        elif word == "oracle":
             oracle_lines, pos = _read_block(line[len("oracle") :], lines, pos)
-        elif line.startswith("bracket"):
+        elif word == "bracket":
             head, _, rhs = line.partition("=")
             parts = head.split()
             if len(parts) != 3 or not rhs:
@@ -275,7 +279,7 @@ def parse_spec_text(
                     f"bracket indices must satisfy i < j, got {i} {j}"
                 )
             bracket_lines.append((i, j, rhs))
-        elif line.startswith("variant"):
+        elif word == "variant":
             variants.append(_variant(line))
         else:
             raise SpecFormatError(f"unrecognized line {line!r}")
@@ -410,7 +414,8 @@ def _parse_oracle(
     raw_maps: dict[int, list[tuple[float, int, int]]] = {}
 
     for entry in entries:
-        if entry.startswith("factor"):
+        word = _KEYWORD.match(entry).group()
+        if word == "factor":
             _, _, rhs = entry.partition("=")
             fields = rhs.split()
             if len(fields) != 2 or fields[0] != "su2" or fields[1] not in (
@@ -419,18 +424,18 @@ def _parse_oracle(
             ):
                 raise SpecFormatError(f"bad oracle factor {entry!r}")
             factors.append(OracleFactor(spins=fields[1]))
-        elif entry.startswith("cutoff"):
+        elif word == "cutoff":
             value = entry.partition("=")[2].strip()
             try:
                 cutoff = float(value)
             except ValueError as exc:
                 raise SpecFormatError(f"bad oracle cutoff {value!r}") from exc
-        elif entry.startswith("constraint"):
+        elif word == "constraint":
             value = entry.partition("=")[2].strip()
             if value != "integer_sum":
                 raise SpecFormatError(f"unknown oracle constraint {value!r}")
             integer_sum = True
-        elif entry.startswith("map"):
+        elif word == "map":
             head, _, rhs = entry.partition("=")
             fields = head.split()
             if len(fields) != 2:

@@ -5,11 +5,13 @@ forms Q(x) on the frame, two distortion tensors, and a handful of scalar
 constants derived from them.  Every theorem reduces to finite linear algebra
 plus a scalar optimization; the optimizer sweeps deterministic grids and then
 refines the best abscissas by golden section, so identical inputs always give
-identical output.  At each x, main, t1zero and asn read one Schur curve of
-Q(x) (asn a second one, on Q(x) + q_tt2, only when q_tt2 is nonzero).  The
-theorems sweep x in lockstep, so those that reach the same x share its curve;
-a single golden-section pass refines the winning abscissas of all of them,
-and no x is evaluated again after it.
+identical output.  At each x the vertical block of Q(x) is eliminated once,
+and every theorem reads its Schur complements from that elimination: main,
+t1zero and asn take Q(x)'s, and when q_tt2 is nonzero asn takes those of
+Q(x) + q_tt2, which differ only on H x H.  The theorems sweep x in lockstep,
+so those that reach the same x share its elimination; a single golden-section
+pass refines the winning abscissas of all of them, and no x is evaluated
+again after it.
 
 The x sweep evaluates only the x whose cap can still beat the best value
 found.  The cap bounds rho1 by the Rayleigh quotient of the Schur complement
@@ -148,7 +150,7 @@ class Invariants:
     q_nt: np.ndarray  # symmetrized torsion-derivative trace
     q_tauh: np.ndarray  # horizontal-torsion Gram
     q_tt2: np.ndarray  # 2 * symmetrized horizontal trace of TOR2
-    tt2: bool  # q_tt2 is nonzero, so asn needs a curve of its own
+    tt2: bool  # q_tt2 is nonzero, so asn reads the complements of Q(x) + q_tt2
 
     @property
     def d(self) -> int:
@@ -218,7 +220,7 @@ def invariants(space: HomogeneousSpace) -> Invariants:
     kappa = float(np.linalg.eigvalsh(grams.tau_hv[:d, :d])[-1])
     return Invariants(
         space=space,
-        flags=_classify(conn, rig, ZERO_TOL),
+        flags=_classify(conn, rig),
         src=src,
         grams=grams,
         rig=rig,
@@ -356,10 +358,9 @@ def m_constant(omega: float, chi: float, psi: float) -> MConstant:
     s*omega + chi/s + psi/s**2, with the minimizing s when attained."""
     if omega < 0 or chi < 0 or psi < 0:
         raise ValueError("m constant requires nonnegative omega, chi, psi")
-    if omega == 0.0 or (chi == 0.0 and psi == 0.0):
-        # Decreasing (or increasing from 0) in s: infimum 0, never attained.
+    m, s = _m_arrays(omega, chi, psi)
+    if np.isnan(s):  # the infimum 0 is only reached in a limit
         return MConstant(value=0.0, s=None, degenerate=True)
-    m, s = _m_arrays(np.array(omega), np.array(chi), np.array(psi))
     return MConstant(value=float(m), s=float(s), degenerate=False)
 
 
@@ -375,15 +376,18 @@ def _rho2_base_grid(kappa: float, per_decade: int, decades: int = 6) -> np.ndarr
 
 def _vertical(
     q: np.ndarray, d: int, base: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The vertical block of q, or of each form in a stack, as the one place
-    that serves both the elimination and the rho2 candidates.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The elimination of the vertical block of q, or of each form in a stack.
 
-    Returns its ascending eigenvalues mu, the coupling w = Q_HV U in its
-    eigenbasis, and the admissible rho2 candidates: the base grid below the
-    vertical minimum mu_min, the near-boundary refinements mu_min(1 - 10^-k)
-    and, for a decoupled block, mu_min itself, with NaN in unused slots;
-    mu_min <= 0 leaves none.
+    Returns the rho2 candidates (the base grid below the vertical minimum
+    mu_min, the near-boundary refinements mu_min(1 - 10^-k) and, for a
+    decoupled block, mu_min itself; NaN in unused slots, and none when
+    mu_min <= 0), the coupling w = Q_HV U in the eigenbasis U of Q_VV, the
+    weights 1/(mu_j - rho2) indexed [..., j, candidate] (0 on decoupled
+    directions j, which never penalize H), and the mask where the elimination
+    is valid: every coupled gap is positive and rho2 is at most mu_min.  Only
+    Q_VV, Q_HV and |q|max enter, so a form that differs from q only on H x H
+    shares the elimination.
     """
     mu, u = np.linalg.eigh(q[..., d:, d:])
     w = q[..., :d, d:] @ u
@@ -400,67 +404,51 @@ def _vertical(
     near = mu_min * (1.0 - np.power(10.0, -np.arange(2.0, 11.0)))
     edge = np.where(coupling <= _PSD_TOL * scale, mu_min, np.nan)
     rho2 = np.concatenate([below, near, edge], axis=-1)
-    return mu, w, np.where((mu_min > 0.0) & (rho2 > 0.0), rho2, np.nan)
-
-
-def _weights(
-    mu: np.ndarray, w: np.ndarray, rho2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights 1/(mu_j - rho2) of the coupled vertical directions j at each
-    candidate, indexed [..., j, candidate] (0 on decoupled directions, which
-    never penalize H), and the mask where the elimination is valid: every
-    coupled gap is positive and rho2 is at most mu_min.  Works on one form
-    or on a stack."""
+    rho2 = np.where((mu_min > 0.0) & (rho2 > 0.0), rho2, np.nan)
     coupled = (np.abs(w) > 0.0).any(axis=-2)
     # mu is ascending, so every coupled gap is positive below the lowest
     # coupled eigenvalue (this also rejects the NaN padding)
     bad = ~(rho2 < np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True))
     keep = coupled[..., :, None] & ~bad[..., None, :]
     with np.errstate(divide="ignore"):
-        inv = np.where(keep, 1.0 / (mu[..., :, None] - rho2[..., None, :]), 0.0)
-    mu_min = mu[..., :1]
-    ok = ~bad & (rho2 <= mu_min + _PSD_TOL * np.maximum(1.0, np.abs(mu_min)))
-    return inv, ok
+        weights = np.where(keep, 1.0 / (mu[..., :, None] - rho2[..., None, :]), 0.0)
+    low = mu[..., :1]
+    ok = ~bad & (rho2 <= low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
+    return rho2, w, weights, ok
 
 
 def _schur(
     q: np.ndarray, d: int, base: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Schur curve of one form q: the sorted rho2 candidates, the Schur
-    complements S of the vertical block of q - diag(0 on H, rho2 on V), one
-    per candidate, and lambda_min(S) where the elimination is valid (NaN
-    elsewhere).
+    """The elimination of one form q at its sorted valid rho2 candidates: the
+    candidates, the share cut[r] = sum_j w_j w_j' / (mu_j - rho2_r) of Q_HH
+    that the vertical block takes, and the mask where the elimination is valid.
 
-    There lambda_min(S) is the largest rho1 keeping q - diag(rho1, rho2)
-    positive semidefinite: the PSD bisection `feasible_rho1` gives the same
-    value.
+    Q_HH - cut is the Schur complement of the vertical block of
+    q - diag(0 on H, rho2 on V), and of every form that differs from q only on
+    H x H.  Where the mask holds, its lambda_min is the largest rho1 keeping
+    that form minus diag(rho1, rho2) positive semidefinite, the value the PSD
+    bisection `feasible_rho1` gives.
     """
-    mu, w, rho2 = _vertical(q, d, base)
-    rho2 = np.sort(rho2[~np.isnan(rho2)])
-    inv, ok = _weights(mu, w, rho2)
-    stack = q[None, :d, :d] - np.einsum("aj,bj,jr->rab", w, w, inv)
-    if rho2.size == 0:  # no candidate, nothing to diagonalize
-        return rho2, stack, rho2
-    return rho2, stack, np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
+    rho2, w, weights, ok = _vertical(q, d, base)
+    order = np.argsort(rho2)[: np.count_nonzero(~np.isnan(rho2))]
+    return rho2[order], np.einsum("aj,bj,jr->rab", w, w, weights[:, order]), ok[order]
 
 
-def _rayleigh(
-    q: np.ndarray, d: int, base: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack of forms: an upper bound r on rho1 at every rho2 candidate,
-    and the candidates.
+def _rayleigh(q: np.ndarray, d: int, elim: tuple) -> np.ndarray:
+    """For a stack of forms sharing the elimination `elim` from `_vertical`:
+    an upper bound r on rho1 at every rho2 candidate.
 
     r is the Rayleigh quotient of the Schur complement at the bottom
     eigenvector e of Q_HH, lambda_min(Q_HH) - sum_j (e.w_j)^2 / (mu_j - rho2),
-    padded for rounding.  By Courant-Fischer it is at least the bottom
-    eigenvalue of the complement.  r is -inf where the elimination is invalid.
+    padded for rounding by the scale of q.  By Courant-Fischer it is at least
+    the complement's bottom eigenvalue.  r is -inf where elim is invalid.
     """
+    _, w, weights, ok = elim
     lam, vec = np.linalg.eigh(q[:, :d, :d])
-    mu, w, rho2 = _vertical(q, d, base)
-    inv, ok = _weights(mu, w, rho2)
     proj = np.einsum("xa,xaj->xj", vec[:, :, 0], w) ** 2
     top = lam[:, :1] + _PSD_TOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))[:, None]
-    return np.where(ok, top - (proj[:, :, None] * inv).sum(axis=1), -np.inf), rho2
+    return np.where(ok, top - (proj[:, :, None] * weights).sum(axis=1), -np.inf)
 
 
 def _golden_max(fun, lo, hi, iters: int = 60):
@@ -601,18 +589,22 @@ def _evaluate(
     """Each named theorem at x, maximized over its rho2 candidates (None when
     no candidate gives a finite value).
 
-    main, t1zero and asn all read one Schur curve of Q(x); asn builds its own
-    on Q(x) + q_tt2 only when q_tt2 is nonzero.
+    The vertical block of Q(x) is eliminated once for all of them.  main and
+    t1zero read the Schur curve of Q(x); asn reads that of Q(x) + q_tt2, which
+    is the same curve when q_tt2 is zero and otherwise differs only in Q_HH.
     """
     delta = inv.delta(x)
+    q0 = inv.q(x)
+    rho2, cut, ok = _schur(q0, inv.d, grid)
     curves: dict[bool, tuple] = {}
     out: dict[str, BoundResult | None] = {}
     for name in names:
         own = name == "asn" and inv.tt2
         if own not in curves:
-            q = inv.q(x) + inv.q_tt2 if own else inv.q(x)
-            curves[own] = (q, *_schur(q, inv.d, grid))
-        q, rho2, stack, rho1 = curves[own]
+            q = q0 + inv.q_tt2 if own else q0
+            stack = q[None, : inv.d, : inv.d] - cut
+            curves[own] = (q, stack, np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan))
+        q, stack, rho1 = curves[own]
         omega = inv.kappa / rho2
         chi = np.maximum(rho2 * inv.sup_t2, 0.0)
         if name == "main":
@@ -796,7 +788,8 @@ def _caps(
     is rho1/(Delta + omega)); asn by (r - coeff)/(Delta + omega) with r taken
     on Q + q_tt2, since the Grams G1 and G2 are PSD and so the weak-duality
     rho1 is at most the bottom eigenvalue of the complement.  The x grid is
-    processed in chunks of `_CHUNK_ENTRIES` (x, candidate) entries.
+    processed in chunks of `_CHUNK_ENTRIES` (x, candidate) entries, and the
+    vertical block of each chunk is eliminated once for every theorem.
     """
     caps = {name: np.full(xs.size, -np.inf) for name in names}
     m_floor = 2.0 * math.sqrt(inv.kappa * max(inv.sup_t2, 0.0))
@@ -807,7 +800,8 @@ def _caps(
         rows = slice(lo, lo + x.size)
         q = inv.q(x)
         delta = inv.delta(x)[:, None]
-        r, rho2 = _rayleigh(q, inv.d, grid)
+        elim = _vertical(q, inv.d, grid)
+        rho2, r = elim[0], _rayleigh(q, inv.d, elim)
         main = caps["main"][rows] = _ratio_cap(r, rho2, delta, inv.kappa, m_floor)
         if "t1zero" in caps:
             if inv.sup_t2 <= 0.0:
@@ -819,7 +813,7 @@ def _caps(
                 caps["t1zero"][rows] = cap.max(axis=1)
         if "asn" in caps:
             if inv.tt2:
-                r, rho2 = _rayleigh(q + inv.q_tt2, inv.d, grid)
+                r = _rayleigh(q + inv.q_tt2, inv.d, elim)
             if inv.tt2 or coeff != m_floor:
                 caps["asn"][rows] = _ratio_cap(r, rho2, delta, inv.kappa, coeff)
             else:
@@ -909,7 +903,7 @@ def optimize(
 
 def _largest_psd_x(inv: Invariants) -> float | None:
     """Largest x in [0, 1] with Q(x) positive semidefinite, to the tolerance
-    `_weights` allows mu_min; None when no x qualifies.  Q is affine in x, so
+    `_vertical` allows mu_min; None when no x qualifies.  Q is affine in x, so
     lambda_min(Q(x)) is concave and the admissible x form an interval: golden
     section finds a point of it when x = 0 is not one, and bisection from
     there finds its right end to the last bit."""
@@ -949,12 +943,8 @@ def _append_discrepancies(inv: Invariants, report: BoundReport) -> None:
 # Serialization
 
 
-def _fmt(v: float | None) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float) and math.isnan(v):
-        return ""
-    return format(v, ".12g")
+def _fmt(v: float) -> str:
+    return "" if math.isnan(v) else format(v, ".12g")
 
 
 def report_text(report: BoundReport) -> str:

@@ -139,22 +139,22 @@ class StructureFlags:
     almost_strictly_normal: bool
 
 
-def classify(conn: Connection, tol: float = ZERO_TOL) -> StructureFlags:
+def classify(conn: Connection) -> StructureFlags:
     """Decide the torsion-shape flags used as theorem preconditions.
 
     h_normal / v_normal record whether mixed torsion values stay vertical,
     respectively horizontal; strictly normal means they vanish outright.
     vm_integrable records whether vertical brackets stay vertical.
     """
-    return _classify(conn, rigidity(conn), tol)
+    return _classify(conn, rigidity(conn))
 
 
-def _classify(conn: Connection, r: np.ndarray, tol: float) -> StructureFlags:
+def _classify(conn: Connection, r: np.ndarray) -> StructureFlags:
     """`classify` given the rigidity one-form ``r`` of ``conn``."""
     space = conn.space
     d = space.dim_h
     scale = max(1.0, float(np.abs(space.c).max()) ** 2)
-    cut = tol * scale
+    cut = ZERO_TOL * scale
 
     t = conn.tor
     h_rigid = bool(np.abs(r[:d]).max(initial=0.0) <= cut)

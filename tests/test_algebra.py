@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.resources
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from sublap import (
     validate,
 )
 from sublap.algebra import eval_coefficient
+
+SO4_ALT = importlib.resources.files("sublap.data").joinpath("so4_alt.txt").read_text()
 
 
 def test_builtin_names():
@@ -144,6 +148,32 @@ def test_parse_spec_text_rejects_malformed_input():
     for text in bad_cases:
         with pytest.raises(SpecFormatError):
             parse_spec_text(text)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("dim_h 3", "dim_hx 3"),
+        ("name so4_alt", "names so4_alt"),
+        ("bracket 1 2 = -1 5", "bracketing 1 2 = -1 5"),
+        ("variant sntf", "variants sntf"),
+        ("factor 2 = su2 all", "factors = su2 all"),
+        ("cutoff = 40", "cutoffs = 5"),
+        ("map 1 =", "mapping 1 ="),
+    ],
+)
+def test_parse_spec_text_matches_whole_keywords(old, new):
+    # a keyword that merely starts like a known one is not that keyword
+    assert old in SO4_ALT
+    with pytest.raises(SpecFormatError, match="^unrecognized (line|oracle entry) "):
+        parse_spec_text(SO4_ALT.replace(old, new, 1))
+
+
+def test_parse_spec_text_blocks_may_open_right_after_the_keyword():
+    text = "name x\ndim_h 2\ndim_v 1\nparams{ a = 2 }\nbracket 1 2 = a 3\n"
+    assert parse_spec_text(text).params == {"a": 2.0}
+    space = parse_spec_text(SO4_ALT.replace("oracle {", "oracle{"))
+    assert space.oracle == load_builtin("so4_alt").oracle
 
 
 def test_parse_spec_text_unknown_override():

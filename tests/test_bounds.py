@@ -96,7 +96,10 @@ def test_m_constant_closed_forms():
 
 
 def test_m_constant_degenerate_cases():
-    for args in ((0.0, 1.0, 1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)):
+    # omega = 0, or chi = psi = 0: the infimum 0 is only reached in a limit
+    omega_zero = [(0.0, 1.0, 1.0), (0.0, 0.0, 0.0), (0.0, 2.5, 0.0), (0.0, 0.0, 3e-7)]
+    chi_psi_zero = [(1.0, 0.0, 0.0), (4e5, 0.0, 0.0), (1e-9, 0.0, 0.0)]
+    for args in omega_zero + chi_psi_zero:
         result = m_constant(*args)
         assert result.value == 0.0
         assert result.s is None

@@ -78,6 +78,13 @@ def test_unknown_spec_name(capsys):
     assert "neither a builtin name nor a file" in out + err
 
 
+def test_misspelled_keyword_exits_2(capsys, tmp_path):
+    path = tmp_path / "typo.txt"
+    path.write_text(VALID_SPEC.replace("dim_h 2", "dim_hx 2"), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", "error: unrecognized line 'dim_hx 2'\n")
+
+
 def test_bad_parameter_values(capsys):
     code, out, err = run(capsys, "bound", "so3_twisted", "--param", "c=abc")
     assert code == 2

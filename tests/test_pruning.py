@@ -105,9 +105,10 @@ def test_t1zero_cap_bounds_every_rho1_up_to_r():
     "key", ["so4_twisted-b0.3", "so3_twisted-c0.05", "so4_alt", "so4_weighted"]
 )
 def test_shared_curve_gives_each_theorem_its_own_result(key):
-    # main, t1zero and asn evaluated together read one Schur curve (two when
-    # q_tt2 is nonzero, as on so3_twisted and so4_weighted); in either order,
-    # each result must equal the one the theorem gets alone, to the last bit.
+    # main, t1zero and asn evaluated together share one elimination of the
+    # vertical block (asn reads the complements of Q(x) + q_tt2 when q_tt2 is
+    # nonzero, as on so3_twisted and so4_weighted); in either order, each
+    # result must equal the one the theorem gets alone, to the last bit.
     space, per_decade = _space(key)
     inv = invariants(space)
     names = _theorems(inv)
@@ -117,6 +118,43 @@ def test_shared_curve_gives_each_theorem_its_own_result(key):
         for order in (names, names[::-1]):
             together = _evaluate(inv, order, float(x), grid)
             assert repr(together) == repr({name: alone[name] for name in order}), x
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Record every call of the bounds helper `name`."""
+    calls = []
+    inner = getattr(sublap.bounds, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(sublap.bounds, name, counted)
+    return calls
+
+
+def test_evaluate_eliminates_each_x_once_for_every_theorem(monkeypatch):
+    # q_tt2 is nonzero here, so asn reads other complements than main and
+    # t1zero, yet all three share one elimination of the vertical block.
+    inv = invariants(load_builtin("so3_twisted", c=0.05))
+    assert inv.tt2 and _theorems(inv) == ["main", "t1zero", "asn"]
+    grid = _rho2_base_grid(inv.kappa, 200)
+    calls = _counting(monkeypatch, "_schur")
+    for x in (0.0, 0.3, 0.6):
+        assert _evaluate(inv, ["main", "t1zero", "asn"], x, grid)["asn"] is not None
+    assert len(calls) == 3
+
+
+def test_caps_eliminate_each_chunk_once_for_every_theorem(monkeypatch):
+    inv = invariants(load_builtin("so3_twisted", c=0.05))
+    assert inv.tt2 and "asn" in _theorems(inv)
+    grid = _rho2_base_grid(inv.kappa, 200)
+    xs = np.arange(2000, dtype=float) / 2000
+    calls = _counting(monkeypatch, "_vertical")
+    _caps(inv, _theorems(inv), xs, grid)
+    # the chunks cover the x grid, and each is eliminated once
+    assert len(calls) > 1
+    assert sum(q.shape[0] for q, *_ in calls) == xs.size
 
 
 @pytest.mark.parametrize(
@@ -135,13 +173,6 @@ def test_shared_curve_gives_each_theorem_its_own_result(key):
     ],
 )
 def test_optimize_builds_one_schur_curve_per_refined_x(monkeypatch, make, x_points, most):
-    calls = []
-    schur = sublap.bounds._schur
-
-    def counted(*args):
-        calls.append(args)
-        return schur(*args)
-
-    monkeypatch.setattr(sublap.bounds, "_schur", counted)
+    calls = _counting(monkeypatch, "_schur")
     optimize(make(), x_points=x_points)
     assert len(calls) <= most

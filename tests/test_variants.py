@@ -65,6 +65,47 @@ def test_no_space_name_is_compared_in_the_package():
     assert found == []
 
 
+def _linalg_bindings(tree: ast.AST) -> list[int]:
+    """Lines where numpy.linalg, or one of its functions, gets a name of its
+    own: calls through that name escape a patch of np.linalg."""
+    callees = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bad = node.module == "numpy.linalg"
+        elif isinstance(node, ast.Import):
+            bad = any(a.name == "numpy.linalg" and a.asname for a in node.names)
+        else:  # np.linalg.f taken without being called on the spot
+            bad = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and id(node) not in callees
+            )
+        if bad:
+            found.append(node.lineno)
+    return found
+
+
+def test_eigensolvers_are_looked_up_on_np_linalg_at_call_time():
+    # The bench tracer and the call-count tests patch np.linalg, so every
+    # eigensolver call in the package has to go through that attribute.
+    for snippet in (
+        "from numpy.linalg import eigvalsh",
+        "import numpy.linalg as la",
+        "eig = np.linalg.eigh",
+        "def f(a, eig=np.linalg.eigh): pass",
+    ):
+        assert _linalg_bindings(ast.parse(snippet)) == [1], snippet
+    assert _linalg_bindings(ast.parse("w = np.linalg.eigvalsh(a)[..., 0]")) == []
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _linalg_bindings(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
 def test_builtins_declare_their_variants():
     for name in sublap.builtin_names():
         space = load_builtin(name)
