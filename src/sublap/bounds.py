@@ -14,12 +14,19 @@ pass refines the winning abscissas of all of them, and no x is evaluated
 again after it.
 
 The x sweep evaluates only the x whose cap can still beat the best value
-found.  The cap bounds rho1 by the Rayleigh quotient of the Schur complement
-at the bottom eigenvector of Q_HH, over the same rho2 candidates the
-evaluators use.  It is sound for three reasons: that quotient is at least the
-complement's bottom eigenvalue (Courant-Fischer); the torsion penalty obeys
-m >= 2 sqrt(omega chi) = 2 sqrt(kappa sup T2+); and the asn semi-norm Grams
-are positive semidefinite, so the asn rho1 never exceeds that eigenvalue.
+found.  A cap bounds rho1 by r, the Rayleigh quotient of the Schur complement
+at the bottom eigenvector of Q_HH plus a rounding pad, by Courant-Fischer.
+Over candidates rho2 <= b, main is at most (r - m_floor)/(Delta + kappa/b), as
+m >= m_floor = 2 sqrt(omega chi) = 2 sqrt(kappa sup T2+); so is asn with r on
+Q + q_tt2 and coeff for m_floor, its semi-norm Grams being PSD; and so is
+t1zero when sup T2 <= 0.  Otherwise t1zero needs r > m_floor, as rho1^2 -
+4 omega chi = rho1^2 - m_floor^2; its case 2 is at most r/(Delta + kappa/b),
+and its case 1 is below rho1/(2 Delta + 1) for rho1^2 < 4 chi (omega + Delta)
+only.  The root cap of an x takes r = lambda_min(Q_HH) + pad, every weight
+1/(mu_j - rho2) being nonnegative, and b = mu_min; the cap of a cell of
+consecutive base candidates takes r at its first, as r falls with rho2, and b
+its last; a leaf is one candidate.  Each level is computed only where the
+level above can still beat the best.
 """
 
 from __future__ import annotations
@@ -95,11 +102,9 @@ _BISECT_TOL = 1e-10
 # how close the search gets to a supremum that lies far out, which happens
 # when a Gram is singular on the minimizing direction.
 _LOG_T_SPAN = 23.0
-# Entries of one (x, rho2 candidate, vertical direction) array in the cap
-# pass of `optimize`: 2^14 float64 values (128 KB), so that its transient
-# arrays together stay near 1 MB.  Larger chunks ran no faster and raised
-# the peak RSS of a 2000-point sweep by up to 7 MB.
-_CHUNK_ENTRIES = 1 << 14
+# Widths, in base-grid rho2 candidates, of the nested cells that refine the
+# caps pruning `optimize`: a live cell splits into ten of the next width.
+_CELLS = (100, 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +379,20 @@ def _rho2_base_grid(kappa: float, per_decade: int, decades: int = 6) -> np.ndarr
     return kappa * np.power(10.0, np.linspace(-half, half, count))
 
 
-def _vertical(
-    q: np.ndarray, d: int, base: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pad(q: np.ndarray) -> np.ndarray:
+    """The rounding pad _PSD_TOL * max(1, |q|max) of a form, or of each in a stack."""
+    return _PSD_TOL * np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
+
+
+def _vertical(q: np.ndarray, d: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
     """The elimination of the vertical block of q, or of each form in a stack.
 
     Returns the rho2 candidates (the base grid below the vertical minimum
     mu_min, the near-boundary refinements mu_min(1 - 10^-k) and, for a
     decoupled block, mu_min itself; NaN in unused slots, and none when
-    mu_min <= 0), the coupling w = Q_HV U in the eigenbasis U of Q_VV, the
-    weights 1/(mu_j - rho2) indexed [..., j, candidate] (0 on decoupled
-    directions j, which never penalize H), and the mask where the elimination
-    is valid: every coupled gap is positive and rho2 is at most mu_min.  Only
-    Q_VV, Q_HV and |q|max enter, so a form that differs from q only on H x H
-    shares the elimination.
+    mu_min <= 0), mu_min, and the eigenvalues mu of Q_VV with the coupling
+    w = Q_HV U in its eigenbasis U.  Only Q_VV, Q_HV and |q|max enter, so a
+    form that differs from q only on H x H shares the elimination.
     """
     mu, u = np.linalg.eigh(q[..., d:, d:])
     w = q[..., :d, d:] @ u
@@ -397,15 +402,20 @@ def _vertical(
     # mu[0], rotated twisted_spheres frames report 0.54545454541 in place
     # of 0.545454545455.
     mu_min = np.linalg.eigvalsh(q[..., d:, d:])[..., :1]
-    scale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))[..., None]
     coupling = np.abs(q[..., :d, d:]).max(axis=(-2, -1), initial=0.0)[..., None]
     base = base[base < mu_min.max() * (1.0 - 1e-12)]  # columns some form keeps
     below = np.where(base < mu_min * (1.0 - 1e-12), base, np.nan)
     near = mu_min * (1.0 - np.power(10.0, -np.arange(2.0, 11.0)))
-    edge = np.where(coupling <= _PSD_TOL * scale, mu_min, np.nan)
+    edge = np.where(coupling <= _pad(q)[..., None], mu_min, np.nan)
     rho2 = np.concatenate([below, near, edge], axis=-1)
-    rho2 = np.where((mu_min > 0.0) & (rho2 > 0.0), rho2, np.nan)
-    coupled = (np.abs(w) > 0.0).any(axis=-2)
+    return np.where((mu_min > 0.0) & (rho2 > 0.0), rho2, np.nan), mu_min, mu, w
+
+
+def _weights(mu: np.ndarray, coupled: np.ndarray, rho2: np.ndarray) -> tuple:
+    """The weights 1/(mu_j - rho2) indexed [..., j, candidate] (0 on
+    decoupled directions j, which never penalize H), and the mask where the
+    elimination is valid: every coupled gap is positive and rho2 is at most
+    mu_min, so the valid candidates are those below a threshold."""
     # mu is ascending, so every coupled gap is positive below the lowest
     # coupled eigenvalue (this also rejects the NaN padding)
     bad = ~(rho2 < np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True))
@@ -413,8 +423,7 @@ def _vertical(
     with np.errstate(divide="ignore"):
         weights = np.where(keep, 1.0 / (mu[..., :, None] - rho2[..., None, :]), 0.0)
     low = mu[..., :1]
-    ok = ~bad & (rho2 <= low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
-    return rho2, w, weights, ok
+    return weights, ~bad & (rho2 <= low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
 
 
 def _schur(
@@ -430,24 +439,21 @@ def _schur(
     that form minus diag(rho1, rho2) positive semidefinite, the value the PSD
     bisection `feasible_rho1` gives.
     """
-    rho2, w, weights, ok = _vertical(q, d, base)
-    order = np.argsort(rho2)[: np.count_nonzero(~np.isnan(rho2))]
-    return rho2[order], np.einsum("aj,bj,jr->rab", w, w, weights[:, order]), ok[order]
+    rho2, _, mu, w = _vertical(q, d, base)
+    rho2 = np.sort(rho2)[: np.count_nonzero(~np.isnan(rho2))]
+    weights, ok = _weights(mu, (np.abs(w) > 0.0).any(axis=-2), rho2)
+    return rho2, np.einsum("aj,bj,jr->rab", w, w, weights), ok
 
 
-def _rayleigh(q: np.ndarray, d: int, elim: tuple) -> np.ndarray:
-    """For a stack of forms sharing the elimination `elim` from `_vertical`:
-    an upper bound r on rho1 at every rho2 candidate.
+def _forms(inv: Invariants, names: list[str], q: np.ndarray) -> dict[bool, np.ndarray]:
+    """q, and q + q_tt2 where asn reads it, keyed by `name == "asn" and inv.tt2`."""
+    return {o: q + inv.q_tt2 if o else q for o in {n == "asn" and inv.tt2 for n in names}}
 
-    r is the Rayleigh quotient of the Schur complement at the bottom
-    eigenvector e of Q_HH, lambda_min(Q_HH) - sum_j (e.w_j)^2 / (mu_j - rho2),
-    padded for rounding by the scale of q.  By Courant-Fischer it is at least
-    the complement's bottom eigenvalue.  r is -inf where elim is invalid.
-    """
-    _, w, weights, ok = elim
-    lam, vec = np.linalg.eigh(q[:, :d, :d])
-    proj = np.einsum("xa,xaj->xj", vec[:, :, 0], w) ** 2
-    top = lam[:, :1] + _PSD_TOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))[:, None]
+
+def _rayleigh(top: np.ndarray, proj: np.ndarray, weights: np.ndarray, ok: np.ndarray):
+    """r = top - sum_j proj_j weights_j >= rho1 at each candidate, -inf where
+    the elimination is invalid (see the module docstring).  Each rounded step
+    is monotone, so r does not grow with rho2 over the valid candidates."""
     return np.where(ok, top - (proj[:, :, None] * weights).sum(axis=1), -np.inf)
 
 
@@ -502,8 +508,7 @@ def _asn_rho1_curve(
         return _golden_max(bottom, lo, lo + 2.0 * _LOG_T_SPAN)[1]
 
     # G1 and G2 are PSD, so lambda_min(S) caps rho1 up to rounding; den > 0.
-    slack = _PSD_TOL * max(1.0, float(np.abs(qt).max()))
-    cap = np.where(np.isnan(lam), -np.inf, (lam + slack) / den)
+    cap = np.where(np.isnan(lam), -np.inf, (lam + _pad(qt)) / den)
     top = int(np.argmax(cap))
     live = cap >= search(stack[top : top + 1])[0] / den[top]
     rho1 = np.full(lam.shape, np.nan)
@@ -597,14 +602,12 @@ def _evaluate(
     q0 = inv.q(x)
     rho2, cut, ok = _schur(q0, inv.d, grid)
     curves: dict[bool, tuple] = {}
+    for own, q in _forms(inv, names, q0).items():
+        stack = q[None, : inv.d, : inv.d] - cut
+        curves[own] = (q, stack, np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan))
     out: dict[str, BoundResult | None] = {}
     for name in names:
-        own = name == "asn" and inv.tt2
-        if own not in curves:
-            q = q0 + inv.q_tt2 if own else q0
-            stack = q[None, : inv.d, : inv.d] - cut
-            curves[own] = (q, stack, np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan))
-        q, stack, rho1 = curves[own]
+        q, stack, rho1 = curves[name == "asn" and inv.tt2]
         omega = inv.kappa / rho2
         chi = np.maximum(rho2 * inv.sup_t2, 0.0)
         if name == "main":
@@ -768,57 +771,84 @@ def _t1zero_cap(
     return np.where(np.isnan(vals), -np.inf, np.where(in1, vals, np.maximum(vals, top1)))
 
 
-def _ratio_cap(
-    r: np.ndarray, rho2: np.ndarray, delta: np.ndarray, kappa: float, lift: float
-) -> np.ndarray:
-    """Per-x maximum over the candidates of (r - lift)/(Delta + kappa/rho2),
-    -inf where r <= lift at every candidate."""
-    return np.where(r > lift, (r - lift) / (delta + kappa / rho2), -np.inf).max(axis=1)
-
-
-def _caps(
-    inv: Invariants, names: list[str], xs: np.ndarray, grid: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Per-x upper bound on each theorem's value over its rho2 candidates.
-
-    Built from the Rayleigh-quotient bound r >= rho1 of `_rayleigh`:
-    main is capped by (r - 2 sqrt(kappa sup T2+))/(Delta + omega), since
-    m >= 2 sqrt(omega chi) = 2 sqrt(kappa sup T2+); t1zero by `_t1zero_cap`,
-    which is main's cap when sup T2 <= 0 (then chi = 0 and the closed form
-    is rho1/(Delta + omega)); asn by (r - coeff)/(Delta + omega) with r taken
-    on Q + q_tt2, since the Grams G1 and G2 are PSD and so the weak-duality
-    rho1 is at most the bottom eigenvalue of the complement.  The x grid is
-    processed in chunks of `_CHUNK_ENTRIES` (x, candidate) entries, and the
-    vertical block of each chunk is eliminated once for every theorem.
-    """
-    caps = {name: np.full(xs.size, -np.inf) for name in names}
+def _cap(inv: Invariants, name: str, r, b, delta, pad, leaf: bool = False) -> np.ndarray:
+    """Cap on theorem `name` over candidates rho2 <= b where r >= rho1, -inf
+    where none counts (see the module docstring); a leaf has b = rho2."""
     m_floor = 2.0 * math.sqrt(inv.kappa * max(inv.sup_t2, 0.0))
-    coeff = inv.product[1]
-    step = max(1, _CHUNK_ENTRIES // ((grid.size + 10) * inv.space.dim_v))
-    for lo in range(0, xs.size, step):
-        x = xs[lo : lo + step]
-        rows = slice(lo, lo + x.size)
-        q = inv.q(x)
-        delta = inv.delta(x)[:, None]
-        elim = _vertical(q, inv.d, grid)
-        rho2, r = elim[0], _rayleigh(q, inv.d, elim)
-        main = caps["main"][rows] = _ratio_cap(r, rho2, delta, inv.kappa, m_floor)
-        if "t1zero" in caps:
-            if inv.sup_t2 <= 0.0:
-                caps["t1zero"][rows] = main
-            else:
-                pad = _PSD_TOL * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))[:, None]
-                chi = rho2 * inv.sup_t2
-                cap = _t1zero_cap(r, delta, inv.kappa / rho2, chi, pad)
-                caps["t1zero"][rows] = cap.max(axis=1)
-        if "asn" in caps:
-            if inv.tt2:
-                r = _rayleigh(q + inv.q_tt2, inv.d, elim)
-            if inv.tt2 or coeff != m_floor:
-                caps["asn"][rows] = _ratio_cap(r, rho2, delta, inv.kappa, coeff)
-            else:
-                caps["asn"][rows] = main
-    return caps
+    if name == "t1zero" and inv.sup_t2 > 0.0:
+        if leaf:
+            return _t1zero_cap(r, delta, inv.kappa / b, b * inv.sup_t2, pad)
+        top = np.fmin(r, np.sqrt(4.0 * b * inv.sup_t2 * (inv.kappa / b + delta)))
+        top = np.maximum(r / (delta + inv.kappa / b), (top + pad) / (2.0 * delta + 1.0))
+        return np.where(r > m_floor, top, -np.inf)
+    lift = inv.product[1] if name == "asn" else m_floor
+    return np.where(r > lift, (r - lift) / (delta + inv.kappa / b), -np.inf)
+
+
+def _caps(inv: Invariants, names: list[str], xs: np.ndarray) -> dict[str, np.ndarray]:
+    """The root caps: `_cap` at each x for r = lambda_min(Q_HH) + pad, b = mu_min."""
+    q, d = inv.q(xs), inv.d
+    mu_min = np.linalg.eigvalsh(q[:, d:, d:])[:, 0]
+    b = np.where(mu_min > 0.0, mu_min, np.nan)  # no candidate where mu_min <= 0
+    r = {}
+    for own, f in _forms(inv, names, q).items():
+        r[own] = np.where(b > 0, np.linalg.eigvalsh(f[:, :d, :d])[:, 0] + _pad(f), -np.inf)
+    at = b, inv.delta(xs), _pad(q)
+    return {n: _cap(inv, n, r[n == "asn" and inv.tt2], *at) for n in names}
+
+
+def _cells(inv: Invariants, names: list[str], xs: np.ndarray, grid: np.ndarray):
+    """Each theorem's largest leaf cap at the near-boundary and edge candidates
+    of each x of xs, and `cell(rows, lo, width)`: its caps over the base
+    candidates grid[lo : lo + width] at xs[rows] (see the module docstring)."""
+    q, d = inv.q(xs), inv.d
+    near, mu_min, mu, w = _vertical(q, d, grid[:0])
+    coupled, mu_min = (np.abs(w) > 0.0).any(axis=1), mu_min[:, 0]
+    delta, pad, rays = inv.delta(xs)[:, None], _pad(q)[:, None], {}
+    for own, f in _forms(inv, names, q).items():
+        lam, vec = np.linalg.eigh(f[:, :d, :d])
+        proj = np.einsum("xa,xaj->xj", vec[:, :, 0], w) ** 2
+        rays[own] = lam[:, :1] + _pad(f)[:, None], proj
+
+    def caps(rows, rho2, b, leaf) -> dict[str, np.ndarray]:
+        weights, ok = _weights(mu[rows], coupled[rows], rho2)
+        r = {own: _rayleigh(t[rows], p[rows], weights, ok) for own, (t, p) in rays.items()}
+        at = b, delta[rows], pad[rows], leaf
+        return {n: _cap(inv, n, r[n == "asn" and inv.tt2], *at) for n in names}
+
+    def cell(rows: np.ndarray, lo: np.ndarray, width: int) -> dict[str, np.ndarray]:
+        a = np.append(grid, np.nan)[np.minimum(lo, grid.size)]
+        a = np.where(a < mu_min[rows, None] * (1.0 - 1e-12), a, np.nan)
+        if width == 1:
+            return caps(rows, a, a, True)
+        b = np.minimum(grid[np.minimum(lo + width, grid.size) - 1], mu_min[rows, None])
+        return caps(rows, a, b, False)
+
+    near = caps(np.arange(xs.size), near, near, True)
+    return {n: c.max(axis=1) for n, c in near.items()}, cell
+
+
+def _refine(inv: Invariants, caps: dict, floors: dict, xs: np.ndarray, grid: np.ndarray):
+    """Lower in place each named theorem's caps above its floor, in one batch
+    over those x, to the largest leaf cap in its cells above the floor: the
+    exact cap where that exceeds the floor, and the floor elsewhere."""
+    above = {n: caps[n] > f for n, f in floors.items()}
+    idx = np.flatnonzero(np.any(list(above.values()), axis=0))
+    if not idx.size:
+        return
+    top, cell = _cells(inv, list(floors), xs[idx], grid)
+    starts = np.arange(0, grid.size, _CELLS[0])
+    rows, lo = np.arange(idx.size), np.broadcast_to(starts, (idx.size, starts.size))
+    for width in _CELLS[:-1]:  # lo[k, j] starts a cell of xs[idx[rows[k]]]
+        got = cell(rows, lo, width)
+        live = [(c > floors[n]) & above[n][idx][rows, None] for n, c in got.items()]
+        row, col = np.nonzero(np.any(live, axis=0))
+        rows, lo = rows[row], lo[row, col][:, None] + width // 10 * np.arange(10)
+        del got, live
+    for n, c in cell(rows, lo, 1).items():
+        np.maximum.at(top[n], rows, c.max(axis=1))
+    for n, f in floors.items():
+        caps[n][idx] = np.where(above[n][idx], np.maximum(top[n], f), caps[n][idx])
 
 
 def optimize(
@@ -832,9 +862,9 @@ def optimize(
     per-theorem bests.
 
     The theorems sweep the x grid in lockstep, each in decreasing order of its
-    sound cap (see the module docstring) until the cap cannot beat its best
-    value, so pruning never changes the result.  Each x is evaluated once for
-    all the theorems that reach it, and none again after the golden pass.
+    sound cap (root, cell or leaf; see the module docstring) until the cap
+    cannot beat its best value, so pruning never changes the result.  Each x
+    is evaluated once for all the theorems there, and none after the golden pass.
     Raises ValueError when a grid size is below 1.
     """
     if x_points < 1 or rho2_per_decade < 1:
@@ -849,7 +879,7 @@ def optimize(
         return report
     grid = _rho2_base_grid(inv.kappa, rho2_per_decade)
     xs = np.arange(x_points, dtype=float) / x_points
-    caps = _caps(inv, names, xs, grid)
+    caps = _caps(inv, names, xs)
 
     best: dict[str, BoundResult] = {}
 
@@ -864,18 +894,29 @@ def optimize(
                 best[name] = res
         return out
 
-    # The theorems step through their own cap orders together, sharing the curve
-    # of any x they meet at; each stops once its cap cannot beat its best.
-    live = {name: iter(np.argsort(caps[name])[::-1]) for name in names}
+    # The theorems step down their own caps together, sharing the curve of any
+    # x they meet at; each stops once its cap cannot beat its best.  Caps above
+    # a positive floor[name] are exact; a top cap below it is refined first.
+    live, floor = list(names), dict.fromkeys(names, math.inf)
     while live:
-        points = {}
-        for name, order in list(live.items()):
-            i = next(order, None)
-            ub = -math.inf if i is None else caps[name][i]
+        points, todo = {}, {}
+        for name in list(live):
+            i = int(np.argmax(caps[name]))
+            ub, f = caps[name][i], floor[name]
             if not 0.0 < ub < math.inf or (name in best and ub <= best[name].value + 1e-15):
-                del live[name]
-            else:
-                points[name] = float(xs[i])
+                live.remove(name)
+            elif ub > f and (f > 0.0 or name not in best):
+                points[name], caps[name][i] = float(xs[i]), -math.inf
+            elif name in best:
+                todo[name] = best[name].value + 1e-15
+            elif f < math.inf:  # no best to beat: visit every x the caps allow
+                points[name], caps[name][i], floor[name] = float(xs[i]), -math.inf, 0.0
+            else:  # the exact cap of the top x seeds the floor
+                seed = {name: caps[name][i : i + 1].copy()}
+                _refine(inv, seed, {name: -math.inf}, xs[i : i + 1], grid)
+                todo[name] = max(float(np.nextafter(seed[name][0], -math.inf)), 0.0)
+        _refine(inv, caps, todo, xs, grid)
+        floor.update(todo)
         run(points)
 
     # One golden-section pass refines every winning abscissa together.  `run`

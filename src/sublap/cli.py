@@ -92,20 +92,20 @@ def _cmd_validate(args) -> int:
 _FLAG_ORDER = tuple(f.name for f in dataclasses.fields(StructureFlags))
 
 
-def _checked_space(args) -> HomogeneousSpace | int:
+class _Invalid(Exception):
+    """A space that fails validation; `main` prints each problem and exits 3."""
+
+
+def _checked_space(args) -> HomogeneousSpace:
     space = _load(args.spec, _parse_params(args.param))
     problems = validate(space)
     if problems:
-        for p in problems:
-            print(f"invalid: {p}", file=sys.stderr)
-        return _EXIT_INVALID
+        raise _Invalid(*(f"invalid: {p}" for p in problems))
     return space
 
 
 def _cmd_classify(args) -> int:
     space = _checked_space(args)
-    if isinstance(space, int):
-        return space
     flags = classify(canonical_connection(space))
     print(f"example = {space.name}")
     for name in _FLAG_ORDER:
@@ -140,8 +140,6 @@ def _analysis_rows(space: HomogeneousSpace) -> list[tuple[str, str]]:
 
 def _cmd_analyze(args) -> int:
     space = _checked_space(args)
-    if isinstance(space, int):
-        return space
     rows = _analysis_rows(space)
     if args.format == "csv":
         print("key,value")
@@ -164,8 +162,6 @@ def _grids(args) -> dict[str, int]:
 def _cmd_bound(args) -> int:
     grids = _grids(args)
     space = _checked_space(args)
-    if isinstance(space, int):
-        return space
     report = optimize(space, **grids)
     text = report_csv(report) if args.format == "csv" else report_text(report)
     print(text, end="")
@@ -179,8 +175,6 @@ def _cmd_certify(args) -> int:
             f"--cutoff must be a positive finite number, got {args.cutoff}"
         )
     space = _checked_space(args)
-    if isinstance(space, int):
-        return space
     if space.oracle is None:
         print(
             f"{space.name}: certification needs a spectral model "
@@ -226,11 +220,9 @@ def _cmd_report(args) -> int:
     name, values = _parse_sweep(args.sweep)
     spaces = [_load(args.spec, {**params, name: float(v)}) for v in values]
     for value, space in zip(values, spaces):
-        problems = validate(space)
-        if problems:
-            for p in problems:
-                print(f"invalid at {name}={_fmt(float(value))}: {p}", file=sys.stderr)
-            return _EXIT_INVALID
+        if problems := validate(space):
+            at = f"{name}={_fmt(float(value))}"
+            raise _Invalid(*(f"invalid at {at}: {p}" for p in problems))
     print(",".join([name, *CSV_COLUMNS, "x_frontier"]))
     for value, space in zip(values, spaces):
         report = optimize(space, **grids)
@@ -329,8 +321,14 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecFormatError, FileNotFoundError) as exc:  # before its base ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_SPEC
+    except _Invalid as exc:
+        print("\n".join(exc.args), file=sys.stderr)
+        return _EXIT_INVALID
     except (RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INVALID
+    except MemoryError:  # a grid or cutoff too large for this machine's memory
+        print("error: out of memory; use smaller grids or a lower cutoff", file=sys.stderr)
         return _EXIT_INVALID
 
 

@@ -102,6 +102,22 @@ def test_commands_refuse_invalid_spaces(capsys, tmp_path):
     assert "invalid:" in err
 
 
+@pytest.mark.parametrize("command", ["bound", "certify", "report"])
+def test_running_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, command):
+    # a grid too large for the machine, such as --x-grid 1000000000000, ends
+    # in numpy's MemoryError; raise it without allocating anything
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(sublap.cli, "optimize", exhausted)
+    sweep = ("--sweep", "b=0:0.1:2") if command == "report" else ()
+    code, out, err = run(capsys, command, "so4_twisted", *sweep)
+    assert code == 3
+    assert out == ("" if command != "report" else out.splitlines()[0] + "\n")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), err
+
+
 def test_classify_output(capsys):
     code, out, _ = run(capsys, "classify", "so3_twisted", "--param", "c=0.2")
     assert code == 0

@@ -1,15 +1,17 @@
 """Soundness of the caps that prune the x sweep of `optimize`, and the
 sharing of Schur curves between theorems.
 
-At every x the cap of a theorem must be at least the value that theorem
-reaches there over its rho2 candidates, so that visiting x in decreasing cap
-order and stopping at the first cap below the best value never changes the
-result.
+At every x each level of a theorem's cap (root, cell and leaf) must be at
+least the value that theorem reaches there over its rho2 candidates, so that
+visiting x in decreasing cap order and stopping at the first cap below the
+best value never changes the result.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +24,15 @@ from sublap import (
     bound_t1zero,
     load_builtin,
     optimize,
+    report_text,
 )
 from sublap.bounds import (
+    _CELLS,
+    _cap,
     _caps,
+    _cells,
     _evaluate,
+    _refine,
     _rho2_base_grid,
     _t1zero_cap,
     _t1zero_values,
@@ -69,11 +76,45 @@ def test_cap_is_at_least_the_value_at_every_x(key):
     names = _theorems(inv)
     grid = _rho2_base_grid(inv.kappa, per_decade)
     xs = np.arange(100, dtype=float) / 100
-    caps = _caps(inv, names, xs, grid)
+    root = _caps(inv, names, xs)
+    near, cell = _cells(inv, names, xs, grid)
+    levels = {"root": root}
+    rows = np.arange(xs.size)
+    for width in _CELLS:
+        starts = np.arange(0, grid.size, width)
+        caps = cell(rows, np.broadcast_to(starts, (xs.size, starts.size)), width)
+        # every candidate lies in a cell of this width or among the near ones
+        levels[f"width {width}"] = {
+            n: np.maximum(c.max(axis=1), near[n]) for n, c in caps.items()
+        }
+    leaves = {n: c.copy() for n, c in root.items()}
+    _refine(inv, leaves, dict.fromkeys(names, -math.inf), xs, grid)
+    levels["refined"] = leaves
     for i, x in enumerate(xs):
         for name, res in _evaluate(inv, names, float(x), grid).items():
             if res is not None and math.isfinite(res.value):
-                assert caps[name][i] >= res.value, (name, x, caps[name][i], res.value)
+                for level, caps in levels.items():
+                    cap = caps[name][i]
+                    assert cap >= res.value, (level, name, x, cap, res.value)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_cell_cap_is_at_least_every_leaf_cap_in_its_cell(key):
+    space, per_decade = _space(key)
+    inv = invariants(space)
+    names = _theorems(inv)
+    grid = _rho2_base_grid(inv.kappa, per_decade)
+    xs = np.arange(40, dtype=float) / 40
+    _, cell = _cells(inv, names, xs, grid)
+    for width in _CELLS[:-1]:
+        starts = np.arange(0, grid.size, width)
+        rows = np.repeat(np.arange(xs.size), starts.size)
+        lo = np.tile(starts, xs.size)[:, None]
+        caps = cell(rows, lo, width)
+        leaves = cell(rows, lo + np.arange(width), 1)
+        for name in names:
+            inside = leaves[name].max(axis=1, keepdims=True)
+            assert (caps[name] >= inside).all(), (name, width)
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -99,6 +140,23 @@ def test_t1zero_cap_bounds_every_rho1_up_to_r():
         vals, _ = _t1zero_values(np.linspace(0.0, r, 2001), delta, omega, chi)
         cap = _t1zero_cap(np.array(r), delta, omega, chi, 1e-12)
         assert np.nanmax(vals, initial=-math.inf) <= cap
+
+
+def test_t1zero_interval_cap_bounds_every_rho1_up_to_r_and_rho2_up_to_b():
+    # the root and cell cap of t1zero when sup T2 > 0: r around m_floor and
+    # the case-1 threshold at b, where case 1 can beat case 2
+    rng = np.random.default_rng(4)
+    rho1 = np.linspace(0.0, 1.0, 401)[:, None]
+    for _ in range(200):
+        kappa, sup_t2, b = 10.0 ** rng.uniform(-2.0, 1.0, size=3)
+        delta = rng.uniform(0.01, 2.0)
+        inv = SimpleNamespace(kappa=kappa, sup_t2=sup_t2, product=("zero", 0.0))
+        top = math.sqrt(4.0 * b * sup_t2 * (kappa / b + delta))
+        r = top * rng.uniform(0.5, 1.5)
+        rho2 = b * np.linspace(0.0, 1.0, 401)[1:]
+        vals, _ = _t1zero_values(r * rho1, delta, kappa / rho2, rho2 * sup_t2)
+        cap = _cap(inv, "t1zero", np.array(r), b, delta, 1e-12)
+        assert np.nanmax(vals, initial=-math.inf) <= cap, (r, top, cap)
 
 
 @pytest.mark.parametrize(
@@ -145,18 +203,30 @@ def test_evaluate_eliminates_each_x_once_for_every_theorem(monkeypatch):
     assert len(calls) == 3
 
 
-def test_caps_eliminate_each_chunk_once_for_every_theorem(monkeypatch):
-    inv = invariants(load_builtin("so3_twisted", c=0.05))
-    assert inv.tt2 and "asn" in _theorems(inv)
-    grid = _rho2_base_grid(inv.kappa, 200)
-    xs = np.arange(2000, dtype=float) / 2000
+@pytest.mark.parametrize("c", [0.5, 0.9])
+def test_root_caps_settle_so3_twisted_without_an_elimination(monkeypatch, c):
+    # no theorem yields a bound here, and the root caps show it at every x
     calls = _counting(monkeypatch, "_vertical")
-    _caps(inv, _theorems(inv), xs, grid)
-    # the chunks cover the x grid, and each is eliminated once
-    assert len(calls) > 1
-    assert sum(q.shape[0] for q, *_ in calls) == xs.size
+    assert optimize(load_builtin("so3_twisted", c=c)).entries == []
+    assert calls == []
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: load_builtin("so4_alt"), id="so4_alt"),
+        pytest.param(lambda: load_builtin("twisted_spheres"), id="twisted_spheres"),
+        pytest.param(lambda: load_builtin("so4_twisted", b=0.0), id="so4_twisted"),
+    ],
+)
+def test_optimize_computes_few_rayleigh_bounds(monkeypatch, make):
+    # a dense cap pass takes a Rayleigh bound at each of 2000 x and each of
+    # up to 1211 rho2 candidates; the root and cell caps leave few of them
+    space = make()
+    calls = _counting(monkeypatch, "_rayleigh")
+    optimize(space)
+    dense = 2000 * (_rho2_base_grid(invariants(space).kappa, 200).size + 10)
+    assert sum(ok.size for *_, ok in calls) <= dense // 100
 @pytest.mark.parametrize(
     "make, x_points, most",
     [
@@ -176,3 +246,23 @@ def test_optimize_builds_one_schur_curve_per_refined_x(monkeypatch, make, x_poin
     calls = _counting(monkeypatch, "_schur")
     optimize(make(), x_points=x_points)
     assert len(calls) <= most
+
+
+# report_text(optimize(s)) at the default grids, recorded before the dense cap
+# pass gave way to root, cell and leaf caps: the sweep-twisted benchmark points
+# and the general asn branch.  The CLI goldens run at --x-grid 400.
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DEFAULT_GRID_RUNS = {
+    **{f"optimize_so4_twisted_b{b}.txt": ("so4_twisted", {"b": b}) for b in (0.1, 0.2, 0.3, 0.4)},
+    **{f"optimize_so3_twisted_c{c}.txt": ("so3_twisted", {"c": c}) for c in (0.1, 0.5, 0.9)},
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(DEFAULT_GRID_RUNS), "optimize_so4_weighted.txt"])
+def test_default_grid_optimize_matches_golden_file(name):
+    if name in DEFAULT_GRID_RUNS:
+        builtin, params = DEFAULT_GRID_RUNS[name]
+        space = load_builtin(builtin, **params)
+    else:
+        space = so4_weighted()
+    assert report_text(optimize(space)) == (GOLDEN / name).read_text(encoding="utf-8")
