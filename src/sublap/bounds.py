@@ -27,6 +27,16 @@ only.  The root cap of an x takes r = lambda_min(Q_HH) + pad, every weight
 consecutive base candidates takes r at its first, as r falls with rho2, and b
 its last; a leaf is one candidate.  Each level is computed only where the
 level above can still beat the best.
+
+Inside one x the root cap at b = rho2[k] bounds every candidate up to k, so
+leaf caps are taken from the largest rho2 down, in growing blocks, until a
+batch of them reaches the next root cap; complements are diagonalized only
+for the pending candidates of largest leaf cap, in growing batches (all that
+are left while a theorem has no value to prune against).  The search stops
+once every pending leaf cap and the next root cap fall strictly below the
+best value; a cap equal to it is still visited, so the first candidate wins a
+tie.  asn's duality search runs only where (lambda_min(S) + pad)/(Delta +
+omega) reaches its best.
 """
 
 from __future__ import annotations
@@ -105,6 +115,8 @@ _LOG_T_SPAN = 23.0
 # Widths, in base-grid rho2 candidates, of the nested cells that refine the
 # caps pruning `optimize`: a live cell splits into ten of the next width.
 _CELLS = (100, 10, 1)
+# The first block of leaf caps and batch of Schur complements in `_evaluate`.
+_LEAVES, _BATCH = 64, 8
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +438,20 @@ def _weights(mu: np.ndarray, coupled: np.ndarray, rho2: np.ndarray) -> tuple:
     return weights, ~bad & (rho2 <= low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
 
 
-def _schur(
-    q: np.ndarray, d: int, base: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _schur(q: np.ndarray, d: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
     """The elimination of one form q at its sorted valid rho2 candidates: the
-    candidates, the share cut[r] = sum_j w_j w_j' / (mu_j - rho2_r) of Q_HH
-    that the vertical block takes, and the mask where the elimination is valid.
+    candidates, the coupling w = Q_HV U, the weights 1/(mu_j - rho2) indexed
+    [j, candidate] and the mask where the elimination is valid.
 
-    Q_HH - cut is the Schur complement of the vertical block of
-    q - diag(0 on H, rho2 on V), and of every form that differs from q only on
-    H x H.  Where the mask holds, its lambda_min is the largest rho1 keeping
-    that form minus diag(rho1, rho2) positive semidefinite, the value the PSD
-    bisection `feasible_rho1` gives.
+    Q_HH - w diag(weights[:, r]) w' is the Schur complement of the vertical
+    block of q - diag(0 on H, rho2_r on V), and of every form that differs
+    from q only on H x H.  Where the mask holds, its lambda_min is the largest
+    rho1 keeping that form minus diag(rho1, rho2) positive semidefinite, the
+    value the PSD bisection `feasible_rho1` gives.
     """
     rho2, _, mu, w = _vertical(q, d, base)
     rho2 = np.sort(rho2)[: np.count_nonzero(~np.isnan(rho2))]
-    weights, ok = _weights(mu, (np.abs(w) > 0.0).any(axis=-2), rho2)
-    return rho2, np.einsum("aj,bj,jr->rab", w, w, weights), ok
+    return rho2, w, *_weights(mu, (np.abs(w) > 0.0).any(axis=-2), rho2)
 
 
 def _forms(inv: Invariants, names: list[str], q: np.ndarray) -> dict[bool, np.ndarray]:
@@ -450,11 +459,19 @@ def _forms(inv: Invariants, names: list[str], q: np.ndarray) -> dict[bool, np.nd
     return {o: q + inv.q_tt2 if o else q for o in {n == "asn" and inv.tt2 for n in names}}
 
 
+def _ray(f: np.ndarray, d: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_rayleigh`'s top = lambda_min(f_HH) + pad and proj_j = (e'w_j)^2 at the
+    bottom eigenvector e of f_HH, for a form or a stack."""
+    lam, vec = np.linalg.eigh(f[..., :d, :d])
+    proj = np.einsum("...a,...aj->...j", vec[..., 0], w) ** 2
+    return lam[..., :1] + _pad(f)[..., None], proj
+
+
 def _rayleigh(top: np.ndarray, proj: np.ndarray, weights: np.ndarray, ok: np.ndarray):
     """r = top - sum_j proj_j weights_j >= rho1 at each candidate, -inf where
     the elimination is invalid (see the module docstring).  Each rounded step
     is monotone, so r does not grow with rho2 over the valid candidates."""
-    return np.where(ok, top - (proj[:, :, None] * weights).sum(axis=1), -np.inf)
+    return np.where(ok, top - (proj[..., :, None] * weights).sum(axis=-2), -np.inf)
 
 
 def _golden_max(fun, lo, hi, iters: int = 60):
@@ -479,40 +496,29 @@ def _golden_max(fun, lo, hi, iters: int = 60):
     return best_x, best_f
 
 
-def _asn_rho1_curve(
-    inv: Invariants, qt: np.ndarray, stack: np.ndarray, lam: np.ndarray, den: np.ndarray
-) -> np.ndarray:
-    """rho1(rho2) for the refined bound: the minimum over unit horizontal h
-    of h'Sh - 2 sqrt(h'G1h * h'G2h), with S the Schur complement at rho2 and
-    lam = lambda_min(S) from `_schur` (NaN where the elimination fails).
+def _asn_rho1(inv: Invariants, s: np.ndarray, lam, cap, floor: float) -> np.ndarray:
+    """rho1 for the refined bound at Schur complements s, lam = lambda_min(s):
+    the minimum over unit horizontal h of h'Sh - 2 sqrt(h'G1h * h'G2h).
 
     A zero or isotropic product term makes this an eigenvalue.  Otherwise
     2 sqrt(ab) <= t*a + b/t gives the weak-duality value
     max_t lambda_min(S - t G1 - G2/t), never above the minimum and concave
-    in t; it is maximized by golden section in log t.  That search runs only
-    where rho1/den can still reach the best of the curve (NaN elsewhere).
+    in t; it is maximized by golden section in log t where cap, the value's
+    bound from lam (G1 and G2 are PSD), reaches floor (NaN elsewhere).
     """
-    d = inv.d
     kind, coeff = inv.product
     if kind != "general":
         return lam - coeff
-    g1, g2 = inv.grams.tau_vh[:d, :d], inv.grams.tau_hv[:d, :d]
-    center = 0.5 * math.log(np.trace(g2) / np.trace(g1))
+    g1, g2 = inv.grams.tau_vh[: inv.d, : inv.d], inv.grams.tau_hv[: inv.d, : inv.d]
+    live, rho1, s = cap >= floor, np.full(lam.shape, np.nan), s[cap >= floor]
 
-    def search(s: np.ndarray) -> np.ndarray:
-        def bottom(log_t: np.ndarray) -> np.ndarray:
-            t = np.exp(log_t)[:, None, None]
-            return np.linalg.eigvalsh(s - t * g1 - g2 / t)[:, 0]
+    def bottom(log_t: np.ndarray) -> np.ndarray:
+        t = np.exp(log_t)[:, None, None]
+        return np.linalg.eigvalsh(s - t * g1 - g2 / t)[:, 0]
 
-        lo = np.full(s.shape[0], center - _LOG_T_SPAN)
-        return _golden_max(bottom, lo, lo + 2.0 * _LOG_T_SPAN)[1]
-
-    # G1 and G2 are PSD, so lambda_min(S) caps rho1 up to rounding; den > 0.
-    cap = np.where(np.isnan(lam), -np.inf, (lam + _pad(qt)) / den)
-    top = int(np.argmax(cap))
-    live = cap >= search(stack[top : top + 1])[0] / den[top]
-    rho1 = np.full(lam.shape, np.nan)
-    rho1[live] = search(stack[live])
+    if s.size:
+        lo = np.full(s.shape[0], 0.5 * math.log(np.trace(g2) / np.trace(g1)) - _LOG_T_SPAN)
+        rho1[live] = _golden_max(bottom, lo, lo + 2.0 * _LOG_T_SPAN)[1]
     return rho1
 
 
@@ -591,49 +597,74 @@ def _theorems(inv: Invariants) -> list[str]:
 def _evaluate(
     inv: Invariants, names: list[str], x: float, grid: np.ndarray
 ) -> dict[str, BoundResult | None]:
-    """Each named theorem at x, maximized over its rho2 candidates (None when
-    no candidate gives a finite value).
+    """Each named theorem at x, maximized over its rho2 candidates with the
+    first winning a tie; None when no candidate gives a finite value.
 
-    The vertical block of Q(x) is eliminated once for all of them.  main and
-    t1zero read the Schur curve of Q(x); asn reads that of Q(x) + q_tt2, which
-    is the same curve when q_tt2 is zero and otherwise differs only in Q_HH.
+    The vertical block of Q(x) is eliminated once for all of them (asn reads
+    the complements of Q(x) + q_tt2), and each `_formulas` group visits the
+    candidates best first, taking each lambda_min(S) at most once.
     """
-    delta = inv.delta(x)
-    q0 = inv.q(x)
-    rho2, cut, ok = _schur(q0, inv.d, grid)
-    curves: dict[bool, tuple] = {}
-    for own, q in _forms(inv, names, q0).items():
-        stack = q[None, : inv.d, : inv.d] - cut
-        curves[own] = (q, stack, np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan))
-    out: dict[str, BoundResult | None] = {}
-    for name in names:
-        q, stack, rho1 = curves[name == "asn" and inv.tt2]
-        omega = inv.kappa / rho2
-        chi = np.maximum(rho2 * inv.sup_t2, 0.0)
+    d, delta, q0 = inv.d, inv.delta(x), inv.q(x)
+    rho2, w, weights, ok = _schur(q0, d, grid)
+    omega, chi = inv.kappa / rho2, np.maximum(rho2 * inv.sup_t2, 0.0)
+    m, s = _m_arrays(omega, chi, rho2 * inv.sigma**2) if "main" in names else (None, None)
+    pad, forms = _pad(q0), _forms(inv, names, q0)
+
+    def closed(name: str, rho1, i):
+        """name's value at candidates i from rho1, its chi, psi and m, and its aux."""
         if name == "main":
-            psi = rho2 * inv.sigma**2
-            m, s = _m_arrays(omega, chi, psi)
-            vals = np.where(rho1 > m, (rho1 - m) / (delta + omega), np.nan)
-            aux = {"s": s}
-        elif name == "t1zero":
-            vals, in1 = _t1zero_values(rho1, delta, omega, chi)
-            psi = m = 0.0
-            aux = {"case": np.where(in1, 1.0, 2.0)}
-        else:
-            if rho2.size:
-                rho1 = _asn_rho1_curve(inv, q, stack, rho1, delta + omega)
-            vals = np.where(rho1 > 0.0, rho1 / (delta + omega), np.nan)
-            chi = psi = m = math.nan
-            aux = {}
-        finite = np.isfinite(vals)
-        if not finite.any():
-            out[name] = None
+            vals = np.where(rho1 > m[i], (rho1 - m[i]) / (delta + omega[i]), np.nan)
+            return vals, (chi[i], rho2[i] * inv.sigma**2, m[i]), {"s": s[i]}
+        if name == "t1zero":
+            vals, in1 = _t1zero_values(rho1, delta, omega[i], chi[i])
+            return vals, (chi[i], 0.0, 0.0), {"case": np.where(in1, 1.0, 2.0)}
+        return np.where(rho1 > 0.0, rho1 / (delta + omega[i]), np.nan), (math.nan,) * 3, {}
+
+    # NaN where not visited: lambda_min(S) per form, each theorem's rho1 and value
+    lam = {own: np.full(rho2.shape, np.nan) for own in forms}
+    rho1s = dict.fromkeys(names, lam.get(False)) | {"asn": np.full(rho2.shape, np.nan)}
+    vals = {n: np.full(rho2.shape, np.nan) for n in names}
+    rays = {own: _ray(q, d, w) for own, q in forms.items()}
+    for (own, lift), group in _formulas(inv, names).items():
+        (top, proj), q = rays[own], forms[own]
+        leaf = np.full(rho2.shape, -np.inf)  # the leaf caps of the candidates to visit
+        k, block, size, floor = rho2.size, _LEAVES, _BATCH, 0.0  # no leaf cap from k on
+        while True:
+            while k and (
+                (root := _cap(inv, lift, top, rho2[k - 1], delta, pad)) >= floor
+                and np.count_nonzero(leaf >= root) < size
+            ):
+                lo = max(k - block, 0)
+                r = _rayleigh(top, proj, weights[:, lo:k], ok[lo:k])
+                leaf[lo:k] = _cap(inv, lift, r, rho2[lo:k], delta, pad, True)
+                k, block = lo, 4 * block
+            i = np.flatnonzero(leaf >= floor)
+            if not i.size:
+                break
+            i = i[np.argsort(-leaf[i], kind="stable")[:size]]
+            leaf[i] = -np.inf
+            sc = q[:d, :d] - np.einsum("aj,bj,jr->rab", w, w, weights[:, i])
+            if (new := np.isnan(lam[own][i])).any():
+                lam[own][i[new]] = np.linalg.eigvalsh(sc[new])[:, 0]
+            for name in group:
+                rho1 = lam[own][i]
+                if name == "asn":
+                    cap = (rho1 + _pad(q)) / (delta + omega[i])
+                    best = np.fmax.reduce(vals[name], initial=0.0)
+                    rho1 = rho1s[name][i] = _asn_rho1(inv, sc, rho1, cap, best)
+                vals[name][i] = closed(name, rho1, i)[0]
+            floor, size = min(np.fmax.reduce(vals[n], initial=0.0) for n in group), 4 * size
+            if floor <= 0.0:  # nothing to prune against: visit every valid candidate
+                leaf[:k], k, size = np.where(ok[:k], np.inf, -np.inf), 0, rho2.size
+    out: dict[str, BoundResult | None] = dict.fromkeys(names)
+    for name in names:
+        if not (finite := np.isfinite(vals[name])).any():
             continue
-        i = int(np.argmax(np.where(finite, vals, -np.inf)))
-        cols = (rho1, rho2, omega, chi, psi, m)
-        row = [float(np.broadcast_to(a, rho2.shape)[i]) for a in cols]
-        aux = {k: float(a[i]) for k, a in aux.items() if not math.isnan(a[i])}
-        out[name] = BoundResult(name, float(vals[i]), x, *row, aux)
+        i = int(np.argmax(np.where(finite, vals[name], -np.inf)))
+        _, cols, aux = closed(name, rho1s[name][i], i)
+        aux = {k: float(a) for k, a in aux.items() if not math.isnan(a)}
+        row = map(float, (rho1s[name][i], rho2[i], omega[i], *cols))
+        out[name] = BoundResult(name, float(vals[name][i]), x, *row, aux)
     return out
 
 
@@ -771,18 +802,35 @@ def _t1zero_cap(
     return np.where(np.isnan(vals), -np.inf, np.where(in1, vals, np.maximum(vals, top1)))
 
 
-def _cap(inv: Invariants, name: str, r, b, delta, pad, leaf: bool = False) -> np.ndarray:
-    """Cap on theorem `name` over candidates rho2 <= b where r >= rho1, -inf
-    where none counts (see the module docstring); a leaf has b = rho2."""
+def _formulas(inv: Invariants, names: list[str]) -> dict[tuple, list[str]]:
+    """The named theorems grouped by cap, keyed by the form whose r they read
+    (True for Q + q_tt2) and the lift `_cap` takes from r ("t1zero": its own)."""
     m_floor = 2.0 * math.sqrt(inv.kappa * max(inv.sup_t2, 0.0))
-    if name == "t1zero" and inv.sup_t2 > 0.0:
+    groups: dict[tuple, list[str]] = {}
+    for n in names:
+        lift = inv.product[1] if n == "asn" else m_floor
+        lift = "t1zero" if n == "t1zero" and inv.sup_t2 > 0.0 else lift
+        groups.setdefault((n == "asn" and inv.tt2, lift), []).append(n)
+    return groups
+
+
+def _cap(inv: Invariants, lift, r, b, delta, pad, leaf: bool = False) -> np.ndarray:
+    """Cap over candidates rho2 <= b where r >= rho1 for a `_formulas` lift,
+    -inf where none counts (see the module docstring); a leaf has b = rho2."""
+    if lift == "t1zero":
         if leaf:
             return _t1zero_cap(r, delta, inv.kappa / b, b * inv.sup_t2, pad)
         top = np.fmin(r, np.sqrt(4.0 * b * inv.sup_t2 * (inv.kappa / b + delta)))
         top = np.maximum(r / (delta + inv.kappa / b), (top + pad) / (2.0 * delta + 1.0))
-        return np.where(r > m_floor, top, -np.inf)
-    lift = inv.product[1] if name == "asn" else m_floor
+        return np.where(r > 2.0 * math.sqrt(inv.kappa * inv.sup_t2), top, -np.inf)
     return np.where(r > lift, (r - lift) / (delta + inv.kappa / b), -np.inf)
+
+
+def _group_caps(inv: Invariants, names: list[str], r: dict, *at) -> dict[str, np.ndarray]:
+    """`_cap` once per group of `_formulas` (r keyed by form), shared by its theorems."""
+    groups = _formulas(inv, names)
+    caps = {key: _cap(inv, key[1], r[key[0]], *at) for key in groups}
+    return {n: caps[key] for key, group in groups.items() for n in group}
 
 
 def _caps(inv: Invariants, names: list[str], xs: np.ndarray) -> dict[str, np.ndarray]:
@@ -793,8 +841,8 @@ def _caps(inv: Invariants, names: list[str], xs: np.ndarray) -> dict[str, np.nda
     r = {}
     for own, f in _forms(inv, names, q).items():
         r[own] = np.where(b > 0, np.linalg.eigvalsh(f[:, :d, :d])[:, 0] + _pad(f), -np.inf)
-    at = b, inv.delta(xs), _pad(q)
-    return {n: _cap(inv, n, r[n == "asn" and inv.tt2], *at) for n in names}
+    caps = _group_caps(inv, names, r, b, inv.delta(xs), _pad(q))
+    return {n: c.copy() for n, c in caps.items()}  # optimize lowers each in place
 
 
 def _cells(inv: Invariants, names: list[str], xs: np.ndarray, grid: np.ndarray):
@@ -804,17 +852,13 @@ def _cells(inv: Invariants, names: list[str], xs: np.ndarray, grid: np.ndarray):
     q, d = inv.q(xs), inv.d
     near, mu_min, mu, w = _vertical(q, d, grid[:0])
     coupled, mu_min = (np.abs(w) > 0.0).any(axis=1), mu_min[:, 0]
-    delta, pad, rays = inv.delta(xs)[:, None], _pad(q)[:, None], {}
-    for own, f in _forms(inv, names, q).items():
-        lam, vec = np.linalg.eigh(f[:, :d, :d])
-        proj = np.einsum("xa,xaj->xj", vec[:, :, 0], w) ** 2
-        rays[own] = lam[:, :1] + _pad(f)[:, None], proj
+    delta, pad = inv.delta(xs)[:, None], _pad(q)[:, None]
+    rays = {own: _ray(f, d, w) for own, f in _forms(inv, names, q).items()}
 
     def caps(rows, rho2, b, leaf) -> dict[str, np.ndarray]:
         weights, ok = _weights(mu[rows], coupled[rows], rho2)
         r = {own: _rayleigh(t[rows], p[rows], weights, ok) for own, (t, p) in rays.items()}
-        at = b, delta[rows], pad[rows], leaf
-        return {n: _cap(inv, n, r[n == "asn" and inv.tt2], *at) for n in names}
+        return _group_caps(inv, names, r, b, delta[rows], pad[rows], leaf)
 
     def cell(rows: np.ndarray, lo: np.ndarray, width: int) -> dict[str, np.ndarray]:
         a = np.append(grid, np.nan)[np.minimum(lo, grid.size)]

@@ -23,7 +23,7 @@ from .algebra import (
     load_spec,
     validate,
 )
-from .bounds import CSV_COLUMNS, _largest_psd_x, invariants, optimize
+from .bounds import CSV_COLUMNS, _fmt, _largest_psd_x, invariants, optimize
 from .bounds import report_csv, report_text
 from .connection import canonical_connection
 from .curvature import StructureFlags, classify
@@ -72,10 +72,6 @@ def _load(spec: str, params: dict[str, float]) -> HomogeneousSpace:
     if not path.exists():
         raise SpecFormatError(f"{spec!r} is neither a builtin name nor a file")
     return load_spec(path, params)
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".12g")
 
 
 def _cmd_validate(args) -> int:

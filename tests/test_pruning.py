@@ -1,10 +1,12 @@
-"""Soundness of the caps that prune the x sweep of `optimize`, and the
-sharing of Schur curves between theorems.
+"""Soundness of the caps that prune the x sweep of `optimize` and the rho2
+candidates inside each Schur curve, and the sharing of Schur curves between
+theorems.
 
 At every x each level of a theorem's cap (root, cell and leaf) must be at
 least the value that theorem reaches there over its rho2 candidates, so that
 visiting x in decreasing cap order and stopping at the first cap below the
-best value never changes the result.
+best value never changes the result.  Inside a curve, `_evaluate` must return
+exactly what `dense_evaluate`, the unpruned reference, returns.
 """
 
 from __future__ import annotations
@@ -17,23 +19,20 @@ import numpy as np
 import pytest
 
 import sublap.bounds
-from sublap import (
-    HomogeneousSpace,
-    bound_asn,
-    bound_main,
-    bound_t1zero,
-    load_builtin,
-    optimize,
-    report_text,
-)
+from sublap import HomogeneousSpace, load_builtin, optimize, report_text
 from sublap.bounds import (
     _CELLS,
+    BoundResult,
+    Invariants,
+    _asn_rho1,
     _cap,
     _caps,
     _cells,
     _evaluate,
+    _m_arrays,
     _refine,
     _rho2_base_grid,
+    _schur,
     _t1zero_cap,
     _t1zero_values,
     _theorems,
@@ -41,8 +40,6 @@ from sublap.bounds import (
 )
 
 from conftest import free_step2, heisenberg, random_space, so4_weighted
-
-BOUNDS = {"main": bound_main, "t1zero": bound_t1zero, "asn": bound_asn}
 
 # The sweep points of the benchmark's sweep-twisted workload, the untwisted
 # members of both families, the other builtins and the general asn branch.
@@ -67,6 +64,66 @@ def _space(key: str) -> tuple[HomogeneousSpace, int]:
 
 
 KEYS = [*NAMED, "so4_weighted", *(f"random-{i}" for i in range(RANDOM_DRAWS))]
+
+
+def dense_evaluate(
+    inv: Invariants, names: list[str], x: float, grid: np.ndarray
+) -> dict[str, BoundResult | None]:
+    """The unpruned reference for `_evaluate`: the Schur complement and its
+    lambda_min at every rho2 candidate, asn's duality search at every valid
+    one, and np.argmax over each theorem's closed form."""
+    delta, q0, d = inv.delta(x), inv.q(x), inv.d
+    rho2, w, weights, ok = _schur(q0, d, grid)
+    cut = np.einsum("aj,bj,jr->rab", w, w, weights)
+    out: dict[str, BoundResult | None] = {}
+    for name in names:
+        q = q0 + inv.q_tt2 if name == "asn" and inv.tt2 else q0
+        stack = q[None, :d, :d] - cut
+        rho1 = np.where(ok, np.linalg.eigvalsh(stack)[:, 0], np.nan)
+        omega = inv.kappa / rho2
+        chi = np.maximum(rho2 * inv.sup_t2, 0.0)
+        if name == "main":
+            psi = rho2 * inv.sigma**2
+            m, s = _m_arrays(omega, chi, psi)
+            vals = np.where(rho1 > m, (rho1 - m) / (delta + omega), np.nan)
+            aux = {"s": s}
+        elif name == "t1zero":
+            vals, in1 = _t1zero_values(rho1, delta, omega, chi)
+            psi = m = 0.0
+            aux = {"case": np.where(in1, 1.0, 2.0)}
+        else:
+            # a cap of 0 at every valid candidate reaches the floor 0 there
+            rho1 = _asn_rho1(inv, stack, rho1, np.where(ok, 0.0, -np.inf), 0.0)
+            vals = np.where(rho1 > 0.0, rho1 / (delta + omega), np.nan)
+            chi = psi = m = math.nan
+            aux = {}
+        finite = np.isfinite(vals)
+        if not finite.any():
+            out[name] = None
+            continue
+        i = int(np.argmax(np.where(finite, vals, -np.inf)))
+        cols = (rho1, rho2, omega, chi, psi, m)
+        row = [float(np.broadcast_to(a, rho2.shape)[i]) for a in cols]
+        aux = {k: float(a[i]) for k, a in aux.items() if not math.isnan(a[i])}
+        out[name] = BoundResult(name, float(vals[i]), x, *row, aux)
+    return out
+
+
+@pytest.mark.parametrize("leaves, batch", [(64, 8), (1, 1)], ids=["default", "one-by-one"])
+@pytest.mark.parametrize("key", KEYS)
+def test_evaluate_matches_the_dense_curve(monkeypatch, key, leaves, batch):
+    # best-first search inside each curve diagonalizes a few candidates, yet
+    # must return the dense argmax to the last bit, ties included; one leaf
+    # cap and one complement at a time, the search takes many more rounds
+    monkeypatch.setattr(sublap.bounds, "_LEAVES", leaves)
+    monkeypatch.setattr(sublap.bounds, "_BATCH", batch)
+    space, per_decade = _space(key)
+    inv = invariants(space)
+    names = _theorems(inv)
+    grid = _rho2_base_grid(inv.kappa, per_decade)
+    for x in np.linspace(0.0, 0.96, 13):
+        got = _evaluate(inv, names, float(x), grid)
+        assert repr(got) == repr(dense_evaluate(inv, names, float(x), grid)), x
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -122,9 +179,10 @@ def test_optimize_never_loses_to_the_unpruned_grid(key):
     space, per_decade = _space(key)
     rep = optimize(space, x_points=37, rho2_per_decade=per_decade)
     got = {e.theorem: e.value for e in rep.entries}
-    for name in _theorems(invariants(space)):
-        bound = BOUNDS[name]
-        values = [bound(space, x / 37, rho2_per_decade=per_decade) for x in range(37)]
+    inv = invariants(space)
+    grid = _rho2_base_grid(inv.kappa, per_decade)
+    for name in _theorems(inv):
+        values = [dense_evaluate(inv, [name], x / 37, grid)[name] for x in range(37)]
         values = [r.value for r in values if r is not None and r.value > 0.0]
         if values:
             assert got[name] >= max(values), (name, got.get(name), max(values))
@@ -227,6 +285,33 @@ def test_optimize_computes_few_rayleigh_bounds(monkeypatch, make):
     optimize(space)
     dense = 2000 * (_rho2_base_grid(invariants(space).kappa, 200).size + 10)
     assert sum(ok.size for *_, ok in calls) <= dense // 100
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: load_builtin("so4_twisted", b=0.0), id="so4_twisted-b0"),
+        pytest.param(lambda: load_builtin("so4_twisted", b=0.3), id="so4_twisted-b0.3"),
+        pytest.param(lambda: load_builtin("so4_alt"), id="so4_alt"),
+        pytest.param(lambda: load_builtin("so3_twisted", c=0.1), id="so3_twisted-c0.1"),
+    ],
+)
+def test_optimize_diagonalizes_few_matrices(monkeypatch, make):
+    # diagonalizing every candidate of each golden-pass curve took 38.7k-46.3k
+    # matrices per optimize here; best first, a handful per x remain
+    space = make()
+    counts = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        counts.append(math.prod(np.shape(a)[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    optimize(space)
+    assert sum(counts) <= 10_000
+
+
 @pytest.mark.parametrize(
     "make, x_points, most",
     [
