@@ -5,6 +5,15 @@ generators across a finite product of factors.  Assembling the horizontal
 Laplacian irrep by irrep gives the exact bottom of the spectrum up to a
 Casimir cutoff; a separate tail estimate (rigorous for untwisted frames,
 advisory otherwise) controls everything beyond the cutoff.
+
+In the product spin basis G3 is diagonal and G1, G2 move one m by one, so
+an irrep's Laplacian is mostly zeros and often splits: it is diagonal on
+so4_twisted.  Each is diagonalized as the connected components of its exact
+nonzero pattern, equal-size components stacked.  The reordering is a
+permutation similarity that drops no entry, so the spectrum is exact with no
+added tolerance; a matrix with no imaginary entry is diagonalized in real
+arithmetic.  Results and printed output are those of one dense
+eigendecomposition, up to rounding.
 """
 
 from __future__ import annotations
@@ -37,8 +46,9 @@ _HERM_TOL = 1e-10
 # Largest irrep dimension `lambda1` enumerates, taken as the product over the
 # factors of the largest spin dimension the cutoff admits.  The benchmark's
 # largest cutoffs give 281 (so3_twisted at 20000) and 24 x 24 = 576 (two
-# factors at 150); cutoffs far above the limit would exhaust memory while the
-# irreps are enumerated.
+# factors at 150).  Each irrep is still assembled as a dense complex matrix
+# (16 MB at the limit) before it is split into blocks, so cutoffs far above
+# the limit would exhaust memory while the irreps are enumerated.
 _MAX_IRREP_DIM = 1024
 
 
@@ -195,13 +205,53 @@ def _assemble(gram: np.ndarray, two_js: tuple[int, ...]) -> np.ndarray:
     return lap
 
 
+def _blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the graph on range(n) with the edges
+    (rows[e], cols[e]): one (k, s) array per component size s, holding each
+    such component's indices in ascending order as a row.
+
+    Labels start as the indices.  Each round hooks the larger label of every
+    edge whose ends differ onto the smaller, then jumps pointers until each
+    index points at the least index of its component so far.
+    """
+    label = np.arange(n)
+    a, b = rows, cols
+    while (diff := a != b).any():
+        np.minimum.at(label, np.maximum(a, b)[diff], np.minimum(a, b)[diff])
+        while ((jump := label[label]) != label).any():
+            label = jump
+        a, b = label[rows], label[cols]
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label)
+    size = size[size > 0]  # by least index, the order of `order`
+    start = np.cumsum(size) - size
+    sizes = sorted(set(size.tolist()))  # np.unique would map 1.5 MB more of numpy
+    return [order[start[size == s][:, None] + np.arange(s)] for s in sizes]
+
+
 def _checked_spectrum(lap: np.ndarray) -> np.ndarray:
     """Eigenvalues of an assembled Laplacian after checking that it is
-    Hermitian, then that the spectrum is nonnegative."""
-    scale = max(1.0, float(np.abs(lap).max()))
-    if np.abs(lap - lap.conj().T).max() > _HERM_TOL * scale:
+    Hermitian, then that the spectrum is nonnegative.
+
+    Only the nonzero entries are read: lap - lap^H vanishes wherever lap and
+    its transpose do.  The connected components of their pattern are
+    diagonalized stacked, one `eigvalsh` per component size, in real
+    arithmetic when no entry has an imaginary part.
+    """
+    n, flat = len(lap), lap.ravel()
+    k = np.flatnonzero(flat)
+    rows, cols = np.divmod(k, n)
+    vals = flat[k]
+    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+    if np.abs(vals - flat[cols * n + rows].conj()).max(initial=0.0) > _HERM_TOL * scale:
         raise RuntimeError("assembled Laplacian is not Hermitian")
-    eig = np.linalg.eigvalsh(lap)
+    a = lap if vals.imag.any() else lap.real
+    parts = []
+    for idx in _blocks(n, rows, cols):
+        # a single component of every index is lap itself, in its own order
+        block = a[None] if idx.shape[1] == n else a[idx[:, :, None], idx[:, None, :]]
+        parts.append(np.linalg.eigvalsh(block).ravel())
+    eig = np.sort(np.concatenate(parts))
     if float(eig[0]) < -_HERM_TOL * scale:
         raise RuntimeError("assembled Laplacian is not positive semidefinite")
     return eig
@@ -347,11 +397,12 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
 
     The oracle is validated once per call.  Each irrep's Laplacian is
     assembled from per-factor su(2) blocks, as in `hlap_matrix`, checked to be
-    Hermitian and diagonalized once; the positivity check reads that same
-    spectrum.  The trivial irrep carries the constants (kernel dimension
-    one); a zero eigenvalue anywhere else means the model is inconsistent and
-    aborts.  A cutoff that is negative, infinite or NaN, or too large to
-    enumerate, raises ValueError before any irrep is built.
+    Hermitian and diagonalized once, block by block (see the module
+    docstring); the positivity check reads that same spectrum.  The trivial
+    irrep carries the constants (kernel dimension one); a zero eigenvalue
+    anywhere else means the model is inconsistent and aborts.  A cutoff that
+    is negative, infinite or NaN, or too large to enumerate, raises
+    ValueError before any irrep is built.
     """
     coeffs = _model_coeffs(space)
     config = space.oracle

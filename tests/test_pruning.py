@@ -12,6 +12,7 @@ exactly what `dense_evaluate`, the unpruned reference, returns.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,7 +30,12 @@ from sublap.bounds import (
     _caps,
     _cells,
     _evaluate,
+    _formulas,
+    _forms,
     _m_arrays,
+    _pad,
+    _ray,
+    _rayleigh,
     _refine,
     _rho2_base_grid,
     _schur,
@@ -124,6 +130,62 @@ def test_evaluate_matches_the_dense_curve(monkeypatch, key, leaves, batch):
     for x in np.linspace(0.0, 0.96, 13):
         got = _evaluate(inv, names, float(x), grid)
         assert repr(got) == repr(dense_evaluate(inv, names, float(x), grid)), x
+
+
+class _RecordedWeights(np.ndarray):
+    """Schur weights that record each candidate index array they are read at:
+    `_evaluate` reads them so exactly where it forms complements."""
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and isinstance(key[-1], np.ndarray):
+            self.seen.update(key[-1].tolist())
+        return np.asarray(self)[key]
+
+
+def _one_group() -> Invariants:
+    """so4_weighted without q_tt2 and sup T2: asn, whose weak-duality rho1
+    falls below lambda_min(S), then shares the cap of main and t1zero.  On
+    every other space here a group's theorems reach the same values."""
+    inv = invariants(so4_weighted())
+    return replace(inv, q_tt2=np.zeros_like(inv.q_tt2), tt2=False, sup_t2=0.0)
+
+
+@pytest.mark.parametrize("key", [*KEYS, "so4_weighted-one-group"])
+def test_evaluate_visits_every_candidate_its_leaf_cap_keeps(monkeypatch, key):
+    # A candidate whose leaf cap reaches the lowest best of its group could
+    # still raise that theorem, so the search must form its complement; the
+    # group floor and the root-cap stop rule decide this, and a candidate
+    # they skip rarely decides a maximum, so the dense oracle cannot tell.
+    if key == "so4_weighted-one-group":
+        inv, per_decade = _one_group(), 200
+        assert [len(g) for g in _formulas(inv, _theorems(inv)).values()] == [3]
+    else:
+        space, per_decade = _space(key)
+        inv = invariants(space)
+    grid = _rho2_base_grid(inv.kappa, per_decade)
+    seen: set[int] = set()
+    schur = sublap.bounds._schur
+
+    def recorded_schur(*args):
+        rho2, w, weights, ok = schur(*args)
+        weights = weights.view(_RecordedWeights)
+        weights.seen = seen
+        return rho2, w, weights, ok
+
+    monkeypatch.setattr(sublap.bounds, "_schur", recorded_schur)
+    d = inv.d
+    for (own, lift), group in _formulas(inv, _theorems(inv)).items():
+        for x in np.linspace(0.0, 0.96, 13):
+            seen.clear()
+            got = _evaluate(inv, group, float(x), grid)
+            floor = min(max(r.value, 0.0) if r else 0.0 for r in got.values())
+            q0 = inv.q(float(x))
+            rho2, w, weights, ok = schur(q0, d, grid)
+            top, proj = _ray(_forms(inv, group, q0)[own], d, w)
+            r = _rayleigh(top, proj, weights, ok)
+            leaf = _cap(inv, lift, r, rho2, inv.delta(float(x)), _pad(q0), True)
+            missed = sorted(set(np.flatnonzero(leaf >= floor).tolist()) - seen)
+            assert not missed, (group, x, floor, missed[:5])
 
 
 @pytest.mark.parametrize("key", KEYS)

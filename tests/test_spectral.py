@@ -346,17 +346,87 @@ def test_hlap_matrix_matches_the_frame_image_reference(name, params):
         assert np.all(np.abs(entry.eigenvalues - ref) <= tol), entry.label
 
 
+def _components(lap):
+    """The connected components of lap's nonzero pattern as sets, by a plain
+    search independent of the module's label propagation."""
+    adjacent = (lap != 0) | (lap != 0).T
+    seen, out = np.zeros(len(lap), dtype=bool), []
+    for root in range(len(lap)):
+        if seen[root]:
+            continue
+        stack, seen[root], comp = [root], True, set()
+        while stack:
+            k = stack.pop()
+            comp.add(k)
+            for nb in np.flatnonzero(adjacent[k] & ~seen):
+                seen[nb] = True
+                stack.append(int(nb))
+        out.append(comp)
+    return out
+
+
+def _component_sizes(lap):
+    return [len(comp) for comp in _components(lap)]
+
+
+def test_blocks_are_the_connected_components_of_any_pattern():
+    # The builtins' patterns are chains in index order; a random pattern
+    # needs several hooking rounds (edges 0-2 and 1-2 take two).
+    rng = np.random.default_rng(12)
+    pattern = np.zeros((3, 3), dtype=bool)
+    pattern[[0, 2, 1, 2], [2, 0, 2, 1]] = True
+    patterns = [pattern, np.zeros((1, 1), dtype=bool)]
+    for n in (2, 5, 17, 40):
+        for density in (0.02, 0.08, 0.3):
+            pattern = rng.random((n, n)) < density
+            patterns.append(pattern | pattern.T)
+    for pattern in patterns:
+        blocks = sublap.spectral._blocks(len(pattern), *np.nonzero(pattern))
+        got = sorted(sorted(row.tolist()) for stack in blocks for row in stack)
+        want = sorted(sorted(comp) for comp in _components(pattern))
+        assert got == want
+        assert all(np.all(np.diff(stack, axis=1) > 0) for stack in blocks)
+        assert len({stack.shape[1] for stack in blocks}) == len(blocks)
+
+
+def _irrep_eigvalsh_calls(monkeypatch):
+    """Record, per `_checked_spectrum` call, the component sizes of its
+    Laplacian and the shape of every stack it passes to `eigvalsh`."""
+    records = []
+    eigvalsh = np.linalg.eigvalsh
+    checked = sublap.spectral._checked_spectrum
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        if records and records[-1]["open"]:
+            records[-1]["shapes"].append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def marked_checked(lap):
+        records.append({"open": True, "shapes": [], "sizes": _component_sizes(lap)})
+        try:
+            return checked(lap)
+        finally:
+            records[-1]["open"] = False
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(sublap.spectral, "_checked_spectrum", marked_checked)
+    return records
+
+
 def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
-    # The tail estimate diagonalizes small factor-weight matrices of its own;
-    # its calls are counted apart from the irreps'.
-    counts = dict.fromkeys(("irreps", "tail", "homomorphism"), 0)
+    # Every row of every irrep is diagonalized exactly once, in stacks of
+    # equal-size blocks: one eigvalsh call per block size at most.  The tail
+    # estimate diagonalizes small factor-weight matrices of its own; its
+    # calls are counted apart from the irreps'.
+    records = _irrep_eigvalsh_calls(monkeypatch)
+    counts = dict.fromkeys(("tail", "homomorphism"), 0)
     in_tail = []
     eigvalsh = np.linalg.eigvalsh
     check = sublap.spectral._check_homomorphism
     tail = sublap.spectral._tail_estimate
 
     def counted_eigvalsh(*args, **kwargs):
-        counts["tail" if in_tail else "irreps"] += 1
+        counts["tail"] += bool(in_tail)
         return eigvalsh(*args, **kwargs)
 
     def counted_check(*args, **kwargs):
@@ -374,8 +444,87 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
     monkeypatch.setattr(sublap.spectral, "_check_homomorphism", counted_check)
     monkeypatch.setattr(sublap.spectral, "_tail_estimate", marked_tail)
     for name in ("so4_twisted", "so3_twisted", "so4_alt", "twisted_spheres"):
-        counts.update(irreps=0, tail=0, homomorphism=0)
+        counts.update(tail=0, homomorphism=0)
+        records.clear()
         res = lambda1(load_builtin(name))
-        assert counts["irreps"] == len(res.table), name
+        assert len(records) == len(res.table), name
+        rows = sum(math.prod(shape[:-1]) for r in records for shape in r["shapes"])
+        assert rows == sum(entry.dim for entry in res.table), name
+        for r in records:
+            assert 1 <= len(r["shapes"]) <= len(set(r["sizes"])), name
         assert counts["homomorphism"] == 1, name
         assert counts["tail"] <= 3, name
+
+
+SPLIT_SPACES = [
+    ("so4_twisted", {"b": 0.0}),
+    ("so4_twisted", {"b": 0.3}),
+    ("so3_twisted", {"c": 0.0}),
+    ("so3_twisted", {"c": 0.3}),
+    ("so4_alt", {}),
+    ("twisted_spheres", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    SPLIT_SPACES,
+    ids=[n + "".join(f"_{k}{v}" for k, v in p.items()) for n, p in SPLIT_SPACES],
+)
+def test_block_split_agrees_with_the_dense_spectrum(name, params):
+    # The components are a permutation similarity of each irrep's Laplacian:
+    # nothing couples two of them, so their spectra make up the dense one.
+    space = load_builtin(name, **params)
+    res = lambda1(space)
+    for entry in res.table:
+        lap = hlap_matrix(space, entry.two_js)
+        ref = np.linalg.eigvalsh(lap)
+        tol = 1e-12 * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(entry.eigenvalues - ref) <= tol), entry.label
+
+        # Reordered block by block, lap has no nonzero entry between blocks:
+        # every index lies in one block, and every entry's ends in the same.
+        rows, cols = np.nonzero(lap)
+        blocks = sublap.spectral._blocks(len(lap), rows, cols)
+        owner = np.full(len(lap), -1)
+        for k, idx in enumerate(row for stack in blocks for row in stack):
+            assert np.all(np.diff(idx) > 0) and np.all(owner[idx] == -1), entry.label
+            owner[idx] = k
+        assert np.all(owner >= 0), entry.label
+        assert np.all(owner[rows] == owner[cols]), entry.label
+        assert sorted(idx.shape[1] for idx in blocks) == sorted(
+            set(_component_sizes(lap))
+        ), entry.label
+
+    # the cases the split must cover: half-integer spins, a complex single
+    # block, and a diagonal operator
+    if name == "twisted_spheres":
+        assert any(t % 2 for entry in res.table for t in entry.two_js)
+    if (name, params) == ("so3_twisted", {"c": 0.3}):
+        lap = hlap_matrix(space, res.table[-1].two_js)
+        assert np.abs(lap.imag).max() > 0.0
+        assert _component_sizes(lap) == [len(lap)]
+    if (name, params) == ("so4_twisted", {"b": 0.0}):
+        assert all(
+            not np.any(lap - np.diag(np.diag(lap)))
+            for lap in (hlap_matrix(space, e.two_js) for e in res.table)
+        )
+
+
+@pytest.mark.parametrize(
+    "name, params, cutoff, largest",
+    [
+        ("so4_twisted", {"b": 0.0}, 150.0, lambda n: 1),
+        ("so3_twisted", {"c": 0.0}, 2000.0, lambda n: -(-n // 2)),
+    ],
+    ids=["so4_twisted", "so3_twisted"],
+)
+def test_lambda1_diagonalizes_small_blocks(monkeypatch, name, params, cutoff, largest):
+    # so4_twisted's Laplacian is diagonal in the product spin basis, and
+    # so3_twisted's at c = 0 splits by the parity of m; dense eigvalsh of a
+    # whole irrep took most of a certify run there
+    records = _irrep_eigvalsh_calls(monkeypatch)
+    res = lambda1(load_builtin(name, **params), cutoff=cutoff)
+    assert len(records) == len(res.table)
+    for entry, r in zip(res.table, records):
+        assert max(shape[-1] for shape in r["shapes"]) <= largest(entry.dim), entry.label
