@@ -112,6 +112,8 @@ _BISECT_TOL = 1e-10
 # how close the search gets to a supremum that lies far out, which happens
 # when a Gram is singular on the minimizing direction.
 _LOG_T_SPAN = 23.0
+_RHO2_DECADES = 6  # span of the base rho2 grid, centred on kappa
+_GOLDEN_ITERS = 60  # golden-section steps after the first two evaluations
 # Widths, in base-grid rho2 candidates, of the nested cells that refine the
 # caps pruning `optimize`: a live cell splits into ten of the next width.
 _CELLS = (100, 10, 1)
@@ -385,9 +387,9 @@ def m_constant(omega: float, chi: float, psi: float) -> MConstant:
 # Eliminating the vertical block
 
 
-def _rho2_base_grid(kappa: float, per_decade: int, decades: int = 6) -> np.ndarray:
-    count = decades * per_decade + 1
-    half = decades / 2.0
+def _rho2_base_grid(kappa: float, per_decade: int) -> np.ndarray:
+    count = _RHO2_DECADES * per_decade + 1
+    half = _RHO2_DECADES / 2.0
     return kappa * np.power(10.0, np.linspace(-half, half, count))
 
 
@@ -474,7 +476,7 @@ def _rayleigh(top: np.ndarray, proj: np.ndarray, weights: np.ndarray, ok: np.nda
     return np.where(ok, top - (proj[..., :, None] * weights).sum(axis=-2), -np.inf)
 
 
-def _golden_max(fun, lo, hi, iters: int = 60):
+def _golden_max(fun, lo, hi):
     """Golden-section maximization of a unimodal fun on [lo, hi], elementwise
     over arrays of brackets; returns the best (argument, value) among every
     evaluation, so it never regresses."""
@@ -484,7 +486,7 @@ def _golden_max(fun, lo, hi, iters: int = 60):
     fc = fun(c)
     fd = fun(d)
     best_x, best_f = np.where(fd > fc, d, c), np.where(fd > fc, fd, fc)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         left = fc >= fd  # the maximum lies in [a, d]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - ratio * (b - a), a + ratio * (b - a))

@@ -7,7 +7,9 @@ Casimir cutoff; a separate tail estimate (rigorous for untwisted frames,
 advisory otherwise) controls everything beyond the cutoff.
 
 In the product spin basis G3 is diagonal and G1, G2 move one m by one, so
-an irrep's Laplacian is mostly zeros and often splits: it is diagonal on
+each frame image lies on 2F + 1 shifted diagonals for F factors; -sum_i X_i^2
+is formed from their products, pair of shifts by pair, and scattered into a
+dense matrix.  That matrix is mostly zeros and often splits: it is diagonal on
 so4_twisted.  Each is diagonalized as the connected components of its exact
 nonzero pattern, equal-size components stacked.  The reordering is a
 permutation similarity that drops no entry, so the spectrum is exact with no
@@ -46,9 +48,10 @@ _HERM_TOL = 1e-10
 # Largest irrep dimension `lambda1` enumerates, taken as the product over the
 # factors of the largest spin dimension the cutoff admits.  The benchmark's
 # largest cutoffs give 281 (so3_twisted at 20000) and 24 x 24 = 576 (two
-# factors at 150).  Each irrep is still assembled as a dense complex matrix
-# (16 MB at the limit) before it is split into blocks, so cutoffs far above
-# the limit would exhaust memory while the irreps are enumerated.
+# factors at 150).  Each irrep's shifted diagonals are still scattered into a
+# dense complex matrix (16 MB at the limit) before it is split into blocks, so
+# cutoffs far above the limit would exhaust memory while the irreps are
+# enumerated.
 _MAX_IRREP_DIM = 1024
 
 
@@ -74,16 +77,6 @@ def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(
         np.diag(diag[a]) + np.diag(sub[a], -1) + np.diag(sup[a], 1) for a in range(3)
     )
-
-
-def _coeff_array(config: OracleConfig, dim: int) -> np.ndarray:
-    """Frame coefficients as an (n, factors, 3) array."""
-    nf = len(config.factors)
-    out = np.zeros((dim, nf, 3))
-    for i, row in enumerate(config.frame_map):
-        for f, triple in enumerate(row):
-            out[i, f, :] = triple
-    return out
 
 
 def _check_homomorphism(space: HomogeneousSpace, coeffs: np.ndarray) -> None:
@@ -118,12 +111,19 @@ def _oracle(space: HomogeneousSpace) -> OracleConfig:
 def _model_coeffs(
     space: HomogeneousSpace, two_js: tuple[int, ...] | None = None
 ) -> np.ndarray:
-    """The spectral model's frame coefficients, checked to define a Lie
-    algebra homomorphism; two_js, when given, must hold one spin per factor."""
+    """The spectral model's frame coefficients as a (dim, factors, 3) array,
+    checked to define a Lie algebra homomorphism; two_js, when given, must
+    hold one spin per factor."""
     config = _oracle(space)
     if two_js is not None and len(two_js) != len(config.factors):
         raise ValueError("one spin per factor required")
-    coeffs = _coeff_array(config, space.dim)
+    shape = (space.dim, len(config.factors), 3)
+    try:
+        coeffs = np.asarray(config.frame_map, dtype=float)
+    except ValueError:  # ragged
+        coeffs = None
+    if coeffs is None or coeffs.shape != shape:
+        raise ValueError(f"spectral model frame map must have shape {shape}")
     _check_homomorphism(space, coeffs)
     return coeffs
 
@@ -149,59 +149,35 @@ def irrep_matrices(
     return images
 
 
-def _horizontal_gram(coeffs: np.ndarray, dim_h: int) -> np.ndarray:
-    """gram[f, a, g, b] = sum over horizontal i of coeffs[i, f, a] coeffs[i, g, b]."""
-    return np.einsum("ifa,igb->fagb", coeffs[:dim_h], coeffs[:dim_h])
+def _assemble(coeffs: np.ndarray, two_js: tuple[int, ...]) -> np.ndarray:
+    """-sum_i X_i^2 in one irrep, X_i = sum_{f,a} coeffs[i, f, a] G_a^{(f)}.
 
-
-def _factor_block(m: np.ndarray, two_j: int) -> np.ndarray:
-    """sum_{a,b} m[a, b] G_a G_b in the spin rep, built from the generators'
-    bands: each product of two tridiagonal generators is pentadiagonal."""
-    sub, diag, sup = _spin_bands(two_j)
-
-    def q(x, y):
-        return np.einsum("ab,ak,bk->k", m, x, y)
-
-    # Band by band, (G_a G_b)[k, l] sums G_a[k, i] G_b[i, l] over the i with
-    # |k - i| <= 1 and |i - l| <= 1.
-    n = two_j + 1
-    k = np.arange(n)
-    out = np.zeros((n, n), dtype=complex)
-    out[k, k] = q(diag, diag)
-    out[k[1:], k[1:]] += q(sub, sup)
-    out[k[:-1], k[:-1]] += q(sup, sub)
-    out[k[:-1], k[1:]] = q(diag[:, :-1], sup) + q(sup, diag[:, 1:])
-    out[k[1:], k[:-1]] = q(diag[:, 1:], sub) + q(sub, diag[:, :-1])
-    out[k[:-2], k[2:]] = q(sup[:, :-1], sup[:, 1:])
-    out[k[2:], k[:-2]] = q(sub[:, 1:], sub[:, :-1])
-    return out
-
-
-def _assemble(gram: np.ndarray, two_js: tuple[int, ...]) -> np.ndarray:
-    """-sum_i X_i^2 over the horizontal frame in one irrep, from per-factor
-    blocks and without products of full-size matrices.
-
-    With X_i = sum_{f,a} c_i^{fa} G_a^{(f)}, the sum splits into the factor
-    blocks A_f = sum_{a,b} gram[f,a,f,b] G_a G_b, each formed in its own spin
-    rep, and the cross terms gram[f,a,g,b] G_a^{(f)} G_b^{(g)}; generators of
-    different factors commute, so each pair f < g appears twice.
+    Basis vector p = sum_f k_f stride_f has m_f = j_f - k_f.  Each G_a^{(f)}
+    keeps k_f or moves it by one, so X_i lives on the shifted diagonals
+    s = 0, +-stride_f: X_i[p, p + s] = x[i, s, p], taken from the spin bands
+    at k_f.  Then X_i^2 holds x[i, s, p] x[i, t, p + s] at (p, p + s + t) for
+    every pair of shifts.  Pairs with equal s + t land on the same entries, as
+    do the shifts of a spin-0 factor and the factor before it, so the entries
+    accumulate.
     """
-    dims = [t + 1 for t in two_js]
-    n = math.prod(dims)
-    lap = np.zeros((n, n), dtype=complex)
+    dims = np.array(two_js) + 1
+    n = int(dims.prod())
+    strides = n // np.cumprod(dims)
+    shifts = np.concatenate(([0], strides, -strides))
+    index = np.arange(n)
+    x = np.zeros((len(coeffs), len(shifts), n), dtype=complex)
     for f, two_j in enumerate(two_js):
-        if gram[f, :, f, :].any():
-            lap -= _embed(dims, {f: _factor_block(gram[f, :, f, :], two_j)})
-    for f, g in itertools.combinations(range(len(two_js)), 2):
-        block = gram[f, :, g, :]
-        rows = [a for a in range(3) if block[a].any()]
-        if not rows:
-            continue
-        gens_f = spin_matrices(two_js[f])
-        # h[a] = 2 sum_b block[a, b] G_b in factor g.
-        h = np.tensordot(2.0 * block, np.array(spin_matrices(two_js[g])), axes=1)
-        for a in rows:
-            lap -= _embed(dims, {f: gens_f[a], g: h[a]})
+        sub, diag, sup = _spin_bands(two_j)
+        k = index // strides[f] % dims[f]
+        up, down = k < two_j, k > 0
+        x[:, 0] += coeffs[:, f] @ diag[:, k]
+        x[:, 1 + f, up] = coeffs[:, f] @ sup[:, k[up]]
+        x[:, 1 + len(dims) + f, down] = coeffs[:, f] @ sub[:, k[down] - 1]
+    # p + s wraps only where x[:, s, p] vanishes, so no wrapped term counts
+    prod = np.einsum("isp,itsp->stp", x, x[:, :, (index + shifts[:, None]) % n])
+    s, t, p = np.nonzero(prod)
+    lap = np.zeros((n, n), dtype=complex)
+    np.subtract.at(lap, (p, p + shifts[s] + shifts[t]), prod[s, t, p])
     return lap
 
 
@@ -261,11 +237,12 @@ def hlap_matrix(space: HomogeneousSpace, two_js: tuple[int, ...]) -> np.ndarray:
     """Horizontal Laplacian -sum_i X_i^2 in one irrep.
 
     The spectral model, the spin count and the homomorphism property are
-    validated; the operator is assembled from per-factor su(2) blocks, as in
-    `lambda1`, and verified to be Hermitian and positive semidefinite.
+    validated; the operator is assembled from the frame images' shifted
+    diagonals, as in `lambda1`, and verified to be Hermitian and positive
+    semidefinite.
     """
     coeffs = _model_coeffs(space, two_js)
-    lap = _assemble(_horizontal_gram(coeffs, space.dim_h), two_js)
+    lap = _assemble(coeffs[: space.dim_h], two_js)
     _checked_spectrum(lap)
     return lap
 
@@ -396,7 +373,7 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     Casimir cutoff, with the tail beyond the cutoff bounded when possible.
 
     The oracle is validated once per call.  Each irrep's Laplacian is
-    assembled from per-factor su(2) blocks, as in `hlap_matrix`, checked to be
+    assembled from shifted diagonals, as in `hlap_matrix`, checked to be
     Hermitian and diagonalized once, block by block (see the module
     docstring); the positivity check reads that same spectrum.  The trivial
     irrep carries the constants (kernel dimension one); a zero eigenvalue
@@ -416,13 +393,13 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
             f"cutoff {cutoff:g} is too large to enumerate: its factor spins reach "
             f"irrep dimension {dim}, above {_MAX_IRREP_DIM}"
         )
-    gram = _horizontal_gram(coeffs, space.dim_h)
+    horizontal = coeffs[: space.dim_h]
 
     table: list[IrrepSpectrum] = []
     best: float | None = None
     witness = ""
     for combo in _enumerate_irreps(config, cutoff):
-        eig = _checked_spectrum(_assemble(gram, combo))
+        eig = _checked_spectrum(_assemble(horizontal, combo))
         label = _label(combo)
         table.append(IrrepSpectrum(label, combo, len(eig), eig))
         if all(t == 0 for t in combo):

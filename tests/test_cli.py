@@ -85,6 +85,50 @@ def test_misspelled_keyword_exits_2(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: unrecognized line 'dim_hx 2'\n")
 
 
+ORACLE_SPEC = VALID_SPEC + """\
+oracle {
+  factor 1 = su2 all
+  map 1 = 1 f1.1
+  map 2 = 1 f1.2
+  map 3 = 1 f1.3
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("dim_v 1", "dim_v 1\nparams { c }", "bad params entry 'c'"),
+        ("bracket 1 2", "bracket 1 4", "bracket index out of range"),
+        ("dim_v 1", "dim_v 1\nparams c = 1", "expected '{' to open a block"),
+        ("dim_h 2", "dim_h 2 3", "bad dimension line 'dim_h 2 3'"),
+        ("dim_h 2", "dim_h two", "bad dimension line 'dim_h two'"),
+        ("bracket 1 2", "bracket 1 x", "bad index 'x'"),
+        ("= 1 2", "= q 2", "unbound parameter 'q'"),
+        ("= 1 2", "= 1/0 2", "cannot evaluate coefficient '1/0'"),
+        ("su2 all", "su3 all", "bad oracle factor"),
+        ("su2 all", "su2 all\n  cutoff = big", "bad oracle cutoff 'big'"),
+        ("su2 all", "su2 all\n  constraint = odd", "unknown oracle constraint 'odd'"),
+        ("map 1 =", "map =", "bad oracle map head 'map'"),
+        ("1 f1.1", "1 g1", "bad oracle map term '1 g1'"),
+        ("  factor 1 = su2 all\n", "", "oracle block declares no factors"),
+        ("  map 3 = 1 f1.3\n", "", "oracle map must cover every frame vector"),
+        ("1 f1.1", "1 f2.1", "oracle map index out of range in 'map 1'"),
+    ],
+)
+def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, message):
+    # each case breaks one line of a spec that parses
+    path = tmp_path / "spec.txt"
+    path.write_text(ORACLE_SPEC, encoding="utf-8")
+    assert run(capsys, "validate", str(path))[0] == 0
+    assert old in ORACLE_SPEC
+    path.write_text(ORACLE_SPEC.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + message), err
+
+
 def test_bad_parameter_values(capsys):
     code, out, err = run(capsys, "bound", "so3_twisted", "--param", "c=abc")
     assert code == 2

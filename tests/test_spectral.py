@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -252,6 +253,24 @@ def test_lambda1_rejects_a_non_homomorphic_model():
         hlap_matrix(space, (2,))
 
 
+@pytest.mark.parametrize("case", ["extra row", "missing row", "pair for a triple"])
+def test_lambda1_rejects_a_frame_map_of_the_wrong_shape(case):
+    base = load_builtin("so4_alt")
+    rows = base.oracle.frame_map
+    frame_map = {
+        "extra row": rows + rows[:1],
+        "missing row": rows[:-1],
+        "pair for a triple": (((1.0, 0.0), rows[0][1]),) + rows[1:],
+    }[case]
+    space = dataclasses.replace(
+        base, oracle=dataclasses.replace(base.oracle, frame_map=frame_map)
+    )
+    message = r"^spectral model frame map must have shape \(6, 2, 3\)$"
+    for call in (lambda: lambda1(space), lambda: hlap_matrix(space, (1, 1))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_lambda1_aborts_when_the_operator_degenerates():
     # two commuting generators mapped into different factors: the horizontal
     # operator keeps a kernel inside a nontrivial irrep
@@ -344,6 +363,46 @@ def test_hlap_matrix_matches_the_frame_image_reference(name, params):
         ref = np.linalg.eigvalsh(_reference_laplacian(space, entry.two_js))
         tol = 1e-9 * np.maximum(1.0, np.abs(ref))
         assert np.all(np.abs(entry.eigenvalues - ref) <= tol), entry.label
+
+
+def test_hlap_matrix_matches_the_reference_on_three_factors():
+    # A third factor copying factor 1's frame coefficients keeps the model a
+    # homomorphism.  A spin-0 factor has the stride of the factor before it,
+    # so the shifted diagonals of two factors coincide.
+    base = load_builtin("so4_alt")
+    config = base.oracle
+    space = dataclasses.replace(base, oracle=dataclasses.replace(
+        config,
+        factors=config.factors + config.factors[:1],
+        frame_map=tuple(row + row[:1] for row in config.frame_map),
+    ))
+    for two_js in ((1, 0, 2), (2, 0, 0), (0, 0, 3), (1, 1, 1), (3, 2, 1)):
+        lap = hlap_matrix(space, two_js)
+        ref = _reference_laplacian(space, two_js)
+        assert lap.shape == ref.shape, two_js
+        tol = 1e-10 * max(1.0, float(np.abs(lap).max()))
+        assert np.abs(lap - ref).max() <= tol, two_js
+    with pytest.raises(ValueError, match="one spin per factor required"):
+        hlap_matrix(base, (1,))
+
+
+def test_assembly_builds_no_kronecker_products(monkeypatch):
+    # Each irrep's Laplacian is built from shifted diagonals; only the
+    # frame-image reference embeds generators through np.kron.
+    calls = []
+    kron = np.kron
+
+    def counted_kron(*args, **kwargs):
+        calls.append(1)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(np, "kron", counted_kron)
+    space = load_builtin("so4_alt")
+    lambda1(space, cutoff=90.0)
+    hlap_matrix(space, (3, 2))
+    assert len(calls) == 0
+    irrep_matrices(space, (3, 2))
+    assert len(calls) > 0
 
 
 def _components(lap):
