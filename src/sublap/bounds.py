@@ -11,7 +11,7 @@ t1zero and asn take Q(x)'s, and when q_tt2 is nonzero asn takes those of
 Q(x) + q_tt2, which differ only on H x H.  The theorems sweep x in lockstep,
 so those that reach the same x share its elimination; a single golden-section
 pass refines the winning abscissas of all of them, and no x is evaluated
-again after it.
+again after it.  A space where `_theorems` finds no theorem is not swept.
 
 The x sweep evaluates only the x whose cap can still beat the best value
 found.  A cap bounds rho1 by r, the Rayleigh quotient of the Schur complement
@@ -31,12 +31,11 @@ level above can still beat the best.
 Inside one x the root cap at b = rho2[k] bounds every candidate up to k, so
 leaf caps are taken from the largest rho2 down, in growing blocks, until a
 batch of them reaches the next root cap; complements are diagonalized only
-for the pending candidates of largest leaf cap, in growing batches (all that
-are left while a theorem has no value to prune against).  The search stops
-once every pending leaf cap and the next root cap fall strictly below the
-best value; a cap equal to it is still visited, so the first candidate wins a
-tie.  asn's duality search runs only where (lambda_min(S) + pad)/(Delta +
-omega) reaches its best.
+for the pending candidates of largest leaf cap, in growing batches.  The
+search stops once every pending leaf cap and the next root cap fall strictly
+below the best value; a cap equal to it is still visited, so the first
+candidate wins a tie.  asn's duality search runs only where (lambda_min(S) +
+pad)/(Delta + omega) reaches its best.
 """
 
 from __future__ import annotations
@@ -589,8 +588,12 @@ def _t1zero_values(
 
 
 def _theorems(inv: Invariants) -> list[str]:
-    """The x-dependent theorems whose preconditions the space meets."""
-    if inv.kappa <= 0.0:
+    """The x-dependent theorems whose preconditions the space meets.  None
+    when kappa <= 0 or when the H rows of q_src, q_nt, q_tauh and q_tt2 are
+    all zero: Q is affine in x, so every Schur complement is then 0, and main
+    needs rho1 > m >= 0, t1zero rho1 > 0 and asn rho1 - coeff > 0."""
+    forms = (inv.q_src, inv.q_nt, inv.q_tauh, inv.q_tt2)
+    if inv.kappa <= 0.0 or not any(f[: inv.d].any() for f in forms):
         return []
     names = ["main", "t1zero"] if inv.t1_zero else ["main"]
     return names + ["asn"] if inv.flags.almost_strictly_normal else names
@@ -656,8 +659,6 @@ def _evaluate(
                     rho1 = rho1s[name][i] = _asn_rho1(inv, sc, rho1, cap, best)
                 vals[name][i] = closed(name, rho1, i)[0]
             floor, size = min(np.fmax.reduce(vals[n], initial=0.0) for n in group), 4 * size
-            if floor <= 0.0:  # nothing to prune against: visit every valid candidate
-                leaf[:k], k, size = np.where(ok[:k], np.inf, -np.inf), 0, rho2.size
     out: dict[str, BoundResult | None] = dict.fromkeys(names)
     for name in names:
         if not (finite := np.isfinite(vals[name])).any():
@@ -905,12 +906,14 @@ def optimize(
 ) -> BoundReport:
     """Evaluate every applicable theorem over the (x, rho2) grids, refine the
     winning x of all of them in one golden-section pass, and report
-    per-theorem bests.
+    per-theorem bests; a space where none applies gets no sweep.
 
-    The theorems sweep the x grid in lockstep, each in decreasing order of its
-    sound cap (root, cell or leaf; see the module docstring) until the cap
-    cannot beat its best value, so pruning never changes the result.  Each x
-    is evaluated once for all the theorems there, and none after the golden pass.
+    The exact cap at each theorem's top x, less one ulp, seeds its floor, and
+    every cap above a floor is made exact in one batch.  The theorems then
+    sweep the x grid in lockstep, each in decreasing order of its sound cap
+    (root, cell or leaf; see the module docstring) until the cap cannot beat
+    its best value, so pruning never changes the result.  Each x is evaluated
+    once for all the theorems there, and none after the golden pass.
     Raises ValueError when a grid size is below 1.
     """
     if x_points < 1 or rho2_per_decade < 1:
@@ -940,27 +943,27 @@ def optimize(
                 best[name] = res
         return out
 
+    rows = np.unique([np.argmax(c) for c in caps.values()])
+    seed = {n: np.where(rows == np.argmax(caps[n]), caps[n][rows], -math.inf) for n in names}
+    _refine(inv, seed, dict.fromkeys(names, -math.inf), xs[rows], grid)
+    floor = {n: max(float(np.nextafter(seed[n].max(), -math.inf)), 0.0) for n in names}
+    _refine(inv, caps, floor, xs, grid)
     # The theorems step down their own caps together, sharing the curve of any
     # x they meet at; each stops once its cap cannot beat its best.  Caps above
-    # a positive floor[name] are exact; a top cap below it is refined first.
-    live, floor = list(names), dict.fromkeys(names, math.inf)
+    # floor[name] are exact; a top cap at or below it is first refined against
+    # the best, or visited while the theorem has none.
+    live = list(names)
     while live:
         points, todo = {}, {}
         for name in list(live):
             i = int(np.argmax(caps[name]))
-            ub, f = caps[name][i], floor[name]
+            ub = caps[name][i]
             if not 0.0 < ub < math.inf or (name in best and ub <= best[name].value + 1e-15):
                 live.remove(name)
-            elif ub > f and (f > 0.0 or name not in best):
+            elif ub > floor[name] or name not in best:
                 points[name], caps[name][i] = float(xs[i]), -math.inf
-            elif name in best:
+            else:
                 todo[name] = best[name].value + 1e-15
-            elif f < math.inf:  # no best to beat: visit every x the caps allow
-                points[name], caps[name][i], floor[name] = float(xs[i]), -math.inf, 0.0
-            else:  # the exact cap of the top x seeds the floor
-                seed = {name: caps[name][i : i + 1].copy()}
-                _refine(inv, seed, {name: -math.inf}, xs[i : i + 1], grid)
-                todo[name] = max(float(np.nextafter(seed[name][0], -math.inf)), 0.0)
         _refine(inv, caps, todo, xs, grid)
         floor.update(todo)
         run(points)

@@ -376,10 +376,10 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     assembled from shifted diagonals, as in `hlap_matrix`, checked to be
     Hermitian and diagonalized once, block by block (see the module
     docstring); the positivity check reads that same spectrum.  The trivial
-    irrep carries the constants (kernel dimension one); a zero eigenvalue
-    anywhere else means the model is inconsistent and aborts.  A cutoff that
-    is negative, infinite or NaN, or too large to enumerate, raises
-    ValueError before any irrep is built.
+    irrep is the 1 x 1 zero matrix, which carries the constants and is
+    skipped; a zero eigenvalue anywhere else means the model is inconsistent
+    and aborts.  A cutoff that is negative, infinite or NaN, or too large to
+    enumerate, raises ValueError before any irrep is built.
     """
     coeffs = _model_coeffs(space)
     config = space.oracle
@@ -403,11 +403,6 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
         label = _label(combo)
         table.append(IrrepSpectrum(label, combo, len(eig), eig))
         if all(t == 0 for t in combo):
-            kernel = int(np.count_nonzero(eig < _ZERO_EIG))
-            if kernel != 1:
-                raise RuntimeError(
-                    f"trivial irrep carries a {kernel}-dimensional kernel"
-                )
             continue
         low = float(eig[0])
         if low < _ZERO_EIG:

@@ -43,6 +43,15 @@ bracket 1 3 = -1 2
 bracket 2 3 = 1 1
 """
 
+HEISENBERG5_SPEC = """\
+name heisenberg5
+dim_h 4
+dim_v 1
+params { a = 1 }
+bracket 1 3 = a 5
+bracket 2 4 = a 5
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -311,6 +320,23 @@ def test_report_sweep_without_frontier(capsys):
     assert len(lines) == 1 + 4 + 1
     # Q(1) stays PSD (bottom eigenvalue 0) at every shear, so x_frontier = 1
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def test_step2_nilpotent_spec_has_no_bound(capsys, tmp_path):
+    # every Schur complement of Q(x) is the zero matrix at each a, so no
+    # theorem applies and the CSV rows carry no values
+    path = tmp_path / "heisenberg5.txt"
+    path.write_text(HEISENBERG5_SPEC, encoding="utf-8")
+    code, out, _ = run(capsys, "bound", str(path))
+    assert code == 0
+    assert out == "example = heisenberg5\nbounds = none (no positive curvature constants)\n"
+    code, out, _ = run(capsys, "report", str(path), "--sweep", "a=1:2:2")
+    assert code == 0
+    assert out.splitlines() == [
+        "a,example,theorem,bound,x,rho1,rho2,omega,chi,psi,m,x_frontier",
+        "1,heisenberg5,none,,,,,,,,,1",
+        "2,heisenberg5,none,,,,,,,,,1",
+    ]
 
 
 def test_report_loads_every_sweep_point_before_printing(capsys, tmp_path):

@@ -45,7 +45,14 @@ from sublap.bounds import (
     invariants,
 )
 
-from conftest import free_step2, heisenberg, random_space, so4_weighted
+from conftest import (
+    free_step2,
+    heisenberg,
+    moved_frame,
+    nilpotent_spaces,
+    random_space,
+    so4_weighted,
+)
 
 # The sweep points of the benchmark's sweep-twisted workload, the untwisted
 # members of both families, the other builtins and the general asn branch.
@@ -56,6 +63,9 @@ NAMED = {
     "twisted_spheres": ("twisted_spheres", {}),
 }
 RANDOM_DRAWS = 40
+# Step-2 nilpotent algebras: every Schur complement of Q(x) is 0, so no
+# theorem applies, and `_evaluate` asked for all three finds no value.
+NILPOTENT = {"heisenberg3": (heisenberg, 1), "free_step2_r3": (free_step2, 3)}
 
 
 def _space(key: str) -> tuple[HomogeneousSpace, int]:
@@ -63,6 +73,9 @@ def _space(key: str) -> tuple[HomogeneousSpace, int]:
     a coarser grid for the random draws to keep the suite fast."""
     if key == "so4_weighted":
         return so4_weighted(), 200
+    if key in NILPOTENT:
+        make, k = NILPOTENT[key]
+        return make(k), 200
     if key.startswith("random-"):
         return random_space(np.random.default_rng([2026, int(key[7:])])), 20
     name, params = NAMED[key]
@@ -116,7 +129,7 @@ def dense_evaluate(
 
 
 @pytest.mark.parametrize("leaves, batch", [(64, 8), (1, 1)], ids=["default", "one-by-one"])
-@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("key", [*KEYS, *NILPOTENT])
 def test_evaluate_matches_the_dense_curve(monkeypatch, key, leaves, batch):
     # best-first search inside each curve diagonalizes a few candidates, yet
     # must return the dense argmax to the last bit, ties included; one leaf
@@ -125,7 +138,7 @@ def test_evaluate_matches_the_dense_curve(monkeypatch, key, leaves, batch):
     monkeypatch.setattr(sublap.bounds, "_BATCH", batch)
     space, per_decade = _space(key)
     inv = invariants(space)
-    names = _theorems(inv)
+    names = ["main", "t1zero", "asn"] if key in NILPOTENT else _theorems(inv)
     grid = _rho2_base_grid(inv.kappa, per_decade)
     for x in np.linspace(0.0, 0.96, 13):
         got = _evaluate(inv, names, float(x), grid)
@@ -323,11 +336,27 @@ def test_evaluate_eliminates_each_x_once_for_every_theorem(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("c", [0.5, 0.9])
-def test_root_caps_settle_so3_twisted_without_an_elimination(monkeypatch, c):
-    # no theorem yields a bound here, and the root caps show it at every x
+def _no_bound_spaces() -> list:
+    """so3_twisted where no theorem yields a bound, and each step-2 nilpotent
+    algebra in its own frame and in a moved one."""
+    params = [
+        pytest.param(load_builtin("so3_twisted", c=c), id=f"so3_twisted-c{c}")
+        for c in (0.5, 0.9)
+    ]
+    for i, space in enumerate(nilpotent_spaces()):
+        moved = moved_frame(space, np.random.default_rng([14, i]))
+        params.append(pytest.param(space, id=space.name))
+        params.append(pytest.param(moved, id=f"{space.name}-moved"))
+    return params
+
+
+@pytest.mark.parametrize("space", _no_bound_spaces())
+def test_no_bound_spaces_settle_without_an_elimination(monkeypatch, space):
+    # on so3_twisted the root caps rule out every x; on the nilpotent
+    # algebras, in any frame, `_theorems` finds the H rows of every
+    # coefficient form of Q(x) zero and returns no theorem
     calls = _counting(monkeypatch, "_vertical")
-    assert optimize(load_builtin("so3_twisted", c=c)).entries == []
+    assert optimize(space).entries == []
     assert calls == []
 
 
@@ -383,16 +412,48 @@ def test_optimize_diagonalizes_few_matrices(monkeypatch, make):
         # the theorems peak at different x here, so no golden step shares a
         # curve between them
         pytest.param(lambda: load_builtin("so3_twisted", c=0.05), 2000, 190, id="so3_twisted"),
-        # no theorem yields a bound, so each sweeps every x; stepping together,
-        # they build one curve per x, not one per theorem and x
-        pytest.param(lambda: heisenberg(1), 200, 200, id="heisenberg3"),
-        pytest.param(lambda: free_step2(3), 200, 200, id="free_step2_r3"),
+        # every Schur complement is 0, so no theorem applies and no x is swept
+        pytest.param(lambda: heisenberg(1), 200, 0, id="heisenberg3"),
+        pytest.param(lambda: free_step2(3), 200, 0, id="free_step2_r3"),
     ],
 )
 def test_optimize_builds_one_schur_curve_per_refined_x(monkeypatch, make, x_points, most):
     calls = _counting(monkeypatch, "_schur")
     optimize(make(), x_points=x_points)
     assert len(calls) <= most
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: load_builtin("so4_twisted", b=0.0), id="so4_twisted-b0"),
+        pytest.param(lambda: load_builtin("so4_twisted", b=0.3), id="so4_twisted-b0.3"),
+        pytest.param(lambda: load_builtin("so4_alt"), id="so4_alt"),
+        pytest.param(lambda: load_builtin("twisted_spheres"), id="twisted_spheres"),
+    ],
+)
+def test_optimize_seeds_every_floor_in_one_batch(monkeypatch, make):
+    # the exact caps at every theorem's top x take one batch of cells, and
+    # the caps above the floors they seed one more; seeding each theorem on
+    # its own took one batch per theorem
+    calls = _counting(monkeypatch, "_cells")
+    optimize(make())
+    assert len(calls) <= 2
+
+
+def test_a_theorem_with_no_value_at_its_top_x_sweeps_on(monkeypatch):
+    # the top x seeds the floor, so when it gives no value the theorem has no
+    # best to refine its caps against, and visits the next x all the same
+    evaluate, calls = sublap.bounds._evaluate, []
+
+    def first_empty(inv, names, x, grid):
+        calls.append(x)
+        return dict.fromkeys(names) if len(calls) == 1 else evaluate(inv, names, x, grid)
+
+    monkeypatch.setattr(sublap.bounds, "_evaluate", first_empty)
+    space = load_builtin("so4_alt")
+    got = {e.theorem for e in optimize(space).entries}
+    assert got >= set(_theorems(invariants(space)))
 
 
 # report_text(optimize(s)) at the default grids, recorded before the dense cap
