@@ -4,137 +4,19 @@ The package is organized in layers: frame algebra and spec parsing
 (`algebra`), the metric connection and its torsion calculus (`connection`),
 curvature tensors and structure flags (`curvature`), eigenvalue bound
 evaluators with their optimizer (`bounds`), and exact representation-theoretic
-spectra used to certify the bounds (`spectral`).
+spectra used to certify the bounds (`spectral`).  Each module's `__all__` is
+its public surface, and the package re-exports exactly those names.
 """
 
-from .algebra import (
-    HomogeneousSpace,
-    OracleConfig,
-    OracleFactor,
-    SpecFormatError,
-    bracket,
-    builtin_names,
-    load_builtin,
-    load_spec,
-    parse_spec_text,
-    project_h,
-    project_v,
-    rescale_vertical,
-    validate,
-)
-from .connection import (
-    Connection,
-    canonical_connection,
-    nabla_torsion,
-    tor2,
-    torsion,
-    trace_nabla_torsion,
-    trace_nabla_torsion_vertical,
-    trace_tor2,
-    verify_connection,
-)
-from .curvature import (
-    SeminormGrams,
-    StructureFlags,
-    classify,
-    riemann,
-    rigidity,
-    seminorm_grams,
-    sub_ricci,
-    trace_rm,
-)
-from .bounds import (
-    BGForm,
-    BoundReport,
-    BoundResult,
-    DiscrepancyNote,
-    DistortionPack,
-    Invariants,
-    MConstant,
-    PseudohermitianBound,
-    bg_form,
-    bound_asn,
-    bound_main,
-    bound_pseudohermitian,
-    bound_sntf,
-    bound_t1zero,
-    distortion,
-    feasible_rho1,
-    invariants,
-    m_constant,
-    optimize,
-    report_csv,
-    report_text,
-)
-from .spectral import (
-    CertifyResult,
-    SpectrumResult,
-    certify,
-    hlap_matrix,
-    irrep_matrices,
-    lambda1,
-    spin_matrices,
-)
+from . import algebra, bounds, connection, curvature, spectral
+from .algebra import *
+from .connection import *
+from .curvature import *
+from .bounds import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HomogeneousSpace",
-    "OracleConfig",
-    "OracleFactor",
-    "SpecFormatError",
-    "bracket",
-    "builtin_names",
-    "load_builtin",
-    "load_spec",
-    "parse_spec_text",
-    "project_h",
-    "project_v",
-    "rescale_vertical",
-    "validate",
-    "Connection",
-    "canonical_connection",
-    "nabla_torsion",
-    "tor2",
-    "torsion",
-    "trace_nabla_torsion",
-    "trace_nabla_torsion_vertical",
-    "trace_tor2",
-    "verify_connection",
-    "SeminormGrams",
-    "StructureFlags",
-    "classify",
-    "riemann",
-    "rigidity",
-    "seminorm_grams",
-    "sub_ricci",
-    "trace_rm",
-    "BGForm",
-    "BoundReport",
-    "BoundResult",
-    "DiscrepancyNote",
-    "DistortionPack",
-    "Invariants",
-    "MConstant",
-    "PseudohermitianBound",
-    "bg_form",
-    "bound_asn",
-    "bound_main",
-    "bound_pseudohermitian",
-    "bound_sntf",
-    "bound_t1zero",
-    "distortion",
-    "feasible_rho1",
-    "invariants",
-    "m_constant",
-    "optimize",
-    "report_csv",
-    "report_text",
-    "CertifyResult",
-    "SpectrumResult",
-    "certify",
-    "hlap_matrix",
-    "irrep_matrices",
-    "lambda1",
-    "spin_matrices",
-]
+__all__ = (
+    algebra.__all__ + connection.__all__ + curvature.__all__ + bounds.__all__ + spectral.__all__
+)

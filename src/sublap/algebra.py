@@ -18,6 +18,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+__all__ = [
+    "OracleFactor",
+    "OracleConfig",
+    "HomogeneousSpace",
+    "bracket",
+    "project_h",
+    "project_v",
+    "validate",
+    "rescale_vertical",
+    "SpecFormatError",
+    "parse_spec_text",
+    "load_spec",
+    "builtin_names",
+    "load_builtin",
+]
+
 ZERO_TOL = 1e-12
 COEFF_LIMIT = 1e50
 
@@ -409,8 +425,7 @@ def _parse_oracle(
     entries: list[str], params: dict[str, float], n: int
 ) -> OracleConfig:
     factors: list[OracleFactor] = []
-    cutoff = 40.0
-    integer_sum = False
+    options: dict[str, float | bool] = {}  # cutoff and integer_sum, where set
     raw_maps: dict[int, list[tuple[float, int, int]]] = {}
 
     for entry in entries:
@@ -427,14 +442,14 @@ def _parse_oracle(
         elif word == "cutoff":
             value = entry.partition("=")[2].strip()
             try:
-                cutoff = float(value)
+                options["cutoff"] = float(value)
             except ValueError as exc:
                 raise SpecFormatError(f"bad oracle cutoff {value!r}") from exc
         elif word == "constraint":
             value = entry.partition("=")[2].strip()
             if value != "integer_sum":
                 raise SpecFormatError(f"unknown oracle constraint {value!r}")
-            integer_sum = True
+            options["integer_sum"] = True
         elif word == "map":
             head, _, rhs = entry.partition("=")
             fields = head.split()
@@ -467,12 +482,7 @@ def _parse_oracle(
                 raise SpecFormatError(f"oracle map index out of range in 'map {i}'")
             rows[f][a] += coeff
         frame_map.append(tuple(tuple(r) for r in rows))
-    return OracleConfig(
-        factors=tuple(factors),
-        frame_map=tuple(frame_map),
-        cutoff=cutoff,
-        integer_sum=integer_sum,
-    )
+    return OracleConfig(factors=tuple(factors), frame_map=tuple(frame_map), **options)
 
 
 def load_spec(path: str, overrides: dict[str, float] | None = None) -> HomogeneousSpace:

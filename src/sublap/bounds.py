@@ -589,11 +589,13 @@ def _t1zero_values(
 
 def _theorems(inv: Invariants) -> list[str]:
     """The x-dependent theorems whose preconditions the space meets.  None
-    when kappa <= 0 or when the H rows of q_src, q_nt, q_tauh and q_tt2 are
-    all zero: Q is affine in x, so every Schur complement is then 0, and main
-    needs rho1 > m >= 0, t1zero rho1 > 0 and asn rho1 - coeff > 0."""
+    when kappa <= 0 or when the HH blocks of q_src, q_nt, q_tauh and q_tt2
+    are all zero: Q is affine in x, so every Schur complement is then
+    -w diag(weights) w' with weights >= 0, whose diagonal and so lambda_min
+    are at most 0, while main needs rho1 > m >= 0, t1zero rho1 > 0 and asn
+    rho1 - coeff > 0.  sntf's rho1, lambda_min of q_src's HH block, is 0."""
     forms = (inv.q_src, inv.q_nt, inv.q_tauh, inv.q_tt2)
-    if inv.kappa <= 0.0 or not any(f[: inv.d].any() for f in forms):
+    if inv.kappa <= 0.0 or not any(f[: inv.d, : inv.d].any() for f in forms):
         return []
     names = ["main", "t1zero"] if inv.t1_zero else ["main"]
     return names + ["asn"] if inv.flags.almost_strictly_normal else names

@@ -148,11 +148,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _grids(args) -> dict[str, int]:
-    """The optimize grid sizes from --x-grid and --rho2-grid, each at least 1."""
-    for flag, value in (("--x-grid", args.x_grid), ("--rho2-grid", args.rho2_grid)):
-        if value < 1:
+    """The optimize grid sizes given as --x-grid and --rho2-grid, each at
+    least 1; `optimize` supplies the ones not given."""
+    grids = {"x_points": args.x_grid, "rho2_per_decade": args.rho2_grid}
+    for flag, value in zip(("--x-grid", "--rho2-grid"), grids.values()):
+        if value is not None and value < 1:
             raise SpecFormatError(f"{flag} must be at least 1, got {value}")
-    return {"x_points": args.x_grid, "rho2_per_decade": args.rho2_grid}
+    return {key: value for key, value in grids.items() if value is not None}
 
 
 def _cmd_bound(args) -> int:
@@ -243,15 +245,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_grids(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--x-grid", type=int, metavar="N", help="x grid points")
     sub.add_argument(
-        "--x-grid", type=int, default=2000, metavar="N", help="x grid points"
-    )
-    sub.add_argument(
-        "--rho2-grid",
-        type=int,
-        default=200,
-        metavar="N",
-        help="rho2 grid points per decade",
+        "--rho2-grid", type=int, metavar="N", help="rho2 grid points per decade"
     )
 
 

@@ -106,6 +106,18 @@ def nilpotent_spaces() -> list[HomogeneousSpace]:
     return [heisenberg(k) for k in range(1, 8)] + [free_step2(r) for r in range(3, 6)]
 
 
+# A solvable algebra, [e1, e2] = e3 and [e1, e3] = e3.  Its curvature forms
+# vanish on H x H but not on H x V, so no bound applies either.  The trailing
+# ';' leaves an empty bracket term.
+SOLVABLE_SPEC = """\
+name solv3
+dim_h 2
+dim_v 1
+bracket 1 2 = 1 3
+bracket 1 3 = 1 3;
+"""
+
+
 def moved_frame(space: HomogeneousSpace, rng: np.random.Generator) -> HomogeneousSpace:
     """The space with its vertical metric rescaled by a random factor in
     [0.1, 10] and its adapted frame rotated blockwise at random."""

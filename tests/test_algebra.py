@@ -22,6 +22,8 @@ from sublap import (
 )
 from sublap.algebra import eval_coefficient
 
+from conftest import SOLVABLE_SPEC
+
 SO4_ALT = importlib.resources.files("sublap.data").joinpath("so4_alt.txt").read_text()
 
 
@@ -114,6 +116,12 @@ def test_parse_spec_text_completes_antisymmetrically():
     assert space.c[1, 0, 2] == 0.5
     assert space.c[0, 1, 0] == 0.25
     assert space.c[1, 0, 0] == -0.25
+
+
+def test_parse_spec_text_skips_empty_bracket_terms():
+    space = parse_spec_text(SOLVABLE_SPEC)
+    assert np.array_equal(space.c, parse_spec_text(SOLVABLE_SPEC.replace(";", "")).c)
+    assert space.c[0, 2, 2] == 1.0 and space.c[2, 0, 2] == -1.0
 
 
 def test_parse_spec_text_multiline_params_and_overrides():

@@ -29,6 +29,8 @@ from sublap import (
 )
 from sublap.bounds import _largest_psd_x, _t1zero_values
 
+from conftest import heisenberg
+
 CSV_HEADER = "example,theorem,bound,x,rho1,rho2,omega,chi,psi,m"
 
 
@@ -171,6 +173,13 @@ def test_sheared_so3_only_admits_the_asn_bound():
     assert bound_t1zero(space, 0.2) is None
     asn = bound_asn(space, 0.2)
     assert asn is not None and abs(asn.value - 0.104732097) < 1e-6
+
+
+def test_fixed_x_bounds_without_a_theorem_are_none():
+    # Q_HH(x) is zero on the Heisenberg group, so no theorem applies at any x
+    space = heisenberg(2)
+    for bound in (bound_main, bound_t1zero, bound_asn):
+        assert bound(space, 0.3) is None, bound.__name__
 
 
 def test_t1zero_never_falls_below_main():

@@ -15,6 +15,8 @@ import sublap.cli
 from sublap.cli import main
 from sublap.spectral import CertifyEntry, CertifyResult
 
+from conftest import SOLVABLE_SPEC
+
 VALID_SPEC = """\
 name demo
 dim_h 2
@@ -206,6 +208,16 @@ def test_analyze_csv_output(capsys):
     assert lines[0] == "key,value"
     assert lines[1] == "example,so4_alt"
     assert "kappa,2" in lines
+
+
+def test_analyze_prints_the_rigidity_of_a_space_that_is_not_rigid(capsys, tmp_path):
+    path = tmp_path / "solv3.txt"
+    path.write_text(SOLVABLE_SPEC, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert "h_rigid = no" in lines
+    assert "rigidity[1] = 1" in lines
 
 
 def test_bound_csv_output(capsys):

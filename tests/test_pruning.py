@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import sublap.bounds
-from sublap import HomogeneousSpace, load_builtin, optimize, report_text
+from sublap import HomogeneousSpace, load_builtin, optimize, parse_spec_text, report_text
 from sublap.bounds import (
     _CELLS,
     BoundResult,
@@ -46,6 +46,7 @@ from sublap.bounds import (
 )
 
 from conftest import (
+    SOLVABLE_SPEC,
     free_step2,
     heisenberg,
     moved_frame,
@@ -337,12 +338,13 @@ def test_evaluate_eliminates_each_x_once_for_every_theorem(monkeypatch):
 
 
 def _no_bound_spaces() -> list:
-    """so3_twisted where no theorem yields a bound, and each step-2 nilpotent
-    algebra in its own frame and in a moved one."""
+    """so3_twisted where no theorem yields a bound, a solvable algebra, and
+    each step-2 nilpotent algebra in its own frame and in a moved one."""
     params = [
         pytest.param(load_builtin("so3_twisted", c=c), id=f"so3_twisted-c{c}")
         for c in (0.5, 0.9)
     ]
+    params.append(pytest.param(parse_spec_text(SOLVABLE_SPEC), id="solv3"))
     for i, space in enumerate(nilpotent_spaces()):
         moved = moved_frame(space, np.random.default_rng([14, i]))
         params.append(pytest.param(space, id=space.name))
@@ -352,9 +354,9 @@ def _no_bound_spaces() -> list:
 
 @pytest.mark.parametrize("space", _no_bound_spaces())
 def test_no_bound_spaces_settle_without_an_elimination(monkeypatch, space):
-    # on so3_twisted the root caps rule out every x; on the nilpotent
-    # algebras, in any frame, `_theorems` finds the H rows of every
-    # coefficient form of Q(x) zero and returns no theorem
+    # on so3_twisted the root caps rule out every x; on the solvable and
+    # nilpotent algebras, in any frame, `_theorems` finds the HH block of
+    # every coefficient form of Q(x) zero and returns no theorem
     calls = _counting(monkeypatch, "_vertical")
     assert optimize(space).entries == []
     assert calls == []

@@ -134,6 +134,16 @@ def test_a_user_spec_named_like_a_builtin_gets_no_variant(capsys, tmp_path, comm
     ]
 
 
+def test_a_variant_of_an_unreported_theorem_is_skipped():
+    # sheared so3_twisted admits only asn, so a main variant has no entry to
+    # be evaluated on and adds no note or row
+    text = _builtin_text("so3_twisted") + "variant main = rho1 / (omega + 1) : test\n"
+    report = optimize(sublap.parse_spec_text(text, {"c": 0.1}), x_points=100)
+    assert [e.theorem for e in report.entries] == ["asn"]
+    assert report.discrepancies == []
+    assert "main-variant" not in report_csv(report)
+
+
 @pytest.mark.parametrize("name", sorted(DECLARED))
 def test_rescaled_and_rotated_copies_keep_the_variant(name):
     base = load_builtin(name)
