@@ -8,14 +8,15 @@ advisory otherwise) controls everything beyond the cutoff.
 
 In the product spin basis G3 is diagonal and G1, G2 move one m by one, so
 each frame image lies on 2F + 1 shifted diagonals for F factors; -sum_i X_i^2
-is formed from their products, pair of shifts by pair, and scattered into a
-dense matrix.  That matrix is mostly zeros and often splits: it is diagonal on
-so4_twisted.  Each is diagonalized as the connected components of its exact
-nonzero pattern, equal-size components stacked.  The reordering is a
-permutation similarity that drops no entry, so the spectrum is exact with no
-added tolerance; a matrix with no imaginary entry is diagonalized in real
-arithmetic.  Results and printed output are those of one dense
-eigendecomposition, up to rounding.
+is formed from their products, pair of shifts by pair, as (row, column, value)
+triplets, for consecutive irreps at once on one shared index, so numpy's
+per-call cost is paid per batch, not per irrep.  The Laplacian is mostly zeros
+and often splits: it is diagonal on so4_twisted.  It is diagonalized as the
+connected components of its exact nonzero pattern, which never cross irreps,
+equal-size components stacked.  The reordering is a permutation similarity
+that drops no entry, so the spectrum is exact with no added tolerance; an
+irrep with no imaginary entry is diagonalized in real arithmetic.  Checks read
+each irrep at its own scale, and its spectrum is the one it has alone.
 """
 
 from __future__ import annotations
@@ -46,36 +47,37 @@ __all__ = [
 _ZERO_EIG = 1e-8
 _HERM_TOL = 1e-10
 # Largest irrep dimension `lambda1` enumerates, taken as the product over the
-# factors of the largest spin dimension the cutoff admits.  The benchmark's
-# largest cutoffs give 281 (so3_twisted at 20000) and 24 x 24 = 576 (two
-# factors at 150).  Each irrep's shifted diagonals are still scattered into a
-# dense complex matrix (16 MB at the limit) before it is split into blocks, so
-# cutoffs far above the limit would exhaust memory while the irreps are
-# enumerated.
+# factors of the largest spin dimension the cutoff admits, and the largest
+# total dimension of one of its batches, which bounds the batch's working
+# arrays.  The benchmark's largest cutoffs give 281 (so3_twisted at 20000) and
+# 24 x 24 = 576 (two factors at 150).
 _MAX_IRREP_DIM = 1024
 
 
-def _spin_bands(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sub-, main and superdiagonals, stacked over (G1, G2, G3), of the
-    spin generators, which are tridiagonal in the basis m = j, j - 1, ..., -j."""
-    if two_j < 0:
-        raise ValueError("spin must be nonnegative")
+def _spin_bands(two_j, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries G[k, k - 1], G[k, k] and G[k, k + 1], stacked over (G1, G2, G3),
+    of the spin generators in the basis m = j - k (two_j and k broadcast); an
+    entry vanishes where k -+ 1 leaves the irrep."""
     j = two_j / 2.0
-    m = j - np.arange(two_j + 1)
-    amp = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-    zero_off, zero_diag = np.zeros_like(amp), np.zeros_like(m)
-    sub = np.array([-0.5j * amp, 0.5 * amp, zero_off])
-    diag = np.array([zero_diag, zero_diag, -1j * m])
-    sup = np.array([-0.5j * amp, -0.5 * amp, zero_off])
+    m = j - k
+    down = np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+    up = np.sqrt(j * (j + 1.0) - (m - 1.0) * m)
+    zero = np.zeros_like(m)
+    sub = np.array([-0.5j * down, 0.5 * down, zero])
+    diag = np.array([zero, zero, -1j * m])
+    sup = np.array([-0.5j * up, -0.5 * up, zero])
     return sub, diag, sup
 
 
 def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Skew-Hermitian spin generators (G1, G2, G3) of dimension two_j + 1
     with [G1, G2] = G3 and cyclic permutations."""
-    sub, diag, sup = _spin_bands(two_j)
+    if two_j < 0:
+        raise ValueError("spin must be nonnegative")
+    sub, diag, sup = _spin_bands(two_j, np.arange(two_j + 1))
     return tuple(
-        np.diag(diag[a]) + np.diag(sub[a], -1) + np.diag(sup[a], 1) for a in range(3)
+        np.diag(diag[a]) + np.diag(sub[a, 1:], -1) + np.diag(sup[a, :-1], 1)
+        for a in range(3)
     )
 
 
@@ -113,10 +115,10 @@ def _model_coeffs(
 ) -> np.ndarray:
     """The spectral model's frame coefficients as a (dim, factors, 3) array,
     checked to define a Lie algebra homomorphism; two_js, when given, must
-    hold one spin per factor."""
+    hold one nonnegative spin per factor."""
     config = _oracle(space)
-    if two_js is not None and len(two_js) != len(config.factors):
-        raise ValueError("one spin per factor required")
+    if two_js is not None and (len(two_js) != len(config.factors) or min(two_js) < 0):
+        raise ValueError("one spin per factor required, none negative")
     shape = (space.dim, len(config.factors), 3)
     try:
         coeffs = np.asarray(config.frame_map, dtype=float)
@@ -149,36 +151,49 @@ def irrep_matrices(
     return images
 
 
-def _assemble(coeffs: np.ndarray, two_js: tuple[int, ...]) -> np.ndarray:
-    """-sum_i X_i^2 in one irrep, X_i = sum_{f,a} coeffs[i, f, a] G_a^{(f)}.
+def _assemble(coeffs: np.ndarray, combos: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """-sum_i X_i^2, X_i = sum_{f,a} coeffs[i, f, a] G_a^{(f)}, in each irrep
+    of a batch, as (dims, rows, cols, vals) triplets on one shared index.
 
-    Basis vector p = sum_f k_f stride_f has m_f = j_f - k_f.  Each G_a^{(f)}
-    keeps k_f or moves it by one, so X_i lives on the shifted diagonals
-    s = 0, +-stride_f: X_i[p, p + s] = x[i, s, p], taken from the spin bands
-    at k_f.  Then X_i^2 holds x[i, s, p] x[i, t, p + s] at (p, p + s + t) for
-    every pair of shifts.  Pairs with equal s + t land on the same entries, as
-    do the shifts of a spin-0 factor and the factor before it, so the entries
-    accumulate.
+    Irrep r holds the indices offset_r + p, p < dims[r], and its basis vector
+    p = sum_f k_f stride_f has m_f = j_f - k_f.  Each G_a^{(f)} keeps k_f or
+    moves it by one, so X_i lives on the shifted diagonals s = 0, +-stride_f:
+    X_i[p, p + s] = x[i, s, p], taken from the spin bands at k_f.  Then X_i^2
+    holds x[i, s, p] x[i, t, p + s] at (p, p + s + t) for every pair of
+    shifts.  Pairs with equal s + t land on the same entries, as do the shifts
+    of a spin-0 factor and the factor before it, so the entries accumulate in
+    the order of (s, t, p).  The triplets come sorted by (row, col), with the
+    entries that cancel to zero dropped.
     """
-    dims = np.array(two_js) + 1
-    n = int(dims.prod())
-    strides = n // np.cumprod(dims)
-    shifts = np.concatenate(([0], strides, -strides))
-    index = np.arange(n)
-    x = np.zeros((len(coeffs), len(shifts), n), dtype=complex)
-    for f, two_j in enumerate(two_js):
-        sub, diag, sup = _spin_bands(two_j)
-        k = index // strides[f] % dims[f]
-        up, down = k < two_j, k > 0
-        x[:, 0] += coeffs[:, f] @ diag[:, k]
-        x[:, 1 + f, up] = coeffs[:, f] @ sup[:, k[up]]
-        x[:, 1 + len(dims) + f, down] = coeffs[:, f] @ sub[:, k[down] - 1]
-    # p + s wraps only where x[:, s, p] vanishes, so no wrapped term counts
-    prod = np.einsum("isp,itsp->stp", x, x[:, :, (index + shifts[:, None]) % n])
+    two_js = np.array(combos)
+    dims = np.prod(two_js + 1, axis=1)
+    owner = np.repeat(np.arange(len(dims)), dims)
+    index = np.arange(size := len(owner))
+    factor_dims = (two_js + 1)[owner].T
+    strides = dims[owner] // np.cumprod(factor_dims, axis=0)
+    k = (index - (np.cumsum(dims) - dims)[owner]) // strides % factor_dims
+    shifts = np.concatenate((np.zeros((1, size), dtype=int), strides, -strides))
+    x = np.zeros((len(coeffs), len(shifts), size), dtype=complex)
+    for f in range(nf := len(strides)):
+        sub, diag, sup = _spin_bands(two_js[owner, f], k[f])
+        x[:, 0] += coeffs[:, f] @ diag
+        x[:, 1 + f] = coeffs[:, f] @ sup
+        x[:, 1 + nf + f] = coeffs[:, f] @ sub
+    # p + s leaves its irrep only where x[:, s, p] vanishes, so no such term
+    # counts; one shift s at a time keeps the gathered x[:, :, p + s] small
+    prod = np.empty((len(shifts), len(shifts), size), dtype=complex)
+    for s, target in enumerate((index + shifts) % size):
+        np.einsum("ip,itp->tp", x[:, s], x[:, :, target], out=prod[s])
     s, t, p = np.nonzero(prod)
-    lap = np.zeros((n, n), dtype=complex)
-    np.subtract.at(lap, (p, p + shifts[s] + shifts[t]), prod[s, t, p])
-    return lap
+    key = p * size + p + shifts[s, p] + shifts[t, p]  # row-major (p, p + s + t)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.diff(key, prepend=-1) != 0
+    vals = np.zeros(np.count_nonzero(new), dtype=complex)
+    np.subtract.at(vals, np.cumsum(new) - 1, prod[s, t, p][order])
+    rows, cols = np.divmod(key[new], size)
+    keep = vals != 0
+    return dims, rows[keep], cols[keep], vals[keep]
 
 
 def _blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -205,45 +220,58 @@ def _blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     return [order[start[size == s][:, None] + np.arange(s)] for s in sizes]
 
 
-def _checked_spectrum(lap: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an assembled Laplacian after checking that it is
-    Hermitian, then that the spectrum is nonnegative.
+def _checked_spectra(dims, rows, cols, vals) -> list[np.ndarray]:
+    """Sorted eigenvalues of each irrep of a batch `_assemble` returned, after
+    checking, irrep by irrep at its own scale max(1, max |entry|), that its
+    Laplacian is Hermitian, then that its spectrum is nonnegative.
 
-    Only the nonzero entries are read: lap - lap^H vanishes wherever lap and
-    its transpose do.  The connected components of their pattern are
-    diagonalized stacked, one `eigvalsh` per component size, in real
-    arithmetic when no entry has an imaginary part.
+    Only the entries are read: lap - lap^H vanishes wherever lap and its
+    transpose do.  The connected components of the pattern, which never cross
+    irreps, are diagonalized stacked, one `eigvalsh` per component size and
+    arithmetic, real for an irrep with no imaginary entry.
     """
-    n, flat = len(lap), lap.ravel()
-    k = np.flatnonzero(flat)
-    rows, cols = np.divmod(k, n)
-    vals = flat[k]
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    if np.abs(vals - flat[cols * n + rows].conj()).max(initial=0.0) > _HERM_TOL * scale:
+    size = len(owner := np.repeat(np.arange(len(dims)), dims))
+    irrep = owner[rows]
+    scale, defect = np.ones(len(dims)), np.zeros(len(dims))
+    np.maximum.at(scale, irrep, np.abs(vals))
+    key, back = rows * size + cols, cols * size + rows
+    at = np.minimum(np.searchsorted(key, back), len(key) - 1)
+    np.maximum.at(defect, irrep, np.abs(vals - np.where(key[at] == back, vals[at], 0).conj()))
+    if (defect > _HERM_TOL * scale).any():
         raise RuntimeError("assembled Laplacian is not Hermitian")
-    a = lap if vals.imag.any() else lap.real
-    parts = []
-    for idx in _blocks(n, rows, cols):
-        # a single component of every index is lap itself, in its own order
-        block = a[None] if idx.shape[1] == n else a[idx[:, :, None], idx[:, None, :]]
-        parts.append(np.linalg.eigvalsh(block).ravel())
-    eig = np.sort(np.concatenate(parts))
-    if float(eig[0]) < -_HERM_TOL * scale:
+    real = np.bincount(irrep, vals.imag != 0, minlength=len(dims)) == 0
+    # an index's component size, its component's row in that size's stack and
+    # its place in the component; a stack holds real irreps' components first
+    width, row, pos = (np.zeros(size, dtype=int) for _ in range(3))
+    eig, own = [], []
+    for idx in _blocks(size, rows, cols):
+        first = real[owner[idx[:, 0]]]
+        idx, split = idx[np.argsort(~first, kind="stable")], np.count_nonzero(first)
+        k, s = idx.shape
+        width[idx], row[idx], pos[idx] = s, np.arange(k)[:, None], np.arange(s)
+        e = width[rows] == s
+        block = np.zeros((k, s, s), dtype=complex)
+        block[row[rows[e]], pos[rows[e]], pos[cols[e]]] = vals[e]
+        eig += [np.linalg.eigvalsh(b) for b in (block[:split].real, block[split:]) if len(b)]
+        own.append(owner[idx])
+        del block  # before the next stack is allocated
+    eig, own = np.concatenate(eig, axis=None), np.concatenate(own, axis=None)
+    eig = eig[np.lexsort((eig, own))]
+    ends = np.cumsum(dims)
+    if (eig[ends - dims] < -_HERM_TOL * scale).any():
         raise RuntimeError("assembled Laplacian is not positive semidefinite")
-    return eig
+    return np.split(eig, ends[:-1])
 
 
 def hlap_matrix(space: HomogeneousSpace, two_js: tuple[int, ...]) -> np.ndarray:
-    """Horizontal Laplacian -sum_i X_i^2 in one irrep.
-
-    The spectral model, the spin count and the homomorphism property are
-    validated; the operator is assembled from the frame images' shifted
-    diagonals, as in `lambda1`, and verified to be Hermitian and positive
-    semidefinite.
-    """
+    """Horizontal Laplacian -sum_i X_i^2 in one irrep: `lambda1`'s batch path
+    (model validation, assembly, Hermitian and positivity checks) run on this
+    one irrep, made dense."""
     coeffs = _model_coeffs(space, two_js)
-    lap = _assemble(coeffs[: space.dim_h], two_js)
-    _checked_spectrum(lap)
+    dims, rows, cols, vals = _assemble(coeffs[: space.dim_h], [two_js])
+    _checked_spectra(dims, rows, cols, vals)
+    lap = np.zeros((dims[0], dims[0]), dtype=complex)
+    lap[rows, cols] = vals
     return lap
 
 
@@ -253,25 +281,19 @@ def _top_two_j(kind: str, cutoff: float) -> int:
     return top - top % 2 if kind == "integer" else top
 
 
-def _allowed_two_js(kind: str, cutoff: float) -> list[int]:
-    return list(range(0, _top_two_j(kind, cutoff) + 1, 2 if kind == "integer" else 1))
-
-
-def _casimir(two_j: int) -> float:
-    return two_j * (two_j + 2) / 4.0
-
-
 def _enumerate_irreps(config: OracleConfig, cutoff: float) -> list[tuple[int, ...]]:
-    ranges = [_allowed_two_js(f.spins, cutoff) for f in config.factors]
+    """Doubled spins of the irreps within the cutoff, ordered by Casimir sum,
+    which is taken once per irrep, then by spins."""
+    ranges = [
+        range(0, _top_two_j(f.spins, cutoff) + 1, 2 if f.spins == "integer" else 1)
+        for f in config.factors
+    ]
     out = []
     for combo in itertools.product(*ranges):
-        if sum(_casimir(t) for t in combo) > cutoff:
-            continue
-        if config.integer_sum and sum(combo) % 2 != 0:
-            continue
-        out.append(combo)
-    out.sort(key=lambda c: (sum(_casimir(t) for t in c), c))
-    return out
+        casimir = sum(t * (t + 2) / 4.0 for t in combo)
+        if casimir <= cutoff and not (config.integer_sum and sum(combo) % 2):
+            out.append((casimir, combo))
+    return [combo for _, combo in sorted(out)]
 
 
 def _label(two_js: tuple[int, ...]) -> str:
@@ -372,14 +394,15 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     """Smallest nonzero Laplacian eigenvalue over all irreps within the
     Casimir cutoff, with the tail beyond the cutoff bounded when possible.
 
-    The oracle is validated once per call.  Each irrep's Laplacian is
-    assembled from shifted diagonals, as in `hlap_matrix`, checked to be
-    Hermitian and diagonalized once, block by block (see the module
-    docstring); the positivity check reads that same spectrum.  The trivial
-    irrep is the 1 x 1 zero matrix, which carries the constants and is
-    skipped; a zero eigenvalue anywhere else means the model is inconsistent
-    and aborts.  A cutoff that is negative, infinite or NaN, or too large to
-    enumerate, raises ValueError before any irrep is built.
+    The oracle is validated once per call.  Consecutive irreps are batched
+    while their dimensions sum to at most _MAX_IRREP_DIM; each batch is
+    assembled, checked irrep by irrep to be Hermitian and diagonalized once,
+    block by block (see the module docstring), and the positivity check reads
+    that same spectrum.  The trivial irrep is the 1 x 1 zero matrix, which
+    carries the constants and is skipped; a zero eigenvalue anywhere else
+    means the model is inconsistent and aborts.  A cutoff that is negative,
+    infinite or NaN, or too large to enumerate, raises ValueError before any
+    irrep is built.
     """
     coeffs = _model_coeffs(space)
     config = space.oracle
@@ -395,24 +418,31 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
         )
     horizontal = coeffs[: space.dim_h]
 
-    table: list[IrrepSpectrum] = []
+    batches, total = [], _MAX_IRREP_DIM
+    for combo in _enumerate_irreps(config, cutoff):
+        total += (n := math.prod(t + 1 for t in combo))
+        if total > _MAX_IRREP_DIM:
+            batches.append([])
+            total = n
+        batches[-1].append(combo)
+    table = []
+    for batch in batches:
+        spectra = _checked_spectra(*_assemble(horizontal, batch))
+        table += [IrrepSpectrum(_label(c), c, len(e), e) for c, e in zip(batch, spectra)]
     best: float | None = None
     witness = ""
-    for combo in _enumerate_irreps(config, cutoff):
-        eig = _checked_spectrum(_assemble(horizontal, combo))
-        label = _label(combo)
-        table.append(IrrepSpectrum(label, combo, len(eig), eig))
-        if all(t == 0 for t in combo):
+    for entry in table:
+        if not any(entry.two_js):
             continue
-        low = float(eig[0])
+        low = float(entry.eigenvalues[0])
         if low < _ZERO_EIG:
             raise RuntimeError(
-                f"zero eigenvalue in nontrivial irrep {label}; "
+                f"zero eigenvalue in nontrivial irrep {entry.label}; "
                 "the spectral model does not descend to the quotient"
             )
         if best is None or low < best - 1e-12:
             best = low
-            witness = label
+            witness = entry.label
     if best is None:
         raise RuntimeError("no nontrivial irrep below the cutoff")
 

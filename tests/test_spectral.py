@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,8 @@ def test_hlap_matrix_matches_the_reference_on_three_factors():
         assert np.abs(lap - ref).max() <= tol, two_js
     with pytest.raises(ValueError, match="one spin per factor required"):
         hlap_matrix(base, (1,))
+    with pytest.raises(ValueError, match="none negative"):
+        hlap_matrix(base, (-3, -3))
 
 
 def test_assembly_builds_no_kronecker_products(monkeypatch):
@@ -448,36 +451,65 @@ def test_blocks_are_the_connected_components_of_any_pattern():
         assert len({stack.shape[1] for stack in blocks}) == len(blocks)
 
 
-def _irrep_eigvalsh_calls(monkeypatch):
-    """Record, per `_checked_spectrum` call, the component sizes of its
-    Laplacian and the shape of every stack it passes to `eigvalsh`."""
+def _batch_eigvalsh_calls(monkeypatch):
+    """Record, per `_checked_spectra` call (one batch), its irreps'
+    dimensions, the components `_blocks` finds on its shared index and the
+    shape and dtype of every stack it passes to `eigvalsh`."""
     records = []
     eigvalsh = np.linalg.eigvalsh
-    checked = sublap.spectral._checked_spectrum
+    blocks = sublap.spectral._blocks
+    checked = sublap.spectral._checked_spectra
 
     def counted_eigvalsh(a, *args, **kwargs):
         if records and records[-1]["open"]:
-            records[-1]["shapes"].append(np.shape(a))
+            records[-1]["calls"].append((np.shape(a), np.asarray(a).dtype))
         return eigvalsh(a, *args, **kwargs)
 
-    def marked_checked(lap):
-        records.append({"open": True, "shapes": [], "sizes": _component_sizes(lap)})
+    def recorded_blocks(*args):
+        out = blocks(*args)
+        records[-1]["components"] += [row for stack in out for row in stack]
+        return out
+
+    def marked_checked(dims, *args):
+        records.append({"open": True, "dims": list(dims), "calls": [], "components": []})
         try:
-            return checked(lap)
+            return checked(dims, *args)
         finally:
             records[-1]["open"] = False
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(sublap.spectral, "_checked_spectrum", marked_checked)
+    monkeypatch.setattr(sublap.spectral, "_blocks", recorded_blocks)
+    monkeypatch.setattr(sublap.spectral, "_checked_spectra", marked_checked)
     return records
+
+
+def _component_owners(record):
+    """Check that a batch's components partition its shared index, stay
+    inside one irrep each, and are exactly the blocks stacked for `eigvalsh`,
+    at most one call per (block size, arithmetic); return each component's
+    irrep, counted within the batch."""
+    dims = record["dims"]
+    ends = np.cumsum(dims)
+    comps = record["components"]
+    assert sorted(np.concatenate(comps).tolist()) == list(range(int(ends[-1])))
+    owners = np.searchsorted(ends, [comp[0] for comp in comps], side="right")
+    for comp, owner in zip(comps, owners):
+        assert ends[owner] - dims[owner] <= comp[0] and comp[-1] < ends[owner]
+    stacked = sorted(s[-1] for s, _ in record["calls"] for _ in range(s[0]))
+    assert stacked == sorted(len(comp) for comp in comps)
+    keys = [(s[-1], dtype) for s, dtype in record["calls"]]
+    assert len(keys) == len(set(keys))
+    return owners
 
 
 def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
     # Every row of every irrep is diagonalized exactly once, in stacks of
-    # equal-size blocks: one eigvalsh call per block size at most.  The tail
-    # estimate diagonalizes small factor-weight matrices of its own; its
-    # calls are counted apart from the irreps'.
-    records = _irrep_eigvalsh_calls(monkeypatch)
+    # equal-size blocks: one eigvalsh call per (batch, block size,
+    # arithmetic) at most.  Batches take consecutive irreps and stay within
+    # the dimension limit.  The tail estimate diagonalizes small
+    # factor-weight matrices of its own; its calls are counted apart from the
+    # irreps'.
+    records = _batch_eigvalsh_calls(monkeypatch)
     counts = dict.fromkeys(("tail", "homomorphism"), 0)
     in_tail = []
     eigvalsh = np.linalg.eigvalsh
@@ -502,15 +534,20 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(sublap.spectral, "_check_homomorphism", counted_check)
     monkeypatch.setattr(sublap.spectral, "_tail_estimate", marked_tail)
-    for name in ("so4_twisted", "so3_twisted", "so4_alt", "twisted_spheres"):
+    for name, cutoff in (("so4_twisted", None), ("so3_twisted", None),
+                         ("so4_alt", None), ("twisted_spheres", None),
+                         ("so4_twisted", 137.5), ("so3_twisted", 18000.0)):
         counts.update(tail=0, homomorphism=0)
         records.clear()
-        res = lambda1(load_builtin(name))
-        assert len(records) == len(res.table), name
-        rows = sum(math.prod(shape[:-1]) for r in records for shape in r["shapes"])
-        assert rows == sum(entry.dim for entry in res.table), name
+        res = lambda1(load_builtin(name), cutoff=cutoff)
+        assert [d for r in records for d in r["dims"]] == [e.dim for e in res.table]
         for r in records:
-            assert 1 <= len(r["shapes"]) <= len(set(r["sizes"])), name
+            assert sum(r["dims"]) <= sublap.spectral._MAX_IRREP_DIM, name
+            _component_owners(r)
+        for r, later in zip(records, records[1:]):
+            assert sum(r["dims"]) + later["dims"][0] > sublap.spectral._MAX_IRREP_DIM
+        rows = sum(math.prod(s[:-1]) for r in records for s, _ in r["calls"])
+        assert rows == sum(entry.dim for entry in res.table), name
         assert counts["homomorphism"] == 1, name
         assert counts["tail"] <= 3, name
 
@@ -571,6 +608,83 @@ def test_block_split_agrees_with_the_dense_spectrum(name, params):
 
 
 @pytest.mark.parametrize(
+    "name, params",
+    SPLIT_SPACES,
+    ids=[n + "".join(f"_{k}{v}" for k, v in p.items()) for n, p in SPLIT_SPACES],
+)
+def test_each_irrep_spectrum_is_independent_of_its_batch(monkeypatch, name, params):
+    # Byte for byte, an irrep's eigenvalues are the same in lambda1's batches,
+    # alone on the hlap_matrix path, and in a second split: the irreps in
+    # reverse order, three to a batch, so every irrep sits at another offset
+    # beside other neighbours.
+    spectral = sublap.spectral
+    space = load_builtin(name, **params)
+    sizes, alone = [], []
+    assemble, checked = spectral._assemble, spectral._checked_spectra
+
+    def sized(coeffs, combos):
+        sizes.append(len(combos))
+        return assemble(coeffs, combos)
+
+    def kept(*args):
+        alone.extend(out := checked(*args))
+        return out
+
+    monkeypatch.setattr(spectral, "_assemble", sized)
+    one_factor = len(space.oracle.factors) == 1
+    res = lambda1(space, cutoff=2000.0 if one_factor else 4.0 * space.oracle.cutoff)
+    assert max(sizes) > 1 and len(sizes) > 1
+    monkeypatch.setattr(spectral, "_checked_spectra", kept)
+    for entry in res.table:
+        hlap_matrix(space, entry.two_js)
+    horizontal = spectral._model_coeffs(space)[: space.dim_h]
+    combos = [entry.two_js for entry in res.table][::-1]
+    resplit = [
+        eig
+        for i in range(0, len(combos), 3)
+        for eig in checked(*assemble(horizontal, combos[i : i + 3]))
+    ][::-1]
+    assert len(alone) == len(resplit) == len(res.table)
+    for entry, one, other in zip(res.table, alone, resplit):
+        want = entry.eigenvalues.tobytes()
+        assert one.tobytes() == want and other.tobytes() == want, entry.label
+
+
+def test_each_irrep_of_a_batch_is_checked_at_its_own_scale():
+    # The 2 x 2 irrep has scale 1, so a Hermitian defect or a negative
+    # eigenvalue of 1e-9 exceeds its tolerance of 1e-10; the 1 x 1 irrep
+    # beside it has scale 1e3, whose tolerance of 1e-7 would let both pass.
+    checked = sublap.spectral._checked_spectra
+    dims = np.array([2, 1])
+    large = (2, 2, 1e3)
+    batches = {
+        "not Hermitian": [(0, 0, 1.0), (0, 1, 0.5), (1, 0, 0.5 + 1e-9), (1, 1, 1.0), large],
+        "not positive semidefinite": [(0, 0, 1.0), (1, 1, -1e-9), large],
+    }
+    for message, entries in batches.items():
+        rows, cols, vals = (np.array(v) for v in zip(*entries))
+        with pytest.raises(RuntimeError, match=message):
+            checked(dims, rows, cols, vals.astype(complex))
+        # in one irrep with the large entry, the same defect is within tolerance
+        assert len(checked(np.array([3]), rows, cols, vals.astype(complex))[0]) == 3
+
+
+def test_lambda1_memory_stays_at_one_irrep_scale():
+    # Batches stop at _MAX_IRREP_DIM, so lambda1 never holds much more than
+    # the largest irrep's dense matrix once did (289 x 289 complex, 1.3 MB);
+    # one batch for the whole cutoff would peak near 28 MB.
+    space = load_builtin("so4_twisted")
+    lambda1(space, cutoff=150.0)
+    tracemalloc.start()
+    try:
+        lambda1(space, cutoff=150.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+
+
+@pytest.mark.parametrize(
     "name, params, cutoff, largest",
     [
         ("so4_twisted", {"b": 0.0}, 150.0, lambda n: 1),
@@ -581,9 +695,13 @@ def test_block_split_agrees_with_the_dense_spectrum(name, params):
 def test_lambda1_diagonalizes_small_blocks(monkeypatch, name, params, cutoff, largest):
     # so4_twisted's Laplacian is diagonal in the product spin basis, and
     # so3_twisted's at c = 0 splits by the parity of m; dense eigvalsh of a
-    # whole irrep took most of a certify run there
-    records = _irrep_eigvalsh_calls(monkeypatch)
+    # whole irrep took most of a certify run there.  Every stacked block is
+    # a component of one irrep, no larger than that irrep allows.
+    records = _batch_eigvalsh_calls(monkeypatch)
     res = lambda1(load_builtin(name, **params), cutoff=cutoff)
-    assert len(records) == len(res.table)
-    for entry, r in zip(res.table, records):
-        assert max(shape[-1] for shape in r["shapes"]) <= largest(entry.dim), entry.label
+    table = iter(res.table)
+    for r in records:
+        entries = [next(table) for _ in r["dims"]]
+        for comp, owner in zip(r["components"], _component_owners(r)):
+            assert len(comp) <= largest(entries[owner].dim), entries[owner].label
+    assert next(table, None) is None
