@@ -66,7 +66,6 @@ from .curvature import (
 )
 
 __all__ = [
-    "BGForm",
     "DistortionPack",
     "Invariants",
     "MConstant",
@@ -74,10 +73,8 @@ __all__ = [
     "DiscrepancyNote",
     "BoundReport",
     "PseudohermitianBound",
-    "bg_form",
     "distortion",
     "invariants",
-    "feasible_rho1",
     "m_constant",
     "bound_main",
     "bound_t1zero",
@@ -105,13 +102,13 @@ CSV_COLUMNS = (
 )
 
 _PSD_TOL = 1e-12
-_BISECT_TOL = 1e-10
 # Half-width of the log t bracket of the asn duality search, centred on
 # sqrt(tr G2 / tr G1).  Every t gives a sound value; the bracket only limits
 # how close the search gets to a supremum that lies far out, which happens
 # when a Gram is singular on the minimizing direction.
 _LOG_T_SPAN = 23.0
 _RHO2_DECADES = 6  # span of the base rho2 grid, centred on kappa
+_RHO2_PER_DECADE = 200  # base rho2 grid density of the evaluators and `optimize`
 _GOLDEN_ITERS = 60  # golden-section steps after the first two evaluations
 # Widths, in base-grid rho2 candidates, of the nested cells that refine the
 # caps pruning `optimize`: a live cell splits into ten of the next width.
@@ -122,15 +119,6 @@ _LEAVES, _BATCH = 64, 8
 
 # ---------------------------------------------------------------------------
 # Quadratic form and distortion tensors
-
-
-@dataclass(frozen=True)
-class BGForm:
-    """Curvature quadratic form at parameter x: A @ q @ A over the frame."""
-
-    x: float
-    dim_h: int
-    q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,8 +134,8 @@ class DistortionPack:
 class Invariants:
     """Curvature and torsion data of a space, computed once by `invariants`.
 
-    The bound evaluators, `bg_form`, `distortion` and the CLI read every
-    quantity from here.  The curvature family is affine in x:
+    The bound evaluators, `distortion` and the CLI read every quantity from
+    here.  The curvature family is affine in x:
     Q(x) = (1-x) q_src + (1+x) q_nt + (1+3x)/4 q_tauh, padded to the frame,
     and the refined (asn) form adds q_tt2.
     """
@@ -259,61 +247,13 @@ def invariants(space: HomogeneousSpace) -> Invariants:
     )
 
 
-def _check_x(x: float) -> None:
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must lie in [0, 1), got {x!r}")
-
-
-def bg_form(space: HomogeneousSpace, x: float) -> BGForm:
-    """Quadratic form of the curvature family at parameter x in [0, 1).
-
-    The form combines the sub-Ricci term weighted (1-x), the symmetrized
-    torsion-derivative trace weighted (1+x), the horizontal-torsion Gram
-    weighted (1+3x)/4, and the vertical/horizontal coupling weighted -(1-x).
-    """
-    _check_x(x)
-    return BGForm(x=float(x), dim_h=space.dim_h, q=invariants(space).q(x))
-
-
 def distortion(space: HomogeneousSpace) -> DistortionPack:
     """Mixed and pure distortion tensors of the space."""
     return invariants(space).dist
 
 
 # ---------------------------------------------------------------------------
-# Feasible curvature constants and the penalty constant m
-
-
-def feasible_rho1(form: BGForm, rho2: float) -> float | None:
-    """Largest rho1 with q - diag(rho1 on H, rho2 on V) positive semidefinite.
-
-    Bisection against the minimum eigenvalue to absolute tolerance 1e-10.
-    Returns None when even rho1 = 0 is infeasible.
-    """
-    d = form.dim_h
-    n = form.q.shape[0]
-    scale = max(1.0, float(np.abs(form.q).max()))
-
-    def feasible(rho1: float) -> bool:
-        shift = np.zeros(n)
-        shift[:d] = rho1
-        shift[d:] = rho2
-        w = np.linalg.eigvalsh(form.q - np.diag(shift))
-        return bool(w[0] >= -_PSD_TOL * scale)
-
-    if not feasible(0.0):
-        return None
-    lo = 0.0
-    hi = float(np.linalg.eigvalsh(form.q[:d, :d])[0]) + 1.0
-    if feasible(hi):  # cannot happen for finite forms, but stay defensive
-        return hi
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+# The penalty constant m
 
 
 @dataclass(frozen=True)
@@ -448,7 +388,7 @@ def _schur(q: np.ndarray, d: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
     block of q - diag(0 on H, rho2_r on V), and of every form that differs
     from q only on H x H.  Where the mask holds, its lambda_min is the largest
     rho1 keeping that form minus diag(rho1, rho2) positive semidefinite, the
-    value the PSD bisection `feasible_rho1` gives.
+    value the PSD bisection `feasible_rho1` of `tests/oracles.py` gives.
     """
     rho2, _, mu, w = _vertical(q, d, base)
     rho2 = np.sort(rho2)[: np.count_nonzero(~np.isnan(rho2))]
@@ -692,46 +632,30 @@ def _sntf(inv: Invariants) -> BoundResult | None:
 # Public theorem evaluators
 
 
-def _bound_at(
-    space: HomogeneousSpace, x: float, name: str, rho2_per_decade: int
-) -> BoundResult | None:
-    _check_x(x)
+def _bound_at(space: HomogeneousSpace, x: float, name: str) -> BoundResult | None:
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"x must lie in [0, 1), got {x!r}")
     inv = invariants(space)
     if name not in _theorems(inv):
         return None
-    return _evaluate(inv, [name], x, _rho2_base_grid(inv.kappa, rho2_per_decade))[name]
+    return _evaluate(inv, [name], x, _rho2_base_grid(inv.kappa, _RHO2_PER_DECADE))[name]
 
 
-def bound_main(
-    space: HomogeneousSpace,
-    x: float,
-    *,
-    rho2_per_decade: int = 200,
-) -> BoundResult | None:
+def bound_main(space: HomogeneousSpace, x: float) -> BoundResult | None:
     """General eigenvalue bound (rho1 - m)/(Delta + omega) at parameter x,
     maximized over the rho2 grid.  Returns None when no feasible pair gives
     rho1 above the penalty m."""
-    return _bound_at(space, x, "main", rho2_per_decade)
+    return _bound_at(space, x, "main")
 
 
-def bound_t1zero(
-    space: HomogeneousSpace,
-    x: float,
-    *,
-    rho2_per_decade: int = 200,
-) -> BoundResult | None:
+def bound_t1zero(space: HomogeneousSpace, x: float) -> BoundResult | None:
     """Sharpened two-case bound available when the mixed distortion tensor
     vanishes; inapplicable (None) otherwise or when rho1^2 <= 4*omega*chi
     for every feasible pair."""
-    return _bound_at(space, x, "t1zero", rho2_per_decade)
+    return _bound_at(space, x, "t1zero")
 
 
-def bound_asn(
-    space: HomogeneousSpace,
-    x: float,
-    *,
-    rho2_per_decade: int = 200,
-) -> BoundResult | None:
+def bound_asn(space: HomogeneousSpace, x: float) -> BoundResult | None:
     """Refined bound rho1/(Delta + omega) for almost strictly normal spaces,
     maximized over the rho2 grid.
 
@@ -742,7 +666,7 @@ def bound_asn(
     lambda_min(S - t G1 - G2/t), which is always sound and can fall below
     the minimum.  None when the space is not almost strictly normal.
     """
-    return _bound_at(space, x, "asn", rho2_per_decade)
+    return _bound_at(space, x, "asn")
 
 
 def bound_sntf(space: HomogeneousSpace) -> BoundResult | None:
@@ -904,7 +828,7 @@ def optimize(
     space: HomogeneousSpace,
     *,
     x_points: int = 2000,
-    rho2_per_decade: int = 200,
+    rho2_per_decade: int = _RHO2_PER_DECADE,
 ) -> BoundReport:
     """Evaluate every applicable theorem over the (x, rho2) grids, refine the
     winning x of all of them in one golden-section pass, and report

@@ -7,8 +7,8 @@ are constants and come out of Koszul-type closed forms, one per block.
 
 The pipeline reads only traces and blocks of the torsion derivative and of
 the iterated torsion, and contracts them straight from the coefficients and
-the torsion.  `nabla_torsion` and `tor2` build the full n^4 tensors; they are
-reference implementations that no pipeline path calls.
+the torsion.  The full n^4 tensors, `nabla_torsion` and `tor2`, live in the
+test suite's `tests/oracles.py` as the reference for these contractions.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ __all__ = [
     "canonical_connection",
     "verify_connection",
     "torsion",
-    "nabla_torsion",
-    "tor2",
     "trace_nabla_torsion",
     "trace_tor2",
     "trace_nabla_torsion_vertical",
@@ -93,28 +91,6 @@ def torsion(conn: Connection) -> np.ndarray:
     return g - g.transpose(1, 0, 2) - conn.space.c
 
 
-def nabla_torsion(conn: Connection) -> np.ndarray:
-    """Covariant derivative of the torsion.
-
-    ``nt[a, b, c, k]`` is the k-component of the derivative of Tor along
-    frame vector b, evaluated on the pair (e_a, e_c).
-    """
-    g = conn.gamma
-    t = conn.tor
-    return (
-        np.einsum("acl,blk->abck", t, g)
-        - np.einsum("bal,lck->abck", g, t)
-        - np.einsum("bcl,alk->abck", g, t)
-    )
-
-
-def tor2(conn: Connection) -> np.ndarray:
-    """Iterated torsion: ``t2[a, b, c, k]`` is the k-component of
-    Tor(e_a, Tor(e_b, e_c))."""
-    t = conn.tor
-    return np.einsum("bcl,alk->abck", t, t)
-
-
 def trace_nabla_torsion(conn: Connection) -> np.ndarray:
     """Horizontal trace of the torsion derivative over its last two slots.
 
@@ -135,7 +111,8 @@ def trace_nabla_torsion_vertical(conn: Connection) -> np.ndarray:
     return _trace_nabla_tor(conn, slice(conn.space.dim_h, None))
 
 
-# The helpers below contract `nabla_torsion` and `tor2` straight from the
+# The helpers below contract the torsion derivative `nabla_torsion` and the
+# iterated torsion `tor2` of `tests/oracles.py` straight from the
 # coefficients.  Each builds the terms of its tensor at every value of the
 # traced index, combines them as the tensor does and sums over that index
 # last, so it adds in the same order as a trace of the full tensor and gives

@@ -1,11 +1,12 @@
 """Curvature and torsion invariants of the adapted connection.
 
 Everything here is a constant tensor on the orthonormal frame, so the
-invariants are plain numpy arrays: the full curvature tensor, the horizontal
-Ricci-type trace, the sub-Riemannian Ricci form, the rigidity one-form, and
-the Gram matrices of the three torsion semi-norms.  The horizontal trace and
-the Ricci form are contracted straight from the connection coefficients;
-`riemann` builds the full curvature tensor only as their reference.
+invariants are plain numpy arrays: the horizontal Ricci-type trace of the
+curvature, the sub-Riemannian Ricci form, the rigidity one-form, and the Gram
+matrices of the three torsion semi-norms.  The horizontal trace and the Ricci
+form are contracted straight from the connection coefficients; the full
+curvature tensor, `riemann`, lives in the test suite's `tests/oracles.py` as
+their reference.
 """
 
 from __future__ import annotations
@@ -20,29 +21,12 @@ from .connection import Connection, _tor2_outer, trace_tor2
 __all__ = [
     "SeminormGrams",
     "StructureFlags",
-    "riemann",
     "trace_rm",
     "sub_ricci",
     "rigidity",
     "seminorm_grams",
     "classify",
 ]
-
-
-def riemann(conn: Connection) -> np.ndarray:
-    """Curvature tensor of the adapted connection.
-
-    ``rm[i, j, k, l]`` is the inner product of R(e_i, e_j) e_k with e_l,
-    where R is the usual commutator of covariant derivatives minus the
-    derivative along the bracket.
-    """
-    g = conn.gamma
-    c = conn.space.c
-    return (
-        np.einsum("jkl,ilp->ijkp", g, g)
-        - np.einsum("ikl,jlp->ijkp", g, g)
-        - np.einsum("ija,akp->ijkp", c, g)
-    )
 
 
 def trace_rm(conn: Connection) -> np.ndarray:

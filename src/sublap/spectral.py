@@ -16,7 +16,9 @@ connected components of its exact nonzero pattern, which never cross irreps,
 equal-size components stacked.  The reordering is a permutation similarity
 that drops no entry, so the spectrum is exact with no added tolerance; an
 irrep with no imaginary entry is diagonalized in real arithmetic.  Checks read
-each irrep at its own scale, and its spectrum is the one it has alone.
+each irrep at its own scale, and its spectrum is the one it has alone at the
+same BLAS thread count: the complex eigvalsh of a block of 200 or more rows
+can change in its last bits between one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -414,7 +416,7 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     if dim > _MAX_IRREP_DIM:
         raise ValueError(
             f"cutoff {cutoff:g} is too large to enumerate: its factor spins reach "
-            f"irrep dimension {dim}, above {_MAX_IRREP_DIM}"
+            f"an irrep dimension above {_MAX_IRREP_DIM}"
         )
     horizontal = coeffs[: space.dim_h]
 

@@ -1,0 +1,86 @@
+"""Reference implementations that the tests check the package against.
+
+The package reads only traces and blocks of the curvature, the torsion
+derivative and the iterated torsion, and takes rho1 as lambda_min of a Schur
+complement.  Here are the full n^4 tensors those traces come from and the PSD
+bisection the Schur complement replaces, each written the direct way.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sublap import Connection
+from sublap.bounds import _PSD_TOL
+
+_BISECT_TOL = 1e-10
+
+
+def riemann(conn: Connection) -> np.ndarray:
+    """Curvature tensor of the adapted connection.
+
+    ``rm[i, j, k, l]`` is the inner product of R(e_i, e_j) e_k with e_l,
+    where R is the usual commutator of covariant derivatives minus the
+    derivative along the bracket.
+    """
+    g = conn.gamma
+    c = conn.space.c
+    return (
+        np.einsum("jkl,ilp->ijkp", g, g)
+        - np.einsum("ikl,jlp->ijkp", g, g)
+        - np.einsum("ija,akp->ijkp", c, g)
+    )
+
+
+def nabla_torsion(conn: Connection) -> np.ndarray:
+    """Covariant derivative of the torsion.
+
+    ``nt[a, b, c, k]`` is the k-component of the derivative of Tor along
+    frame vector b, evaluated on the pair (e_a, e_c).
+    """
+    g = conn.gamma
+    t = conn.tor
+    return (
+        np.einsum("acl,blk->abck", t, g)
+        - np.einsum("bal,lck->abck", g, t)
+        - np.einsum("bcl,alk->abck", g, t)
+    )
+
+
+def tor2(conn: Connection) -> np.ndarray:
+    """Iterated torsion: ``t2[a, b, c, k]`` is the k-component of
+    Tor(e_a, Tor(e_b, e_c))."""
+    t = conn.tor
+    return np.einsum("bcl,alk->abck", t, t)
+
+
+def feasible_rho1(q: np.ndarray, d: int, rho2: float) -> float | None:
+    """Largest rho1 with q - diag(rho1 on H, rho2 on V) positive semidefinite,
+    where H is the first d frame vectors.
+
+    Bisection against the minimum eigenvalue to absolute tolerance 1e-10.
+    Returns None when even rho1 = 0 is infeasible.
+    """
+    n = q.shape[0]
+    scale = max(1.0, float(np.abs(q).max()))
+
+    def feasible(rho1: float) -> bool:
+        shift = np.zeros(n)
+        shift[:d] = rho1
+        shift[d:] = rho2
+        w = np.linalg.eigvalsh(q - np.diag(shift))
+        return bool(w[0] >= -_PSD_TOL * scale)
+
+    if not feasible(0.0):
+        return None
+    lo = 0.0
+    hi = float(np.linalg.eigvalsh(q[:d, :d])[0]) + 1.0
+    if feasible(hi):  # cannot happen for finite forms, but stay defensive
+        return hi
+    while hi - lo > _BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

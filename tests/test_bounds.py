@@ -10,16 +10,13 @@ import numpy as np
 import pytest
 
 from sublap import (
-    BGForm,
     HomogeneousSpace,
-    bg_form,
     bound_asn,
     bound_main,
     bound_pseudohermitian,
     bound_sntf,
     bound_t1zero,
     distortion,
-    feasible_rho1,
     invariants,
     load_builtin,
     m_constant,
@@ -30,40 +27,40 @@ from sublap import (
 from sublap.bounds import _largest_psd_x, _t1zero_values
 
 from conftest import heisenberg
+from oracles import feasible_rho1
 
 CSV_HEADER = "example,theorem,bound,x,rho1,rho2,omega,chi,psi,m"
 
 
 def test_bg_form_is_affine_in_x():
     for name in ("so4_twisted", "so3_twisted", "so4_alt", "twisted_spheres"):
-        space = load_builtin(name)
-        q0 = bg_form(space, 0.0).q
-        q4 = bg_form(space, 0.4).q
-        q8 = bg_form(space, 0.8).q
+        inv = invariants(load_builtin(name))
+        q0, q4, q8 = inv.q(0.0), inv.q(0.4), inv.q(0.8)
         assert np.allclose(q0 + q8, 2.0 * q4, atol=1e-12), name
         assert np.allclose(q4, q4.T), name
 
 
 def test_bg_form_rejects_x_outside_range():
     space = load_builtin("so3_twisted")
-    for x in (1.0, 1.5, -0.01):
-        with pytest.raises(ValueError):
-            bg_form(space, x)
+    for bound in (bound_main, bound_t1zero, bound_asn):
+        for x in (1.0, 1.5, -0.01):
+            with pytest.raises(ValueError, match="x must lie in"):
+                bound(space, x)
 
 
 def test_feasible_rho1_on_decoupled_form():
-    form = BGForm(x=0.0, dim_h=3, q=np.diag([2.0, 2.0, 2.0, 1.0]))
-    rho1 = feasible_rho1(form, 1.0)
+    q = np.diag([2.0, 2.0, 2.0, 1.0])
+    rho1 = feasible_rho1(q, 3, 1.0)
     assert rho1 is not None and abs(rho1 - 2.0) < 1e-8
-    assert feasible_rho1(form, 2.0) is None
+    assert feasible_rho1(q, 3, 2.0) is None
 
 
 def test_feasible_rho1_on_coupled_form():
-    form = BGForm(x=0.0, dim_h=1, q=np.array([[2.0, 1.0], [1.0, 2.0]]))
-    rho1 = feasible_rho1(form, 1.0)
+    q = np.array([[2.0, 1.0], [1.0, 2.0]])
+    rho1 = feasible_rho1(q, 1, 1.0)
     # Schur complement: 2 - 1/(2 - rho2)
     assert rho1 is not None and abs(rho1 - 1.0) < 1e-8
-    assert feasible_rho1(form, 1.9) is None
+    assert feasible_rho1(q, 1, 1.9) is None
 
 
 def test_feasible_rho1_result_is_maximal():
@@ -71,9 +68,8 @@ def test_feasible_rho1_result_is_maximal():
     for _ in range(20):
         a = rng.standard_normal((4, 4))
         q = a @ a.T + 0.5 * np.eye(4)
-        form = BGForm(x=0.0, dim_h=2, q=q)
         rho2 = 0.3 * float(np.linalg.eigvalsh(q[2:, 2:]).min())
-        rho1 = feasible_rho1(form, rho2)
+        rho1 = feasible_rho1(q, 2, rho2)
         assert rho1 is not None
         shifted = q.copy()
         shifted[:2, :2] -= rho1 * np.eye(2)

@@ -426,13 +426,14 @@ def test_bad_option_values_are_rejected(argv):
     assert len(lines) == 1 and lines[0].startswith("error: --"), proc.stderr
 
 
-@pytest.mark.parametrize("cutoff", ["1e17", "1e19", "1e300"])
+@pytest.mark.parametrize("cutoff", ["1e17", "1e19", "1e300", "1.7e308"])
 def test_certify_rejects_a_cutoff_too_large_to_enumerate(cutoff):
     proc = run_module("certify", "so4_alt", "--x-grid", "100", "--cutoff", cutoff)
     assert proc.returncode == 3
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "too large to enumerate" in lines[0], proc.stderr
+    assert "1024" in lines[0] and len(lines[0]) <= 160, proc.stderr
 
 
 # Outputs recorded before the x sweep of optimize was pruned by the

@@ -10,14 +10,13 @@ from sublap import (
     Connection,
     canonical_connection,
     load_builtin,
-    nabla_torsion,
-    tor2,
     torsion,
     trace_nabla_torsion,
     trace_nabla_torsion_vertical,
     trace_tor2,
     verify_connection,
 )
+from oracles import nabla_torsion, tor2
 
 CASES = [
     ("so4_twisted", {}),

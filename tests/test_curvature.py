@@ -8,11 +8,11 @@ from sublap import (
     canonical_connection,
     classify,
     load_builtin,
-    riemann,
     rigidity,
     seminorm_grams,
     sub_ricci,
 )
+from oracles import riemann
 
 ALL_TRUE = {
     "h_rigid": True,

@@ -1,10 +1,12 @@
 """The shared invariants object: the connection is built once per call and
-no n^4 tensor is formed, and the closed-form asn product term on a space
-that needs the general branch."""
+the package holds no n^4 tensor or PSD-bisection oracle, and the closed-form
+asn product term on a space that needs the general branch."""
 
 from __future__ import annotations
 
 import functools
+import importlib
+import pkgutil
 import sys
 
 import numpy as np
@@ -23,10 +25,14 @@ from sublap import (
 )
 from conftest import random_orthogonal, rotate_frame, so4_weighted
 
-COUNTED = ("canonical_connection", "torsion", "riemann", "nabla_torsion", "tor2")
+COUNTED = ("canonical_connection", "torsion")
 # The pipeline builds the connection and its torsion once and contracts the
-# traces it needs directly; the n^4 tensors are reference implementations.
-PER_CALL = {"canonical_connection": 1, "torsion": 1, "riemann": 0, "nabla_torsion": 0, "tor2": 0}
+# traces it needs directly.
+PER_CALL = {"canonical_connection": 1, "torsion": 1}
+# Names no module of the package holds: the n^4 tensors and the PSD bisection
+# live in the tests' `oracles.py`, and the curvature form at one x is
+# `invariants(space).q(x)`.
+ORACLES = ("riemann", "nabla_torsion", "tor2", "feasible_rho1", "bg_form", "BGForm")
 
 
 @pytest.fixture
@@ -72,6 +78,20 @@ def test_analyze_builds_each_tensor_once(calls, capsys):
     assert sublap.cli.main(["analyze", "so4_twisted", "--param", "b=0.3"]) == 0
     capsys.readouterr()
     assert calls == PER_CALL
+
+
+def test_no_module_defines_or_exports_a_reference_implementation():
+    modules = [sublap] + [
+        importlib.import_module(f"sublap.{m.name}")
+        for m in pkgutil.iter_modules(sublap.__path__)
+        if m.name != "__main__"  # importing it runs the CLI
+    ]
+    names = {m.__name__ for m in modules}
+    assert {"sublap.connection", "sublap.curvature", "sublap.bounds"} <= names
+    for module in modules:
+        for name in ORACLES:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in getattr(module, "__all__", ()), (module.__name__, name)
 
 
 def _objective(h: np.ndarray, s: np.ndarray, g1: np.ndarray, g2: np.ndarray):

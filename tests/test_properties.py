@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from sublap import (
-    bg_form,
     bound_asn,
     bound_main,
     bound_sntf,
@@ -13,13 +12,10 @@ from sublap import (
     canonical_connection,
     classify,
     distortion,
-    feasible_rho1,
     invariants,
     load_builtin,
-    nabla_torsion,
     optimize,
     rescale_vertical,
-    riemann,
     seminorm_grams,
     sub_ricci,
     trace_tor2,
@@ -32,6 +28,7 @@ from conftest import (
     random_space,
     rotate_frame,
 )
+from oracles import feasible_rho1, nabla_torsion, riemann
 
 N_CASES = 120
 
@@ -120,11 +117,10 @@ def test_feasible_rho1_is_sound_and_maximal():
     for _ in range(N_CASES):
         space = random_space(rng)
         d = space.dim_h
-        form = bg_form(space, float(rng.uniform(0.0, 0.95)))
-        q = form.q
+        q = invariants(space).q(float(rng.uniform(0.0, 0.95)))
         scale = max(1.0, float(np.max(np.abs(q))))
         rho2 = float(10.0 ** rng.uniform(-2.0, 2.0))
-        rho1 = feasible_rho1(form, rho2)
+        rho1 = feasible_rho1(q, d, rho2)
         shifted = q.copy()
         shifted[d:, d:] -= rho2 * np.eye(space.dim - d)
         if rho1 is None:

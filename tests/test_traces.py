@@ -2,7 +2,8 @@
 
 The pipeline contracts the traces it needs straight from the connection
 coefficients and the torsion.  Each contraction must agree with the same
-trace taken of `riemann`, `nabla_torsion` or `tor2` on builtin, nilpotent and
+trace taken of `riemann`, `nabla_torsion` or `tor2`, the full tensors in
+`oracles.py`, which the package never builds, on builtin, nilpotent and
 random frames, all rotated and rescaled, where only the summation order
 differs.  On the adapted connection several terms of these contractions
 vanish by its defining properties, so the same agreement is also checked on
@@ -20,10 +21,7 @@ from sublap import (
     canonical_connection,
     invariants,
     load_builtin,
-    nabla_torsion,
-    riemann,
     sub_ricci,
-    tor2,
     trace_nabla_torsion,
     trace_nabla_torsion_vertical,
     trace_rm,
@@ -31,6 +29,7 @@ from sublap import (
 )
 from sublap.connection import _nabla_tor_vh, _tor2_inner_vh, _tor2_outer
 from conftest import moved_frame, nilpotent_spaces, random_space, so4_weighted
+from oracles import nabla_torsion, riemann, tor2
 
 RTOL = 1e-12
 
