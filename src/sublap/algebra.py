@@ -174,11 +174,14 @@ def rescale_vertical(space: HomogeneousSpace, t: float) -> HomogeneousSpace:
     if t <= 0:
         raise ValueError(f"rescale factor must be positive, got {t}")
     f = np.ones(space.dim)
-    f[space.dim_h :] = 1.0 / math.sqrt(t)
+    f[space.dim_h :] = scale = 1.0 / math.sqrt(t)
     c = space.c * f[:, None, None] * f[None, :, None] / f[None, None, :]
-    # name, dimensions and variants carry over; the oracle frame map
-    # describes the unscaled metric only
-    return replace(space, c=c, params=dict(space.params), oracle=None)
+    oracle = space.oracle
+    if oracle is not None:  # the image of U / sqrt(t) is U's image over sqrt(t)
+        rows = [tuple(tuple(v * scale for v in g) for g in row) for row in oracle.frame_map]
+        frame_map = tuple(oracle.frame_map[: space.dim_h]) + tuple(rows[space.dim_h :])
+        oracle = replace(oracle, frame_map=frame_map)
+    return replace(space, c=c, params=dict(space.params), oracle=oracle)
 
 
 _ALLOWED_BINOPS = {

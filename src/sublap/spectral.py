@@ -3,8 +3,8 @@
 A spectral model attaches to each frame vector a linear combination of su(2)
 generators across a finite product of factors.  Assembling the horizontal
 Laplacian irrep by irrep gives the exact bottom of the spectrum up to a
-Casimir cutoff; a separate tail estimate (rigorous for untwisted frames,
-advisory otherwise) controls everything beyond the cutoff.
+Casimir cutoff; one closed bound c (sqrt(cutoff + 1/4) - 1/2), with c read
+from the Gram of the horizontal coefficients, controls everything beyond it.
 
 In the product spin basis G3 is diagonal and G1, G2 move one m by one, so
 each frame image lies on 2F + 1 shifted diagonals for F factors; -sum_i X_i^2
@@ -321,75 +321,48 @@ class SpectrumResult:
     tail_note: str
 
 
-def _tail_estimate(
-    space: HomogeneousSpace, config: OracleConfig, coeffs: np.ndarray, cutoff: float
-) -> tuple[float | None, str]:
-    """Lower bound for the spectrum in every irrep beyond the cutoff.
+def _tail(horizontal: np.ndarray, cutoff: float) -> tuple[float | None, str]:
+    """Lower bound c (sqrt(cutoff + 1/4) - 1/2) on the horizontal Laplacian in
+    every irrep beyond the cutoff, from the horizontal rows alone.
 
-    Available when the full-frame coefficient Grams are isotropic per factor
-    and vanish across factors: the full-frame Laplacian is then a weighted sum
-    of factor Casimirs, so the horizontal part dominates that sum minus the
-    vertical operator, which is controlled through the vertical coefficients.
+    With T the 3F generators, C_f = -sum_a (G_a^(f))^2 = j_f (j_f + 1) and
+    H = sum_k h_k u_k u_k^T the Gram of the rows over the generator slots,
+    L_H = sum_k h_k (-(u_k.T)^2), each term nonnegative.  Beyond the cutoff
+    s = sum_f j_f has s (s + 1) >= sum_f C_f > cutoff.  c_A = h_2: drop the
+    k = 1 term, v = u_1, so L_H >= h_2 (sum_f C_f + (v.T)^2), and |v.T| <=
+    sum_f |v^f| j_f <= (sum_f j_f^2)^(1/2) gives L_H >= h_2 s.
+    c_B = min(a1, a2, (a1 + a2)/2 - a12), two factors only, when H has
+    diagonal blocks a1 I, a2 I and a cross block X = a12 R, R in SO(3) (a12
+    takes the sign of det X).  R G^(2) is again a spin-j_2 triple, so
+    L_H = (a1 - a12) C_1 + (a2 - a12) C_2 + a12 C_J, with J least at the end
+    |j1 - j2| or j1 + j2 of its range.  There the quadratic part is a form of
+    a compression of H, so nonnegative, and the linear part is at least c_B s.
+    A block defect e would add e (C_1 + C_2), growing like s^2, so structure
+    screened on the float Gram is confirmed in the rationals of the floats.
+    A pad of 1e-12 |H| covers forming H in floats, the eigensolver's backward
+    error and c_B's rounding.
     """
-    nf = len(config.factors)
-    d = space.dim_h
-    scale = max(1.0, float(np.abs(coeffs).max()) ** 2)
-    # Per-factor and cross-factor Grams of the full-frame coefficients.
-    grams = np.einsum("ifa,igb->fagb", coeffs, coeffs)
-    alphas = np.zeros(nf)
-    for f in range(nf):
-        g = grams[f, :, f, :]
-        alphas[f] = np.trace(g) / 3.0
-        if np.abs(g - alphas[f] * np.eye(3)).max() > 1e-10 * scale:
-            return None, "frame Gram is anisotropic"
-    for f in range(nf):
-        for g in range(f + 1, nf):
-            if np.abs(grams[f, :, g, :]).max() > 1e-10 * scale:
-                return None, "frame couples the factors"
-    if alphas.min() <= 0.0:
-        return None, "degenerate factor weight"
+    flat = horizontal.reshape(len(horizontal), -1)
+    gram = flat.T @ flat
+    h = np.linalg.eigvalsh(gram)
+    c, why = h[1], "second Gram eigenvalue"
 
-    j_star = -0.5 + math.sqrt(cutoff / nf + 0.25)
-    nu = np.linalg.norm(coeffs[d:], axis=2)  # vertical coefficient norms, m x F
+    def equivariant(g, tol):  # an int identity keeps Fraction entries exact
+        x = g[:3, 3:]
+        return all(np.abs(b - b[0, 0] * np.eye(3, dtype=int)).max() <= tol
+                   for b in (g[:3, :3], g[3:, 3:], x.T @ x))
 
-    cvv = space.c[d:, d:, :]
-    if np.abs(cvv).max(initial=0.0) <= 1e-12 * max(1.0, float(np.abs(space.c).max())):
-        # Vertical images commute: their squares are bounded one by one.
-        mq = np.diag(alphas) - nu.T @ nu
-        if float(np.linalg.eigvalsh(mq)[0]) >= -1e-10 * scale:
-            return float(alphas.min() * j_star), "commuting vertical images"
-        return None, "vertical operators outgrow the frame weights"
-
-    m = space.dim - d
-    if m == 3:
-        # A vertical su(2) triple with unit structure: the coupled spin is
-        # bounded by the operator norm of any single vertical image.
-        cvvv = space.c[d:, d:, d:]
-        unit_triple = (
-            np.abs(space.c[d:, d:, :d]).max(initial=0.0) <= 1e-12 * scale
-            and all(
-                np.sort(np.abs(cvvv[k, l]))[-1] == 1.0
-                and np.count_nonzero(np.abs(cvvv[k, l]) > 1e-12) == 1
-                for k in range(3)
-                for l in range(k + 1, 3)
-            )
-        )
-        if unit_triple:
-            best = None
-            for a in range(3):
-                chat = nu[a]
-                mq = np.diag(alphas) - np.outer(chat, chat)
-                if float(np.linalg.eigvalsh(mq)[0]) < -1e-10 * scale:
-                    continue
-                slack = alphas - chat
-                if slack.min() < -1e-10:
-                    continue
-                cand = float(max(slack.min(), 0.0) * j_star)
-                if best is None or cand > best:
-                    best = cand
-            if best is not None:
-                return best, "vertical su(2) triple"
-    return None, "no closed tail control for this vertical structure"
+    if len(gram) == 6 and equivariant(gram / h[-1], 1e-10):
+        exact = np.array([[Fraction(v) for v in row] for row in flat.tolist()])
+        if equivariant(exact.T @ exact, 0):
+            a1, a2, x = gram[0, 0], gram[3, 3], gram[:3, 3:]
+            a12 = math.copysign(math.sqrt(x[:, 0] @ x[:, 0]), np.linalg.det(x))
+            if (c_b := min(a1, a2, (a1 + a2) / 2 - a12)) > c:
+                c, why = c_b, "equivariant two-factor frame"
+    c -= 1e-12 * h[-1]
+    if c <= 0:
+        return None, "no closed tail control"
+    return float(c * (math.sqrt(cutoff + 0.25) - 0.5)), why
 
 
 def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumResult:
@@ -448,7 +421,7 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     if best is None:
         raise RuntimeError("no nontrivial irrep below the cutoff")
 
-    tail, why = _tail_estimate(space, config, coeffs, cutoff)
+    tail, why = _tail(horizontal, cutoff)
     rigorous = tail is not None and tail >= best - 1e-9
     note = f"rigorous tail ({why})" if rigorous else f"heuristic tail ({why})"
     return SpectrumResult(

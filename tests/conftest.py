@@ -12,6 +12,8 @@ constants, so no bound applies to them.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from sublap import HomogeneousSpace, load_builtin, rescale_vertical
@@ -25,15 +27,21 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 def rotate_frame(
     space: HomogeneousSpace, oh: np.ndarray, ov: np.ndarray
 ) -> HomogeneousSpace:
-    """Re-express the structure constants in a rotated adapted frame.  The
-    name, params and convention variants carry over; the oracle does not."""
+    """Re-express the structure constants in the adapted frame whose vector i
+    is sum_a o[a, i] e_a, o = diag(oh, ov).  The name, params, convention
+    variants and spectral model carry over; row i of the model's frame map
+    becomes sum_a o[a, i] (row a)."""
     n, d = space.dim, space.dim_h
     o = np.zeros((n, n))
     o[:d, :d] = oh
     o[d:, d:] = ov
     c = np.einsum("ai,bj,abg,gk->ijk", o, o, space.c, o)
+    oracle = space.oracle
+    if oracle is not None:
+        rows = np.einsum("ai,afx->ifx", o, np.array(oracle.frame_map)).tolist()
+        oracle = replace(oracle, frame_map=tuple(tuple(map(tuple, r)) for r in rows))
     return HomogeneousSpace(
-        space.name, d, space.dim_v, c, dict(space.params), None, space.variants
+        space.name, d, space.dim_v, c, dict(space.params), oracle, space.variants
     )
 
 

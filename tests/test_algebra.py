@@ -12,6 +12,7 @@ from sublap import (
     SpecFormatError,
     bracket,
     builtin_names,
+    lambda1,
     load_builtin,
     load_spec,
     parse_spec_text,
@@ -21,6 +22,7 @@ from sublap import (
     validate,
 )
 from sublap.algebra import eval_coefficient
+from sublap.spectral import _model_coeffs
 
 from conftest import SOLVABLE_SPEC
 
@@ -243,8 +245,12 @@ def test_rescale_vertical_scales_blocks():
     # vertical-vertical into vertical loses a factor sqrt(t)
     assert scaled.c[3, 4, 5] == -0.5
     assert validate(scaled) == []
-    assert scaled.oracle is None
     assert scaled.params == space.params
+    # the spectral model rescales with the frame and keeps the spectrum
+    _model_coeffs(scaled)  # raises unless the map is still a homomorphism
+    before, after = lambda1(space), lambda1(scaled)
+    assert abs(after.lambda1 - before.lambda1) <= 1e-12 * before.lambda1
+    assert after.tail_note == before.tail_note
 
 
 def test_rescale_vertical_requires_positive_factor():

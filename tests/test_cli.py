@@ -254,7 +254,7 @@ def test_certify_builtin(capsys):
     lines = out.splitlines()
     assert lines[0] == "example = so3_twisted"
     assert lines[1] == "lambda1 = 1 at irrep (1)"
-    assert lines[2] == "tail = rigorous tail (commuting vertical images)"
+    assert lines[2] == "tail = rigorous tail (second Gram eigenvalue)"
     assert all(line.endswith("-> PASS") for line in lines[3:])
 
 

@@ -20,10 +20,9 @@ from sublap import (
     lambda1,
     load_builtin,
     optimize,
-    rescale_vertical,
     spin_matrices,
 )
-from conftest import random_orthogonal, rotate_frame
+from conftest import moved_frame, random_orthogonal, rotate_frame, so4_weighted
 
 
 def test_spin_matrices_satisfy_su2_relations():
@@ -115,15 +114,16 @@ def test_product_example_spectra():
 
 
 def test_lambda1_reference_values():
+    k = math.sqrt(40.25) - 0.5
     frozen = {
-        "so4_twisted": (2.0, "(1/2, 1/2)", 8.0, True,
-                        "rigorous tail (commuting vertical images)"),
-        "so3_twisted": (1.0, "(1)", math.sqrt(40.25) - 0.5, True,
-                        "rigorous tail (commuting vertical images)"),
-        "so4_alt": (1.0, "(1/2, 1/2)", 4.0, True,
-                    "rigorous tail (vertical su(2) triple)"),
-        "twisted_spheres": (1.0, "(1/2, 1)", None, False,
-                            "heuristic tail (frame couples the factors)"),
+        "so4_twisted": (2.0, "(1/2, 1/2)", 2.0 * k, True,
+                        "rigorous tail (second Gram eigenvalue)"),
+        "so3_twisted": (1.0, "(1)", k, True,
+                        "rigorous tail (second Gram eigenvalue)"),
+        "so4_alt": (1.0, "(1/2, 1/2)", k, True,
+                    "rigorous tail (equivariant two-factor frame)"),
+        "twisted_spheres": (1.0, "(1/2, 1)", 0.5 * k, True,
+                            "rigorous tail (equivariant two-factor frame)"),
     }
     for name, (lam, witness, tail, rigorous, note) in frozen.items():
         res = lambda1(load_builtin(name))
@@ -131,10 +131,7 @@ def test_lambda1_reference_values():
         assert res.witness == witness, name
         assert res.rigorous == rigorous, name
         assert res.tail_note == note, name
-        if tail is None:
-            assert res.tail_bound is None, name
-        else:
-            assert abs(res.tail_bound - tail) < 1e-10, name
+        assert abs(res.tail_bound - tail) < 1e-10, name
 
 
 def test_lambda1_of_the_twist_family():
@@ -142,8 +139,75 @@ def test_lambda1_of_the_twist_family():
         res = lambda1(load_builtin("so4_twisted", b=b))
         assert abs(res.lambda1 - (2.0 + b * b)) < 1e-9, b
         assert res.witness == "(1/2, 1/2)"
-        assert not res.rigorous
-        assert res.tail_note == "heuristic tail (frame Gram is anisotropic)"
+        assert res.rigorous
+        assert res.tail_note == "rigorous tail (second Gram eigenvalue)"
+
+
+def _so3_gram_h2(c):
+    """so3_twisted's second Gram eigenvalue: the horizontal rows (0, c, -1)
+    and (0, 1, 0) give the smaller root of h^2 - (c^2 + 2) h + 1."""
+    t = c * c + 2.0
+    return (t - math.sqrt(t * t - 4.0)) / 2.0
+
+
+# (builtin, params, c at the default cutoff 40)
+TAIL_SETTINGS = (
+    [("so4_twisted", {"b": b}, 2.0) for b in (0.0, 0.1, 0.3, 0.7, 1.0, 2.0)]
+    + [("so3_twisted", {"c": c}, _so3_gram_h2(c)) for c in (0.0, 0.05, 0.3, 1.0, 3.0)]
+    + [("so4_alt", {}, 1.0), ("twisted_spheres", {}, 0.5)]
+)
+
+
+@pytest.mark.parametrize(
+    "name, params, c",
+    TAIL_SETTINGS,
+    ids=[n + "".join(f"_{k}{v}" for k, v in p.items()) for n, p, _ in TAIL_SETTINGS],
+)
+def test_tail_bounds_every_irrep_beyond_the_cutoff(name, params, c):
+    # In its given frame the setting is rigorous at the default cutoff with
+    # tail c (sqrt(40.25) - 1/2).  In that frame and two moved copies, the
+    # tail at each c0 is at most the bottom of every irrep beyond c0 in the
+    # table at c1, and lambda1 does not move; on so4_twisted and so3_twisted
+    # the moved frames keep the rigorous tail.
+    space = load_builtin(name, **params)
+    res = lambda1(space)
+    assert res.rigorous
+    assert abs(res.tail_bound - c * (math.sqrt(40.25) - 0.5)) < 1e-9
+    if len(space.oracle.factors) == 1:
+        c0s, c1 = (40.0, 400.0), 2000.0
+    else:
+        c0s, c1 = (10.0, 40.0, 90.0), 100.0
+    rng = np.random.default_rng(18)
+    base = None
+    for frame in [space, moved_frame(space, rng), moved_frame(space, rng)]:
+        res = lambda1(frame, cutoff=c1)
+        horizontal = sublap.spectral._model_coeffs(frame)[: frame.dim_h]
+        for c0 in c0s:
+            tail, _ = sublap.spectral._tail(horizontal, c0)
+            beyond = [float(e.eigenvalues[0]) for e in res.table
+                      if sum(t * (t + 2) / 4.0 for t in e.two_js) > c0]
+            assert tail is None or tail <= min(beyond), (c0, tail, min(beyond))
+        if base is None:
+            base = res
+            continue
+        assert abs(res.lambda1 - base.lambda1) <= 1e-12 * base.lambda1
+        if name in ("so4_twisted", "so3_twisted"):
+            assert res.rigorous
+            assert abs(res.tail_bound - base.tail_bound) <= 1e-12 * base.tail_bound
+
+
+def test_a_frame_one_ulp_from_equivariant_takes_no_two_factor_tail():
+    base = load_builtin("so4_alt")
+    rows = [[list(g) for g in row] for row in base.oracle.frame_map]
+    rows[0][0][2] = math.nextafter(rows[0][0][2], 0.0)
+    frame_map = tuple(tuple(tuple(g) for g in row) for row in rows)
+    space = dataclasses.replace(
+        base, oracle=dataclasses.replace(base.oracle, frame_map=frame_map)
+    )
+    assert "equivariant" in lambda1(base, cutoff=12.0).tail_note
+    res = lambda1(space, cutoff=12.0)
+    assert res.tail_note == "heuristic tail (no closed tail control)"
+    assert res.tail_bound is None
 
 
 def test_spectrum_table_structure():
@@ -209,33 +273,16 @@ def test_lambda1_is_stable_under_cutoff_growth():
 def test_lambda1_is_invariant_under_frame_rotations():
     base = load_builtin("so4_alt")
     rng = np.random.default_rng(17)
-    fm = np.array(base.oracle.frame_map)
-    n, d = base.dim, base.dim_h
     for _ in range(2):
-        oh = random_orthogonal(rng, d)
-        ov = random_orthogonal(rng, n - d)
-        rotated = rotate_frame(base, oh, ov)
-        o = np.zeros((n, n))
-        o[:d, :d] = oh
-        o[d:, d:] = ov
-        fmr = np.einsum("ai,afx->ifx", o, fm)
-        oracle = OracleConfig(
-            factors=base.oracle.factors,
-            frame_map=tuple(tuple(tuple(r) for r in row) for row in fmr),
-            cutoff=12.0,
-            integer_sum=base.oracle.integer_sum,
-        )
-        rotated = HomogeneousSpace(
-            rotated.name, d, n - d, rotated.c, rotated.params, oracle
-        )
-        res = lambda1(rotated)
+        oh = random_orthogonal(rng, base.dim_h)
+        ov = random_orthogonal(rng, base.dim_v)
+        res = lambda1(rotate_frame(base, oh, ov), cutoff=12.0)
         assert abs(res.lambda1 - 1.0) < 1e-10
 
 
 def test_lambda1_requires_a_spectral_model():
-    space = rescale_vertical(load_builtin("so3_twisted"), 2.0)  # drops the model
     with pytest.raises(ValueError):
-        lambda1(space)
+        lambda1(so4_weighted())  # no model attached
 
 
 def test_lambda1_rejects_a_non_homomorphic_model():
@@ -507,15 +554,14 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
     # Every row of every irrep is diagonalized exactly once, in stacks of
     # equal-size blocks: one eigvalsh call per (batch, block size,
     # arithmetic) at most.  Batches take consecutive irreps and stay within
-    # the dimension limit.  The tail estimate diagonalizes small
-    # factor-weight matrices of its own; its calls are counted apart from the
-    # irreps'.
+    # the dimension limit.  The tail diagonalizes the Gram of the horizontal
+    # coefficients once; that call is counted apart from the irreps'.
     records = _batch_eigvalsh_calls(monkeypatch)
     counts = dict.fromkeys(("tail", "homomorphism"), 0)
     in_tail = []
     eigvalsh = np.linalg.eigvalsh
     check = sublap.spectral._check_homomorphism
-    tail = sublap.spectral._tail_estimate
+    tail = sublap.spectral._tail
 
     def counted_eigvalsh(*args, **kwargs):
         counts["tail"] += bool(in_tail)
@@ -534,7 +580,7 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(sublap.spectral, "_check_homomorphism", counted_check)
-    monkeypatch.setattr(sublap.spectral, "_tail_estimate", marked_tail)
+    monkeypatch.setattr(sublap.spectral, "_tail", marked_tail)
     for name, cutoff in (("so4_twisted", None), ("so3_twisted", None),
                          ("so4_alt", None), ("twisted_spheres", None),
                          ("so4_twisted", 137.5), ("so3_twisted", 18000.0)):
@@ -550,7 +596,7 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
         rows = sum(math.prod(s[:-1]) for r in records for s, _ in r["calls"])
         assert rows == sum(entry.dim for entry in res.table), name
         assert counts["homomorphism"] == 1, name
-        assert counts["tail"] <= 3, name
+        assert counts["tail"] == 1, name
 
 
 SPLIT_SPACES = [
