@@ -116,7 +116,8 @@ def validate(space: HomogeneousSpace) -> list[str]:
 
     Checks antisymmetry of c, the Jacobi identity, and step-2 bracket generation
     (horizontal frame plus first brackets spans everything). Indices in messages
-    are 1-based to match the spec-file syntax.
+    are 1-based to match the spec-file syntax. A structure array of the wrong
+    shape, or with a non-finite entry, is reported alone.
     """
     problems: list[str] = []
     n = space.dim
@@ -126,6 +127,8 @@ def validate(space: HomogeneousSpace) -> list[str]:
             f"structure array has shape {c.shape}, expected {(n, n, n)} "
             f"from dim_h={space.dim_h}, dim_v={space.dim_v}"
         ]
+    if not np.isfinite(c).all():
+        return ["structure constants are not all finite"]
 
     skew = c + c.transpose(1, 0, 2)
     bad = np.argwhere(np.abs(skew) > ZERO_TOL)
@@ -171,8 +174,8 @@ def rescale_vertical(space: HomogeneousSpace, t: float) -> HomogeneousSpace:
     In the rescaled orthonormal frame the structure constants become
     c'[i][j][k] = c[i][j][k] * f_i * f_j / f_k with f = 1 on H and 1/sqrt(t) on V.
     """
-    if t <= 0:
-        raise ValueError(f"rescale factor must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"rescale factor must be positive and finite, got {t}")
     f = np.ones(space.dim)
     f[space.dim_h :] = scale = 1.0 / math.sqrt(t)
     c = space.c * f[:, None, None] * f[None, :, None] / f[None, None, :]

@@ -5,11 +5,13 @@ generators across a finite product of factors.  Assembling the horizontal
 Laplacian irrep by irrep gives the exact bottom of the spectrum up to a
 Casimir cutoff; one closed bound c (sqrt(cutoff + 1/4) - 1/2), with c read
 from the Gram of the horizontal coefficients, controls everything beyond it.
+The same c bounds every irrep's bottom below by c sum_f j_f, so only the
+irreps whose bound does not pass the least bottom found are assembled.
 
 In the product spin basis G3 is diagonal and G1, G2 move one m by one, so
 each frame image lies on 2F + 1 shifted diagonals for F factors; -sum_i X_i^2
 is formed from their products, pair of shifts by pair, as (row, column, value)
-triplets, for consecutive irreps at once on one shared index, so numpy's
+triplets, for a batch of irreps at once on one shared index, so numpy's
 per-call cost is paid per batch, not per irrep.  The Laplacian is mostly zeros
 and often splits: it is diagonal on so4_twisted.  It is diagonalized as the
 connected components of its exact nonzero pattern, which never cross irreps,
@@ -51,8 +53,10 @@ _HERM_TOL = 1e-10
 # Largest irrep dimension `lambda1` enumerates, taken as the product over the
 # factors of the largest spin dimension the cutoff admits, and the largest
 # total dimension of one of its batches, which bounds the batch's working
-# arrays.  The benchmark's largest cutoffs give 281 (so3_twisted at 20000) and
-# 24 x 24 = 576 (two factors at 150).
+# arrays.  The first batch fills to it before any bottom is known, so most of
+# what a pruned call diagonalizes is that batch.  The benchmark's largest
+# cutoffs give 281 (so3_twisted at 20000) and 24 x 24 = 576 (two factors at
+# 150).
 _MAX_IRREP_DIM = 1024
 
 
@@ -316,19 +320,22 @@ class SpectrumResult:
     witness: str
     cutoff: float
     table: list[IrrepSpectrum]
+    skipped: int
     tail_bound: float | None
     rigorous: bool
     tail_note: str
 
 
-def _tail(horizontal: np.ndarray, cutoff: float) -> tuple[float | None, str]:
-    """Lower bound c (sqrt(cutoff + 1/4) - 1/2) on the horizontal Laplacian in
-    every irrep beyond the cutoff, from the horizontal rows alone.
+def _tail(horizontal: np.ndarray) -> tuple[float, str]:
+    """Constant c, with its reason, such that the horizontal Laplacian is at
+    least c s in every irrep, s = sum_f j_f, read from the horizontal rows
+    alone; c is 0.0 when neither step below gives a positive constant.
+    Beyond the Casimir cutoff s (s + 1) >= sum_f C_f > cutoff, so the tail
+    there is at least c (sqrt(cutoff + 1/4) - 1/2).
 
     With T the 3F generators, C_f = -sum_a (G_a^(f))^2 = j_f (j_f + 1) and
     H = sum_k h_k u_k u_k^T the Gram of the rows over the generator slots,
-    L_H = sum_k h_k (-(u_k.T)^2), each term nonnegative.  Beyond the cutoff
-    s = sum_f j_f has s (s + 1) >= sum_f C_f > cutoff.  c_A = h_2: drop the
+    L_H = sum_k h_k (-(u_k.T)^2), each term nonnegative.  c_A = h_2: drop the
     k = 1 term, v = u_1, so L_H >= h_2 (sum_f C_f + (v.T)^2), and |v.T| <=
     sum_f |v^f| j_f <= (sum_f j_f^2)^(1/2) gives L_H >= h_2 s.
     c_B = min(a1, a2, (a1 + a2)/2 - a12), two factors only, when H has
@@ -337,6 +344,7 @@ def _tail(horizontal: np.ndarray, cutoff: float) -> tuple[float | None, str]:
     L_H = (a1 - a12) C_1 + (a2 - a12) C_2 + a12 C_J, with J least at the end
     |j1 - j2| or j1 + j2 of its range.  There the quadratic part is a form of
     a compression of H, so nonnegative, and the linear part is at least c_B s.
+    Neither step uses the cutoff, so L_H >= c s holds in every irrep.
     A block defect e would add e (C_1 + C_2), growing like s^2, so structure
     screened on the float Gram is confirmed in the rationals of the floats.
     A pad of 1e-12 |H| covers forming H in floats, the eigensolver's backward
@@ -360,24 +368,30 @@ def _tail(horizontal: np.ndarray, cutoff: float) -> tuple[float | None, str]:
             if (c_b := min(a1, a2, (a1 + a2) / 2 - a12)) > c:
                 c, why = c_b, "equivariant two-factor frame"
     c -= 1e-12 * h[-1]
-    if c <= 0:
-        return None, "no closed tail control"
-    return float(c * (math.sqrt(cutoff + 0.25) - 0.5)), why
+    return (c, why) if c > 0 else (0.0, "no closed tail control")
 
 
 def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumResult:
     """Smallest nonzero Laplacian eigenvalue over all irreps within the
     Casimir cutoff, with the tail beyond the cutoff bounded when possible.
 
-    The oracle is validated once per call.  Consecutive irreps are batched
-    while their dimensions sum to at most _MAX_IRREP_DIM; each batch is
-    assembled, checked irrep by irrep to be Hermitian and diagonalized once,
-    block by block (see the module docstring), and the positivity check reads
-    that same spectrum.  The trivial irrep is the 1 x 1 zero matrix, which
-    carries the constants and is skipped; a zero eigenvalue anywhere else
-    means the model is inconsistent and aborts.  A cutoff that is negative,
-    infinite or NaN, or too large to enumerate, raises ValueError before any
-    irrep is built.
+    The oracle is validated once per call.  `_tail`'s constant c bounds the
+    bottom of every irrep below by c sum_f j_f, so the irreps are visited in
+    ascending bound, ties in Casimir order, and the visit stops at the first
+    irrep whose bound exceeds the least nontrivial bottom found so far by
+    more than 1e-9: no later irrep can hold lambda1, nor come within the
+    witness's 1e-12 tie-break of it.  With c = 0 every irrep is visited, in
+    Casimir order.  Irreps next in the visit are batched while their
+    dimensions sum to at most _MAX_IRREP_DIM; each batch is assembled,
+    checked irrep by irrep to be Hermitian and diagonalized once, block by
+    block (see the module docstring), and the positivity check reads that
+    same spectrum.  The table holds the visited irreps in Casimir order and
+    `skipped` counts the others.  The trivial irrep is the 1 x 1 zero matrix,
+    which carries the constants and is left out of the minimum; a zero
+    eigenvalue anywhere else means the model is inconsistent and aborts (an
+    irrep left unvisited has its bottom at least c s > 0).  A cutoff that is
+    negative, infinite or NaN, or too large to enumerate, raises ValueError
+    before any irrep is built.
     """
     coeffs = _model_coeffs(space)
     config = space.oracle
@@ -392,18 +406,27 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
             f"an irrep dimension above {_MAX_IRREP_DIM}"
         )
     horizontal = coeffs[: space.dim_h]
+    c, why = _tail(horizontal)
 
-    batches, total = [], _MAX_IRREP_DIM
-    for combo in _enumerate_irreps(config, cutoff):
-        total += (n := math.prod(t + 1 for t in combo))
-        if total > _MAX_IRREP_DIM:
-            batches.append([])
-            total = n
-        batches[-1].append(combo)
-    table = []
-    for batch in batches:
-        spectra = _checked_spectra(*_assemble(horizontal, batch))
-        table += [IrrepSpectrum(_label(c), c, len(e), e) for c, e in zip(batch, spectra)]
+    irreps = _enumerate_irreps(config, cutoff)
+    bound = [c * sum(two_js) / 2.0 for two_js in irreps]
+    order = sorted(range(len(irreps)), key=lambda r: (bound[r], r))
+    spectra, least, visited = {}, math.inf, 0
+    while visited < len(order) and bound[order[visited]] <= least + 1e-9:
+        batch, total = [], 0
+        for r in order[visited:]:
+            total += math.prod(t + 1 for t in irreps[r])
+            if total > _MAX_IRREP_DIM or bound[r] > least + 1e-9:
+                break
+            batch.append(r)
+        visited += len(batch)
+        combos = [irreps[r] for r in batch]
+        for r, e in zip(batch, _checked_spectra(*_assemble(horizontal, combos))):
+            spectra[r] = e
+            if any(irreps[r]):
+                least = min(least, float(e[0]))
+    table = [IrrepSpectrum(_label(irreps[r]), irreps[r], len(e), e)
+             for r, e in sorted(spectra.items())]
     best: float | None = None
     witness = ""
     for entry in table:
@@ -421,7 +444,7 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     if best is None:
         raise RuntimeError("no nontrivial irrep below the cutoff")
 
-    tail, why = _tail(horizontal, cutoff)
+    tail = float(c * (math.sqrt(cutoff + 0.25) - 0.5)) if c > 0 else None
     rigorous = tail is not None and tail >= best - 1e-9
     note = f"rigorous tail ({why})" if rigorous else f"heuristic tail ({why})"
     return SpectrumResult(
@@ -429,6 +452,7 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
         witness=witness,
         cutoff=float(cutoff),
         table=table,
+        skipped=len(irreps) - visited,
         tail_bound=tail,
         rigorous=rigorous,
         tail_note=note,

@@ -4,13 +4,17 @@ The package reads only traces and blocks of the curvature, the torsion
 derivative and the iterated torsion, and takes rho1 as lambda_min of a Schur
 complement.  Here are the full n^4 tensors those traces come from and the PSD
 bisection the Schur complement replaces, each written the direct way.
+`lambda1` diagonalizes only the irreps whose proven lower bound does not
+pass the least bottom it has found; `irrep_table` diagonalizes them all.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from sublap import Connection
+from sublap import Connection, HomogeneousSpace, SpectrumResult, spectral
 from sublap.bounds import _PSD_TOL
 
 _BISECT_TOL = 1e-10
@@ -84,3 +88,36 @@ def feasible_rho1(q: np.ndarray, d: int, rho2: float) -> float | None:
         else:
             hi = mid
     return lo
+
+
+def irrep_table(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumResult:
+    """`lambda1` over every irrep within the cutoff: the irreps of
+    `_enumerate_irreps`, batched in Casimir order while their dimensions sum
+    to at most `_MAX_IRREP_DIM`, each batch assembled and checked by the
+    package's own helpers, and the witness taken over the whole table.  The
+    tail and its note come from `_tail` by `lambda1`'s rule."""
+    if cutoff is None:
+        cutoff = space.oracle.cutoff
+    horizontal = spectral._model_coeffs(space)[: space.dim_h]
+    batches, total = [], spectral._MAX_IRREP_DIM
+    for combo in spectral._enumerate_irreps(space.oracle, cutoff):
+        total += (n := math.prod(t + 1 for t in combo))
+        if total > spectral._MAX_IRREP_DIM:
+            batches.append([])
+            total = n
+        batches[-1].append(combo)
+    table = []
+    for batch in batches:
+        spectra = spectral._checked_spectra(*spectral._assemble(horizontal, batch))
+        table += [spectral.IrrepSpectrum(spectral._label(c), c, len(e), e)
+                  for c, e in zip(batch, spectra)]
+    best, witness = None, ""
+    for entry in table:
+        low = float(entry.eigenvalues[0])
+        if any(entry.two_js) and (best is None or low < best - 1e-12):
+            best, witness = low, entry.label
+    c, why = spectral._tail(horizontal)
+    tail = float(c * (math.sqrt(cutoff + 0.25) - 0.5)) if c > 0 else None
+    rigorous = tail is not None and tail >= best - 1e-9
+    note = f"rigorous tail ({why})" if rigorous else f"heuristic tail ({why})"
+    return SpectrumResult(best, witness, float(cutoff), table, 0, tail, rigorous, note)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import math
 
 import numpy as np
 import pytest
@@ -258,6 +259,22 @@ def test_rescale_vertical_requires_positive_factor():
     for t in (0.0, -1.0):
         with pytest.raises(ValueError):
             rescale_vertical(space, t)
+
+
+def test_rescale_vertical_rejects_a_non_finite_factor():
+    space = load_builtin("so4_alt")
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rescale_vertical(space, t)
+
+
+def test_validate_reports_non_finite_structure_constants():
+    # one problem line, before any check that would run numpy on the entries
+    for bad in (math.nan, math.inf):
+        c = load_builtin("so4_alt").c.copy()
+        c[0, 1, 4], c[1, 0, 4] = bad, -bad
+        space = HomogeneousSpace("broken", 3, 3, c)
+        assert validate(space) == ["structure constants are not all finite"]
 
 
 def test_load_spec_from_file(tmp_path):

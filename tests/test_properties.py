@@ -9,10 +9,13 @@ from sublap import (
     bound_main,
     bound_sntf,
     bound_t1zero,
+    builtin_names,
     canonical_connection,
+    certify,
     classify,
     distortion,
     invariants,
+    lambda1,
     load_builtin,
     optimize,
     rescale_vertical,
@@ -23,6 +26,7 @@ from sublap import (
     verify_connection,
 )
 from conftest import (
+    moved_frame,
     nilpotent_spaces,
     random_orthogonal,
     random_space,
@@ -247,3 +251,28 @@ def test_invariants_and_bounds_are_frame_invariant():
                 assert np.isclose(got["bounds"][key], value, rtol=1e-6, atol=0.0), (
                     base.name, t, key,
                 )
+
+
+def test_bounds_stay_below_lambda1_in_moved_frames():
+    # The horizontal Laplacian reads only the horizontal rows of the spectral
+    # model, which a moved frame rotates, so lambda1 does not move while every
+    # bound does.  Each builtin, and the twisted families at a random
+    # parameter, in two moved frames: every entry and variant is at most
+    # lambda1 + 1e-9 at a cutoff of at least four times the largest of them,
+    # and certify passes there.
+    rng = np.random.default_rng(109)
+    bases = [load_builtin(name) for name in builtin_names()] + [
+        load_builtin("so4_twisted", b=float(rng.uniform(-0.8, 0.8))),
+        load_builtin("so3_twisted", c=float(rng.uniform(-0.9, 0.9))),
+    ]
+    for base in bases:
+        lam = lambda1(base).lambda1
+        for _ in range(2):
+            space = moved_frame(base, rng)
+            report = optimize(space)
+            values = [e.value for e in report.entries] + [n.variant for n in report.discrepancies]
+            cutoff = max(space.oracle.cutoff, 4.0 * max(values, default=0.0))
+            result = certify(space, report, cutoff=cutoff)
+            assert abs(result.lambda1 - lam) <= 1e-12 * lam, (base.name, base.params)
+            assert all(v <= result.lambda1 + 1e-9 for v in values), (base.name, base.params)
+            assert result.all_passed, (base.name, base.params)

@@ -23,6 +23,7 @@ from sublap import (
     spin_matrices,
 )
 from conftest import moved_frame, random_orthogonal, rotate_frame, so4_weighted
+from oracles import irrep_table
 
 
 def test_spin_matrices_satisfy_su2_relations():
@@ -167,8 +168,8 @@ def test_tail_bounds_every_irrep_beyond_the_cutoff(name, params, c):
     # In its given frame the setting is rigorous at the default cutoff with
     # tail c (sqrt(40.25) - 1/2).  In that frame and two moved copies, the
     # tail at each c0 is at most the bottom of every irrep beyond c0 in the
-    # table at c1, and lambda1 does not move; on so4_twisted and so3_twisted
-    # the moved frames keep the rigorous tail.
+    # full table at c1, and lambda1 does not move; on so4_twisted and
+    # so3_twisted the moved frames keep the rigorous tail.
     space = load_builtin(name, **params)
     res = lambda1(space)
     assert res.rigorous
@@ -181,12 +182,13 @@ def test_tail_bounds_every_irrep_beyond_the_cutoff(name, params, c):
     base = None
     for frame in [space, moved_frame(space, rng), moved_frame(space, rng)]:
         res = lambda1(frame, cutoff=c1)
-        horizontal = sublap.spectral._model_coeffs(frame)[: frame.dim_h]
+        table = irrep_table(frame, c1).table
+        c, _ = sublap.spectral._tail(sublap.spectral._model_coeffs(frame)[: frame.dim_h])
         for c0 in c0s:
-            tail, _ = sublap.spectral._tail(horizontal, c0)
-            beyond = [float(e.eigenvalues[0]) for e in res.table
+            tail = c * (math.sqrt(c0 + 0.25) - 0.5)
+            beyond = [float(e.eigenvalues[0]) for e in table
                       if sum(t * (t + 2) / 4.0 for t in e.two_js) > c0]
-            assert tail is None or tail <= min(beyond), (c0, tail, min(beyond))
+            assert tail <= min(beyond), (c0, tail, min(beyond))
         if base is None:
             base = res
             continue
@@ -208,6 +210,84 @@ def test_a_frame_one_ulp_from_equivariant_takes_no_two_factor_tail():
     res = lambda1(space, cutoff=12.0)
     assert res.tail_note == "heuristic tail (no closed tail control)"
     assert res.tail_bound is None
+    assert res.skipped == 0  # c = 0 bounds no irrep away from zero
+
+
+# the largest cutoff the benchmark's certify workload draws for each builtin
+BENCH_CUTOFFS = {"so4_twisted": 137.5, "so4_alt": 90.0, "twisted_spheres": 90.0,
+                 "so3_twisted": 18000.0}
+
+
+def _check_against_full_table(frame, cutoff):
+    """Compare lambda1 with the full table at one cutoff; return lambda1's
+    result.  Every irrep's bottom is at least c s, s = sum_f j_f, with
+    `_tail`'s c; lambda1 diagonalizes the irreps of a prefix of the order
+    (c s, Casimir order) and skips only irreps whose bound passes lambda1 by
+    more than 1e-9; its result and the visited irreps' eigenvalues are the
+    full table's to the byte."""
+    res, full = lambda1(frame, cutoff=cutoff), irrep_table(frame, cutoff)
+    c, _ = sublap.spectral._tail(sublap.spectral._model_coeffs(frame)[: frame.dim_h])
+    rank = {e.two_js: r for r, e in enumerate(full.table)}
+    bound = {e.two_js: c * sum(e.two_js) / 2.0 for e in full.table}
+    assert all(float(e.eigenvalues[0]) >= bound[e.two_js] for e in full.table)
+    fields = ("lambda1", "witness", "tail_bound", "tail_note", "rigorous")
+    assert [getattr(res, f) for f in fields] == [getattr(full, f) for f in fields]
+    eigenvalues = {e.two_js: e.eigenvalues.tobytes() for e in full.table}
+    assert all(e.eigenvalues.tobytes() == eigenvalues[e.two_js] for e in res.table)
+    assert len(res.table) + res.skipped == len(full.table)
+    visit = sorted(rank, key=lambda two_js: (bound[two_js], rank[two_js]))
+    seen = visit[: len(res.table)]
+    assert [e.two_js for e in res.table] == sorted(seen, key=rank.get)
+    assert all(bound[two_js] > res.lambda1 + 1e-9 for two_js in visit[len(seen):])
+    return res
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(n, p) for n, p, _ in TAIL_SETTINGS],
+    ids=[n + "".join(f"_{k}{v}" for k, v in p.items()) for n, p, _ in TAIL_SETTINGS],
+)
+def test_lambda1_matches_full_enumeration(name, params):
+    # In the given frame and two moved copies, at the benchmark's cutoff and
+    # at the default.  The given frame skips irreps at the benchmark cutoff;
+    # the moved so4_alt and twisted_spheres frames have c = 0 and skip none.
+    space = load_builtin(name, **params)
+    rng = np.random.default_rng(19)
+    for moved, frame in enumerate([space, moved_frame(space, rng), moved_frame(space, rng)]):
+        for cutoff in (BENCH_CUTOFFS[name], space.oracle.cutoff):
+            res = _check_against_full_table(frame, cutoff)
+            if not moved and cutoff == BENCH_CUTOFFS[name]:
+                assert res.skipped > 0
+
+
+@pytest.mark.parametrize(
+    "name, limit, cutoff",
+    [("so4_twisted", 16, 5.0), ("so4_alt", 16, 5.0), ("so3_twisted", 16, 40.0),
+     ("twisted_spheres", 16, 5.0), ("twisted_spheres", 32, 8.0)],
+)
+def test_lambda1_matches_full_enumeration_in_small_batches(monkeypatch, name, limit, cutoff):
+    # With a small dimension limit the visit can take several batches.  Each
+    # batch holds only irreps whose bound is within 1e-9 of the least bottom
+    # of the batches before it: on twisted_spheres at limit 32 the second
+    # batch stops at (3/2, 1), whose bound 1.25 passes lambda1 = 1 although
+    # it would fit.
+    monkeypatch.setattr(sublap.spectral, "_MAX_IRREP_DIM", limit)
+    space = load_builtin(name)
+    res = _check_against_full_table(space, cutoff)
+    batches, assemble = [], sublap.spectral._assemble
+
+    def recorded(coeffs, combos):
+        batches.append(combos)
+        return assemble(coeffs, combos)
+
+    monkeypatch.setattr(sublap.spectral, "_assemble", recorded)
+    lambda1(space, cutoff=cutoff)
+    c, _ = sublap.spectral._tail(sublap.spectral._model_coeffs(space)[: space.dim_h])
+    bottom = {e.two_js: float(e.eigenvalues[0]) for e in res.table if any(e.two_js)}
+    least = math.inf
+    for batch in batches:
+        assert all(c * sum(two_js) / 2.0 <= least + 1e-9 for two_js in batch), batch
+        least = min([least] + [bottom[two_js] for two_js in batch if two_js in bottom])
 
 
 def test_spectrum_table_structure():
@@ -500,12 +580,14 @@ def test_blocks_are_the_connected_components_of_any_pattern():
 
 
 def _batch_eigvalsh_calls(monkeypatch):
-    """Record, per `_checked_spectra` call (one batch), its irreps'
-    dimensions, the components `_blocks` finds on its shared index and the
-    shape and dtype of every stack it passes to `eigvalsh`."""
-    records = []
+    """Record, per `_checked_spectra` call (one batch), its irreps' doubled
+    spins, as passed to `_assemble`, and dimensions, the components `_blocks`
+    finds on its shared index and the shape and dtype of every stack it
+    passes to `eigvalsh`."""
+    records, assembled = [], []
     eigvalsh = np.linalg.eigvalsh
     blocks = sublap.spectral._blocks
+    assemble = sublap.spectral._assemble
     checked = sublap.spectral._checked_spectra
 
     def counted_eigvalsh(a, *args, **kwargs):
@@ -518,8 +600,13 @@ def _batch_eigvalsh_calls(monkeypatch):
         records[-1]["components"] += [row for stack in out for row in stack]
         return out
 
+    def recorded_assemble(coeffs, combos):
+        assembled.append(list(combos))
+        return assemble(coeffs, combos)
+
     def marked_checked(dims, *args):
-        records.append({"open": True, "dims": list(dims), "calls": [], "components": []})
+        records.append({"open": True, "combos": assembled.pop(), "dims": list(dims),
+                        "calls": [], "components": []})
         try:
             return checked(dims, *args)
         finally:
@@ -527,6 +614,7 @@ def _batch_eigvalsh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(sublap.spectral, "_blocks", recorded_blocks)
+    monkeypatch.setattr(sublap.spectral, "_assemble", recorded_assemble)
     monkeypatch.setattr(sublap.spectral, "_checked_spectra", marked_checked)
     return records
 
@@ -551,10 +639,12 @@ def _component_owners(record):
 
 
 def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
-    # Every row of every irrep is diagonalized exactly once, in stacks of
-    # equal-size blocks: one eigvalsh call per (batch, block size,
-    # arithmetic) at most.  Batches take consecutive irreps and stay within
-    # the dimension limit.  The tail diagonalizes the Gram of the horizontal
+    # Every row of every visited irrep is diagonalized exactly once, in
+    # stacks of equal-size blocks: one eigvalsh call per (batch, block size,
+    # arithmetic) at most.  Batches take irreps consecutive in lambda1's
+    # visit, by ascending bound c sum_f j_f and then Casimir order, and stay
+    # within the dimension limit; the table holds the visited irreps in
+    # Casimir order.  The tail diagonalizes the Gram of the horizontal
     # coefficients once; that call is counted apart from the irreps'.
     records = _batch_eigvalsh_calls(monkeypatch)
     counts = dict.fromkeys(("tail", "homomorphism"), 0)
@@ -584,10 +674,19 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
     for name, cutoff in (("so4_twisted", None), ("so3_twisted", None),
                          ("so4_alt", None), ("twisted_spheres", None),
                          ("so4_twisted", 137.5), ("so3_twisted", 18000.0)):
+        space = load_builtin(name)
+        irreps = sublap.spectral._enumerate_irreps(space.oracle, cutoff or space.oracle.cutoff)
+        c, _ = tail(sublap.spectral._model_coeffs(space)[: space.dim_h])
+        visit = sorted(irreps, key=lambda two_js: (c * sum(two_js) / 2.0, irreps.index(two_js)))
         counts.update(tail=0, homomorphism=0)
         records.clear()
-        res = lambda1(load_builtin(name), cutoff=cutoff)
-        assert [d for r in records for d in r["dims"]] == [e.dim for e in res.table]
+        res = lambda1(space, cutoff=cutoff)
+        combos = [two_js for r in records for two_js in r["combos"]]
+        assert combos == visit[: len(combos)], name
+        assert sorted(combos, key=irreps.index) == [e.two_js for e in res.table], name
+        assert [d for r in records for d in r["dims"]] == [
+            math.prod(t + 1 for t in two_js) for two_js in combos
+        ]
         for r in records:
             assert sum(r["dims"]) <= sublap.spectral._MAX_IRREP_DIM, name
             _component_owners(r)
@@ -618,7 +717,7 @@ def test_block_split_agrees_with_the_dense_spectrum(name, params):
     # The components are a permutation similarity of each irrep's Laplacian:
     # nothing couples two of them, so their spectra make up the dense one.
     space = load_builtin(name, **params)
-    res = lambda1(space)
+    res = irrep_table(space)
     for entry in res.table:
         lap = hlap_matrix(space, entry.two_js)
         ref = np.linalg.eigvalsh(lap)
@@ -660,10 +759,11 @@ def test_block_split_agrees_with_the_dense_spectrum(name, params):
     ids=[n + "".join(f"_{k}{v}" for k, v in p.items()) for n, p in SPLIT_SPACES],
 )
 def test_each_irrep_spectrum_is_independent_of_its_batch(monkeypatch, name, params):
-    # Byte for byte, an irrep's eigenvalues are the same in lambda1's batches,
-    # alone on the hlap_matrix path, and in a second split: the irreps in
-    # reverse order, three to a batch, so every irrep sits at another offset
-    # beside other neighbours.
+    # Byte for byte, an irrep's eigenvalues are the same in the full table's
+    # Casimir-consecutive batches, alone on the hlap_matrix path, and in a
+    # second split: the irreps in reverse order, three to a batch, so every
+    # irrep sits at another offset beside other neighbours.  lambda1's own
+    # batches match the full table in test_lambda1_matches_full_enumeration.
     spectral = sublap.spectral
     space = load_builtin(name, **params)
     sizes, alone = [], []
@@ -679,7 +779,7 @@ def test_each_irrep_spectrum_is_independent_of_its_batch(monkeypatch, name, para
 
     monkeypatch.setattr(spectral, "_assemble", sized)
     one_factor = len(space.oracle.factors) == 1
-    res = lambda1(space, cutoff=2000.0 if one_factor else 4.0 * space.oracle.cutoff)
+    res = irrep_table(space, 2000.0 if one_factor else 4.0 * space.oracle.cutoff)
     assert max(sizes) > 1 and len(sizes) > 1
     monkeypatch.setattr(spectral, "_checked_spectra", kept)
     for entry in res.table:
@@ -746,9 +846,9 @@ def test_lambda1_diagonalizes_small_blocks(monkeypatch, name, params, cutoff, la
     # a component of one irrep, no larger than that irrep allows.
     records = _batch_eigvalsh_calls(monkeypatch)
     res = lambda1(load_builtin(name, **params), cutoff=cutoff)
-    table = iter(res.table)
+    table = {entry.two_js: entry for entry in res.table}
     for r in records:
-        entries = [next(table) for _ in r["dims"]]
+        entries = [table.pop(two_js) for two_js in r["combos"]]
         for comp, owner in zip(r["components"], _component_owners(r)):
             assert len(comp) <= largest(entries[owner].dim), entries[owner].label
-    assert next(table, None) is None
+    assert not table
