@@ -166,9 +166,9 @@ TAIL_SETTINGS = (
 )
 def test_tail_bounds_every_irrep_beyond_the_cutoff(name, params, c):
     # In its given frame the setting is rigorous at the default cutoff with
-    # tail c (sqrt(40.25) - 1/2).  In that frame and two moved copies, the
-    # tail at each c0 is at most the bottom of every irrep beyond c0 in the
-    # full table at c1, and lambda1 does not move; on so4_twisted and
+    # tail c (sqrt(40.25) - 1/2).  In that frame and two moved copies,
+    # lambda1's tail at each c0 is at most the bottom of every irrep beyond c0
+    # in the full table at c1, and lambda1 does not move; on so4_twisted and
     # so3_twisted the moved frames keep the rigorous tail.
     space = load_builtin(name, **params)
     res = lambda1(space)
@@ -183,12 +183,11 @@ def test_tail_bounds_every_irrep_beyond_the_cutoff(name, params, c):
     for frame in [space, moved_frame(space, rng), moved_frame(space, rng)]:
         res = lambda1(frame, cutoff=c1)
         table = irrep_table(frame, c1).table
-        c, _ = sublap.spectral._tail(sublap.spectral._model_coeffs(frame)[: frame.dim_h])
         for c0 in c0s:
-            tail = c * (math.sqrt(c0 + 0.25) - 0.5)
+            tail = lambda1(frame, cutoff=c0).tail_bound
             beyond = [float(e.eigenvalues[0]) for e in table
                       if sum(t * (t + 2) / 4.0 for t in e.two_js) > c0]
-            assert tail <= min(beyond), (c0, tail, min(beyond))
+            assert tail is None or tail <= min(beyond), (c0, tail, min(beyond))
         if base is None:
             base = res
             continue
@@ -487,8 +486,7 @@ def test_hlap_matrix_matches_the_frame_image_reference(name, params):
         tol = 1e-10 * max(1.0, float(np.abs(lap).max()))
         assert np.abs(lap - ref).max() <= tol, two_js
 
-    res = lambda1(space)
-    for entry in res.table:
+    for entry in irrep_table(space).table:
         ref = np.linalg.eigvalsh(_reference_laplacian(space, entry.two_js))
         tol = 1e-9 * np.maximum(1.0, np.abs(ref))
         assert np.all(np.abs(entry.eigenvalues - ref) <= tol), entry.label
