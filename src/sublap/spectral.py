@@ -11,16 +11,13 @@ irreps whose bound does not pass the least bottom found are assembled.
 In the product spin basis G3 is diagonal and G1, G2 move one m by one, so
 each frame image lies on 2F + 1 shifted diagonals for F factors; -sum_i X_i^2
 is formed from their products, pair of shifts by pair, as (row, column, value)
-triplets, for a batch of irreps at once on one shared index, so numpy's
-per-call cost is paid per batch, not per irrep.  The Laplacian is mostly zeros
-and often splits: it is diagonal on so4_twisted.  It is diagonalized as the
-connected components of its exact nonzero pattern, which never cross irreps,
-equal-size components stacked.  The reordering is a permutation similarity
-that drops no entry, so the spectrum is exact with no added tolerance; an
-irrep with no imaginary entry is diagonalized in real arithmetic.  Checks read
-each irrep at its own scale, and its spectrum is the one it has alone at the
-same BLAS thread count: the complex eigvalsh of a block of 200 or more rows
-can change in its last bits between one and two OpenBLAS threads.
+triplets, one irrep at a time.  The Laplacian is mostly zeros and often
+splits: it is diagonal on so4_twisted.  It is diagonalized as the connected
+components of its exact nonzero pattern, equal-size components stacked.  The
+reordering is a permutation similarity that drops no entry, so the spectrum is
+exact with no added tolerance; an irrep with no imaginary entry is
+diagonalized in real arithmetic.  The complex eigvalsh of a block of 200 or
+more rows can change in its last bits between one and two OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -50,13 +47,10 @@ __all__ = [
 
 _ZERO_EIG = 1e-8
 _HERM_TOL = 1e-10
-# Largest irrep dimension `lambda1` enumerates, taken as the product over the
-# factors of the largest spin dimension the cutoff admits, and the largest
-# total dimension of one of its batches, which bounds the batch's working
-# arrays.  The first batch fills to it before any bottom is known, so most of
-# what a pruned call diagonalizes is that batch.  The benchmark's largest
-# cutoffs give 281 (so3_twisted at 20000) and 24 x 24 = 576 (two factors at
-# 150).
+# Largest irrep dimension that is built: `lambda1` refuses a cutoff whose
+# factor spins reach past it, and `hlap_matrix` and `irrep_matrices` a larger
+# irrep.  The benchmark's largest cutoffs give 281 (so3_twisted at 20000) and
+# 24 x 24 = 576 (two factors at 150).
 _MAX_IRREP_DIM = 1024
 
 
@@ -121,10 +115,13 @@ def _model_coeffs(
 ) -> np.ndarray:
     """The spectral model's frame coefficients as a (dim, factors, 3) array,
     checked to define a Lie algebra homomorphism; two_js, when given, must
-    hold one nonnegative spin per factor."""
+    hold one nonnegative spin per factor, of dimension at most _MAX_IRREP_DIM."""
     config = _oracle(space)
-    if two_js is not None and (len(two_js) != len(config.factors) or min(two_js) < 0):
-        raise ValueError("one spin per factor required, none negative")
+    if two_js is not None:
+        if len(two_js) != len(config.factors) or min(two_js) < 0:
+            raise ValueError("one spin per factor required, none negative")
+        if math.prod(t + 1 for t in two_js) > _MAX_IRREP_DIM:
+            raise ValueError(f"irrep {two_js} has dimension above {_MAX_IRREP_DIM}")
     shape = (space.dim, len(config.factors), 3)
     try:
         coeffs = np.asarray(config.frame_map, dtype=float)
@@ -157,49 +154,45 @@ def irrep_matrices(
     return images
 
 
-def _assemble(coeffs: np.ndarray, combos: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    """-sum_i X_i^2, X_i = sum_{f,a} coeffs[i, f, a] G_a^{(f)}, in each irrep
-    of a batch, as (dims, rows, cols, vals) triplets on one shared index.
+def _assemble(coeffs: np.ndarray, two_js: tuple[int, ...]) -> tuple:
+    """-sum_i X_i^2, X_i = sum_{f,a} coeffs[i, f, a] G_a^{(f)}, in the irrep
+    with doubled spins two_js, as (dim, rows, cols, vals) triplets.
 
-    Irrep r holds the indices offset_r + p, p < dims[r], and its basis vector
-    p = sum_f k_f stride_f has m_f = j_f - k_f.  Each G_a^{(f)} keeps k_f or
-    moves it by one, so X_i lives on the shifted diagonals s = 0, +-stride_f:
-    X_i[p, p + s] = x[i, s, p], taken from the spin bands at k_f.  Then X_i^2
-    holds x[i, s, p] x[i, t, p + s] at (p, p + s + t) for every pair of
-    shifts.  Pairs with equal s + t land on the same entries, as do the shifts
-    of a spin-0 factor and the factor before it, so the entries accumulate in
-    the order of (s, t, p).  The triplets come sorted by (row, col), with the
-    entries that cancel to zero dropped.
+    Basis vector p = sum_f k_f stride_f has m_f = j_f - k_f.  Each G_a^{(f)}
+    keeps k_f or moves it by one, so X_i lives on the shifted diagonals
+    s = 0, +-stride_f: X_i[p, p + s] = x[i, s, p], taken from the spin bands
+    at k_f.  Then X_i^2 holds x[i, s, p] x[i, t, p + s] at (p, p + s + t) for
+    every pair of shifts.  Pairs with equal s + t land on the same entries,
+    as do the shifts of a spin-0 factor and the factor before it, so the
+    entries accumulate in the order of (s, t, p).  The triplets come sorted
+    by (row, col), with the entries that cancel to zero dropped.
     """
-    two_js = np.array(combos)
-    dims = np.prod(two_js + 1, axis=1)
-    owner = np.repeat(np.arange(len(dims)), dims)
-    index = np.arange(size := len(owner))
-    factor_dims = (two_js + 1)[owner].T
-    strides = dims[owner] // np.cumprod(factor_dims, axis=0)
-    k = (index - (np.cumsum(dims) - dims)[owner]) // strides % factor_dims
-    shifts = np.concatenate((np.zeros((1, size), dtype=int), strides, -strides))
-    x = np.zeros((len(coeffs), len(shifts), size), dtype=complex)
-    for f in range(nf := len(strides)):
-        sub, diag, sup = _spin_bands(two_js[owner, f], k[f])
+    factor_dims = np.array(two_js) + 1
+    index = np.arange(dim := math.prod(t + 1 for t in two_js))
+    strides = dim // np.cumprod(factor_dims)
+    k = index // strides[:, None] % factor_dims[:, None]
+    shifts = np.concatenate(([0], strides, -strides))
+    x = np.zeros((len(coeffs), len(shifts), dim), dtype=complex)
+    for f in range(nf := len(two_js)):
+        sub, diag, sup = _spin_bands(two_js[f], k[f])
         x[:, 0] += coeffs[:, f] @ diag
         x[:, 1 + f] = coeffs[:, f] @ sup
         x[:, 1 + nf + f] = coeffs[:, f] @ sub
-    # p + s leaves its irrep only where x[:, s, p] vanishes, so no such term
+    # p + s leaves the irrep only where x[:, s, p] vanishes, so no such term
     # counts; one shift s at a time keeps the gathered x[:, :, p + s] small
-    prod = np.empty((len(shifts), len(shifts), size), dtype=complex)
-    for s, target in enumerate((index + shifts) % size):
-        np.einsum("ip,itp->tp", x[:, s], x[:, :, target], out=prod[s])
+    prod = np.empty((len(shifts), len(shifts), dim), dtype=complex)
+    for s, shift in enumerate(shifts):
+        np.einsum("ip,itp->tp", x[:, s], x[:, :, (index + shift) % dim], out=prod[s])
     s, t, p = np.nonzero(prod)
-    key = p * size + p + shifts[s, p] + shifts[t, p]  # row-major (p, p + s + t)
+    key = p * dim + p + shifts[s] + shifts[t]  # row-major (p, p + s + t)
     order = np.argsort(key, kind="stable")
     key = key[order]
     new = np.diff(key, prepend=-1) != 0
     vals = np.zeros(np.count_nonzero(new), dtype=complex)
     np.subtract.at(vals, np.cumsum(new) - 1, prod[s, t, p][order])
-    rows, cols = np.divmod(key[new], size)
+    rows, cols = np.divmod(key[new], dim)
     keep = vals != 0
-    return dims, rows[keep], cols[keep], vals[keep]
+    return dim, rows[keep], cols[keep], vals[keep]
 
 
 def _blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
@@ -226,57 +219,49 @@ def _blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     return [order[start[size == s][:, None] + np.arange(s)] for s in sizes]
 
 
-def _checked_spectra(dims, rows, cols, vals) -> list[np.ndarray]:
-    """Sorted eigenvalues of each irrep of a batch `_assemble` returned, after
-    checking, irrep by irrep at its own scale max(1, max |entry|), that its
-    Laplacian is Hermitian, then that its spectrum is nonnegative.
+def _checked_spectrum(dim, rows, cols, vals) -> np.ndarray:
+    """Sorted eigenvalues of the irrep Laplacian `_assemble` returned, after
+    checking at its scale max(1, max |entry|) that it is Hermitian, then that
+    its spectrum is nonnegative.
 
     Only the entries are read: lap - lap^H vanishes wherever lap and its
-    transpose do.  The connected components of the pattern, which never cross
-    irreps, are diagonalized stacked, one `eigvalsh` per component size and
-    arithmetic, real for an irrep with no imaginary entry.
+    transpose do.  The connected components of the pattern are diagonalized
+    stacked, one `eigvalsh` per component size, in real arithmetic when no
+    entry is imaginary.
     """
-    size = len(owner := np.repeat(np.arange(len(dims)), dims))
-    irrep = owner[rows]
-    scale, defect = np.ones(len(dims)), np.zeros(len(dims))
-    np.maximum.at(scale, irrep, np.abs(vals))
-    key, back = rows * size + cols, cols * size + rows
+    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
+    key, back = rows * dim + cols, cols * dim + rows
     at = np.minimum(np.searchsorted(key, back), len(key) - 1)
-    np.maximum.at(defect, irrep, np.abs(vals - np.where(key[at] == back, vals[at], 0).conj()))
-    if (defect > _HERM_TOL * scale).any():
+    defect = np.abs(vals - np.where(key[at] == back, vals[at], 0).conj())
+    if defect.max(initial=0.0) > _HERM_TOL * scale:
         raise RuntimeError("assembled Laplacian is not Hermitian")
-    real = np.bincount(irrep, vals.imag != 0, minlength=len(dims)) == 0
+    if not vals.imag.any():
+        vals = vals.real
     # an index's component size, its component's row in that size's stack and
-    # its place in the component; a stack holds real irreps' components first
-    width, row, pos = (np.zeros(size, dtype=int) for _ in range(3))
-    eig, own = [], []
-    for idx in _blocks(size, rows, cols):
-        first = real[owner[idx[:, 0]]]
-        idx, split = idx[np.argsort(~first, kind="stable")], np.count_nonzero(first)
+    # its place in the component
+    width, row, pos = (np.zeros(dim, dtype=int) for _ in range(3))
+    eig = []
+    for idx in _blocks(dim, rows, cols):
         k, s = idx.shape
         width[idx], row[idx], pos[idx] = s, np.arange(k)[:, None], np.arange(s)
         e = width[rows] == s
-        block = np.zeros((k, s, s), dtype=complex)
+        block = np.zeros((k, s, s), dtype=vals.dtype)
         block[row[rows[e]], pos[rows[e]], pos[cols[e]]] = vals[e]
-        eig += [np.linalg.eigvalsh(b) for b in (block[:split].real, block[split:]) if len(b)]
-        own.append(owner[idx])
+        eig.append(np.linalg.eigvalsh(block))
         del block  # before the next stack is allocated
-    eig, own = np.concatenate(eig, axis=None), np.concatenate(own, axis=None)
-    eig = eig[np.lexsort((eig, own))]
-    ends = np.cumsum(dims)
-    if (eig[ends - dims] < -_HERM_TOL * scale).any():
+    eig = np.sort(np.concatenate(eig, axis=None))
+    if eig[0] < -_HERM_TOL * scale:
         raise RuntimeError("assembled Laplacian is not positive semidefinite")
-    return np.split(eig, ends[:-1])
+    return eig
 
 
 def hlap_matrix(space: HomogeneousSpace, two_js: tuple[int, ...]) -> np.ndarray:
-    """Horizontal Laplacian -sum_i X_i^2 in one irrep: `lambda1`'s batch path
-    (model validation, assembly, Hermitian and positivity checks) run on this
-    one irrep, made dense."""
+    """Horizontal Laplacian -sum_i X_i^2 in one irrep: `lambda1`'s path
+    (model validation, assembly, Hermitian and positivity checks) made dense."""
     coeffs = _model_coeffs(space, two_js)
-    dims, rows, cols, vals = _assemble(coeffs[: space.dim_h], [two_js])
-    _checked_spectra(dims, rows, cols, vals)
-    lap = np.zeros((dims[0], dims[0]), dtype=complex)
+    dim, rows, cols, vals = _assemble(coeffs[: space.dim_h], two_js)
+    _checked_spectrum(dim, rows, cols, vals)
+    lap = np.zeros((dim, dim), dtype=complex)
     lap[rows, cols] = vals
     return lap
 
@@ -381,17 +366,15 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     irrep whose bound exceeds the least nontrivial bottom found so far by
     more than 1e-9: no later irrep can hold lambda1, nor come within the
     witness's 1e-12 tie-break of it.  With c = 0 every irrep is visited, in
-    Casimir order.  Irreps next in the visit are batched while their
-    dimensions sum to at most _MAX_IRREP_DIM; each batch is assembled,
-    checked irrep by irrep to be Hermitian and diagonalized once, block by
-    block (see the module docstring), and the positivity check reads that
-    same spectrum.  The table holds the visited irreps in Casimir order and
-    `skipped` counts the others.  The trivial irrep is the 1 x 1 zero matrix,
-    which carries the constants and is left out of the minimum; a zero
-    eigenvalue anywhere else means the model is inconsistent and aborts (an
-    irrep left unvisited has its bottom at least c s > 0).  A cutoff that is
-    negative, infinite or NaN, or too large to enumerate, raises ValueError
-    before any irrep is built.
+    Casimir order.  Each visited irrep is assembled, checked to be Hermitian
+    and diagonalized once, block by block (see the module docstring), and the
+    positivity check reads that same spectrum.  The table holds the visited
+    irreps in Casimir order and `skipped` counts the others.  The trivial
+    irrep is the 1 x 1 zero matrix, which carries the constants and is left
+    out of the minimum; a zero eigenvalue anywhere else means the model is
+    inconsistent and aborts (an irrep left unvisited has its bottom at least
+    c s > 0).  A cutoff that is negative, infinite or NaN, or too large to
+    enumerate, raises ValueError before any irrep is built.
     """
     coeffs = _model_coeffs(space)
     config = space.oracle
@@ -410,21 +393,13 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
 
     irreps = _enumerate_irreps(config, cutoff)
     bound = [c * sum(two_js) / 2.0 for two_js in irreps]
-    order = sorted(range(len(irreps)), key=lambda r: (bound[r], r))
-    spectra, least, visited = {}, math.inf, 0
-    while visited < len(order) and bound[order[visited]] <= least + 1e-9:
-        batch, total = [], 0
-        for r in order[visited:]:
-            total += math.prod(t + 1 for t in irreps[r])
-            if total > _MAX_IRREP_DIM or bound[r] > least + 1e-9:
-                break
-            batch.append(r)
-        visited += len(batch)
-        combos = [irreps[r] for r in batch]
-        for r, e in zip(batch, _checked_spectra(*_assemble(horizontal, combos))):
-            spectra[r] = e
-            if any(irreps[r]):
-                least = min(least, float(e[0]))
+    spectra, least = {}, math.inf
+    for r in sorted(range(len(irreps)), key=bound.__getitem__):
+        if bound[r] > least + 1e-9:
+            break
+        spectra[r] = _checked_spectrum(*_assemble(horizontal, irreps[r]))
+        if any(irreps[r]):
+            least = min(least, float(spectra[r][0]))
     table = [IrrepSpectrum(_label(irreps[r]), irreps[r], len(e), e)
              for r, e in sorted(spectra.items())]
     best: float | None = None
@@ -452,7 +427,7 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
         witness=witness,
         cutoff=float(cutoff),
         table=table,
-        skipped=len(irreps) - visited,
+        skipped=len(irreps) - len(table),
         tail_bound=tail,
         rigorous=rigorous,
         tail_note=note,

@@ -91,26 +91,17 @@ def feasible_rho1(q: np.ndarray, d: int, rho2: float) -> float | None:
 
 
 def irrep_table(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumResult:
-    """`lambda1` over every irrep within the cutoff: the irreps of
-    `_enumerate_irreps`, batched in Casimir order while their dimensions sum
-    to at most `_MAX_IRREP_DIM`, each batch assembled and checked by the
+    """`lambda1` over every irrep within the cutoff: each irrep of
+    `_enumerate_irreps`, in Casimir order, assembled and checked by the
     package's own helpers, and the witness taken over the whole table.  The
     tail and its note come from `_tail` by `lambda1`'s rule."""
     if cutoff is None:
         cutoff = space.oracle.cutoff
     horizontal = spectral._model_coeffs(space)[: space.dim_h]
-    batches, total = [], spectral._MAX_IRREP_DIM
-    for combo in spectral._enumerate_irreps(space.oracle, cutoff):
-        total += (n := math.prod(t + 1 for t in combo))
-        if total > spectral._MAX_IRREP_DIM:
-            batches.append([])
-            total = n
-        batches[-1].append(combo)
     table = []
-    for batch in batches:
-        spectra = spectral._checked_spectra(*spectral._assemble(horizontal, batch))
-        table += [spectral.IrrepSpectrum(spectral._label(c), c, len(e), e)
-                  for c, e in zip(batch, spectra)]
+    for combo in spectral._enumerate_irreps(space.oracle, cutoff):
+        e = spectral._checked_spectrum(*spectral._assemble(horizontal, combo))
+        table.append(spectral.IrrepSpectrum(spectral._label(combo), combo, len(e), e))
     best, witness = None, ""
     for entry in table:
         low = float(entry.eigenvalues[0])

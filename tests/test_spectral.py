@@ -221,9 +221,10 @@ def _check_against_full_table(frame, cutoff):
     """Compare lambda1 with the full table at one cutoff; return lambda1's
     result.  Every irrep's bottom is at least c s, s = sum_f j_f, with
     `_tail`'s c; lambda1 diagonalizes the irreps of a prefix of the order
-    (c s, Casimir order) and skips only irreps whose bound passes lambda1 by
-    more than 1e-9; its result and the visited irreps' eigenvalues are the
-    full table's to the byte."""
+    (c s, Casimir order), each with its bound within 1e-9 of the least
+    nontrivial bottom of the irreps before it, and skips only irreps whose
+    bound passes lambda1 by more than 1e-9; its result and the visited
+    irreps' eigenvalues are the full table's to the byte."""
     res, full = lambda1(frame, cutoff=cutoff), irrep_table(frame, cutoff)
     c, _ = sublap.spectral._tail(sublap.spectral._model_coeffs(frame)[: frame.dim_h])
     rank = {e.two_js: r for r, e in enumerate(full.table)}
@@ -237,6 +238,11 @@ def _check_against_full_table(frame, cutoff):
     visit = sorted(rank, key=lambda two_js: (bound[two_js], rank[two_js]))
     seen = visit[: len(res.table)]
     assert [e.two_js for e in res.table] == sorted(seen, key=rank.get)
+    least = math.inf
+    for two_js in seen:
+        assert bound[two_js] <= least + 1e-9, two_js
+        if any(two_js):
+            least = min(least, float(full.table[rank[two_js]].eigenvalues[0]))
     assert all(bound[two_js] > res.lambda1 + 1e-9 for two_js in visit[len(seen):])
     return res
 
@@ -259,34 +265,24 @@ def test_lambda1_matches_full_enumeration(name, params):
                 assert res.skipped > 0
 
 
-@pytest.mark.parametrize(
-    "name, limit, cutoff",
-    [("so4_twisted", 16, 5.0), ("so4_alt", 16, 5.0), ("so3_twisted", 16, 40.0),
-     ("twisted_spheres", 16, 5.0), ("twisted_spheres", 32, 8.0)],
-)
-def test_lambda1_matches_full_enumeration_in_small_batches(monkeypatch, name, limit, cutoff):
-    # With a small dimension limit the visit can take several batches.  Each
-    # batch holds only irreps whose bound is within 1e-9 of the least bottom
-    # of the batches before it: on twisted_spheres at limit 32 the second
-    # batch stops at (3/2, 1), whose bound 1.25 passes lambda1 = 1 although
-    # it would fit.
-    monkeypatch.setattr(sublap.spectral, "_MAX_IRREP_DIM", limit)
-    space = load_builtin(name)
-    res = _check_against_full_table(space, cutoff)
-    batches, assemble = [], sublap.spectral._assemble
+def test_lambda1_builds_only_the_irreps_that_can_hold_lambda1(monkeypatch):
+    # In the given frames at the benchmark's cutoffs the visit builds the
+    # trivial irrep and the few whose bound c s does not pass the least
+    # bottom found, one `_assemble` each, out of 134 to 206 irreps.
+    built, assemble = [], sublap.spectral._assemble
 
-    def recorded(coeffs, combos):
-        batches.append(combos)
-        return assemble(coeffs, combos)
+    def counted(coeffs, two_js):
+        built.append(two_js)
+        return assemble(coeffs, two_js)
 
-    monkeypatch.setattr(sublap.spectral, "_assemble", recorded)
-    lambda1(space, cutoff=cutoff)
-    c, _ = sublap.spectral._tail(sublap.spectral._model_coeffs(space)[: space.dim_h])
-    bottom = {e.two_js: float(e.eigenvalues[0]) for e in res.table if any(e.two_js)}
-    least = math.inf
-    for batch in batches:
-        assert all(c * sum(two_js) / 2.0 <= least + 1e-9 for two_js in batch), batch
-        least = min([least] + [bottom[two_js] for two_js in batch if two_js in bottom])
+    monkeypatch.setattr(sublap.spectral, "_assemble", counted)
+    for name, want in (("so4_twisted", 4), ("so4_alt", 4), ("twisted_spheres", 9),
+                       ("so3_twisted", 2)):
+        built.clear()
+        res = lambda1(load_builtin(name), cutoff=BENCH_CUTOFFS[name])
+        assert len(built) == len(res.table) == want, name
+        assert sorted(built) == sorted(e.two_js for e in res.table), name
+        assert res.skipped > 100, name
 
 
 def test_spectrum_table_structure():
@@ -515,6 +511,27 @@ def test_hlap_matrix_matches_the_reference_on_three_factors():
         hlap_matrix(base, (-3, -3))
 
 
+def test_hlap_matrix_and_irrep_matrices_refuse_an_irrep_past_the_limit(monkeypatch):
+    # so3_twisted at c != 0 is one complex component, so its spin-10000 irrep
+    # would take dense 20001 x 20001 complex arrays of 6.4 GB each.  The
+    # dimension is checked before anything is built; nothing here builds one.
+    def never(*args, **kwargs):
+        raise AssertionError("irrep built")
+
+    for helper in ("_assemble", "_embed", "spin_matrices"):
+        monkeypatch.setattr(sublap.spectral, helper, never)
+    limit = sublap.spectral._MAX_IRREP_DIM
+    so3, so4 = load_builtin("so3_twisted", c=0.3), load_builtin("so4_alt")
+    for call in (hlap_matrix, irrep_matrices):
+        for space, two_js in ((so3, (20000,)), (so3, (limit,)), (so4, (31, 32))):
+            with pytest.raises(ValueError, match=f"dimension above {limit}$") as err:
+                call(space, two_js)
+            assert "\n" not in str(err.value)
+        for space, two_js in ((so3, (limit - 1,)), (so4, (31, 31))):
+            with pytest.raises(AssertionError, match="irrep built"):
+                call(space, two_js)
+
+
 def test_assembly_builds_no_kronecker_products(monkeypatch):
     # Each irrep's Laplacian is built from shifted diagonals; only the
     # frame-image reference embeds generators through np.kron.
@@ -577,16 +594,16 @@ def test_blocks_are_the_connected_components_of_any_pattern():
         assert len({stack.shape[1] for stack in blocks}) == len(blocks)
 
 
-def _batch_eigvalsh_calls(monkeypatch):
-    """Record, per `_checked_spectra` call (one batch), its irreps' doubled
-    spins, as passed to `_assemble`, and dimensions, the components `_blocks`
-    finds on its shared index and the shape and dtype of every stack it
-    passes to `eigvalsh`."""
-    records, assembled = [], []
+def _irrep_eigvalsh_calls(monkeypatch):
+    """Record, per `_assemble` call (one irrep), its doubled spins, how often
+    `_checked_spectrum` then ran and on what dimension, the components
+    `_blocks` finds and the shape and dtype of every stack passed to
+    `eigvalsh`."""
+    records = []
     eigvalsh = np.linalg.eigvalsh
     blocks = sublap.spectral._blocks
     assemble = sublap.spectral._assemble
-    checked = sublap.spectral._checked_spectra
+    checked = sublap.spectral._checked_spectrum
 
     def counted_eigvalsh(a, *args, **kwargs):
         if records and records[-1]["open"]:
@@ -598,53 +615,48 @@ def _batch_eigvalsh_calls(monkeypatch):
         records[-1]["components"] += [row for stack in out for row in stack]
         return out
 
-    def recorded_assemble(coeffs, combos):
-        assembled.append(list(combos))
-        return assemble(coeffs, combos)
-
-    def marked_checked(dims, *args):
-        records.append({"open": True, "combos": assembled.pop(), "dims": list(dims),
+    def recorded_assemble(coeffs, two_js):
+        records.append({"two_js": two_js, "open": False, "checked": 0,
                         "calls": [], "components": []})
+        return assemble(coeffs, two_js)
+
+    def marked_checked(dim, *args):
+        record = records[-1]
+        record.update(open=True, dim=dim, checked=record["checked"] + 1)
         try:
-            return checked(dims, *args)
+            return checked(dim, *args)
         finally:
-            records[-1]["open"] = False
+            record["open"] = False
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(sublap.spectral, "_blocks", recorded_blocks)
     monkeypatch.setattr(sublap.spectral, "_assemble", recorded_assemble)
-    monkeypatch.setattr(sublap.spectral, "_checked_spectra", marked_checked)
+    monkeypatch.setattr(sublap.spectral, "_checked_spectrum", marked_checked)
     return records
 
 
-def _component_owners(record):
-    """Check that a batch's components partition its shared index, stay
-    inside one irrep each, and are exactly the blocks stacked for `eigvalsh`,
-    at most one call per (block size, arithmetic); return each component's
-    irrep, counted within the batch."""
-    dims = record["dims"]
-    ends = np.cumsum(dims)
+def _check_components(record):
+    """Check that an irrep was checked once, that its components partition
+    its index range, and that they are exactly the blocks stacked for
+    `eigvalsh`, at most one call per (block size, arithmetic)."""
+    assert record["checked"] == 1
     comps = record["components"]
-    assert sorted(np.concatenate(comps).tolist()) == list(range(int(ends[-1])))
-    owners = np.searchsorted(ends, [comp[0] for comp in comps], side="right")
-    for comp, owner in zip(comps, owners):
-        assert ends[owner] - dims[owner] <= comp[0] and comp[-1] < ends[owner]
+    assert sorted(np.concatenate(comps).tolist()) == list(range(record["dim"]))
     stacked = sorted(s[-1] for s, _ in record["calls"] for _ in range(s[0]))
     assert stacked == sorted(len(comp) for comp in comps)
     keys = [(s[-1], dtype) for s, dtype in record["calls"]]
     assert len(keys) == len(set(keys))
-    return owners
 
 
 def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
     # Every row of every visited irrep is diagonalized exactly once, in
-    # stacks of equal-size blocks: one eigvalsh call per (batch, block size,
-    # arithmetic) at most.  Batches take irreps consecutive in lambda1's
-    # visit, by ascending bound c sum_f j_f and then Casimir order, and stay
-    # within the dimension limit; the table holds the visited irreps in
-    # Casimir order.  The tail diagonalizes the Gram of the horizontal
-    # coefficients once; that call is counted apart from the irreps'.
-    records = _batch_eigvalsh_calls(monkeypatch)
+    # stacks of equal-size blocks: one eigvalsh call per (irrep, block size,
+    # arithmetic) at most.  Irreps are assembled one at a time in lambda1's
+    # visit, by ascending bound c sum_f j_f and then Casimir order; the table
+    # holds the visited irreps in Casimir order.  The tail diagonalizes the
+    # Gram of the horizontal coefficients once; that call is counted apart
+    # from the irreps'.
+    records = _irrep_eigvalsh_calls(monkeypatch)
     counts = dict.fromkeys(("tail", "homomorphism"), 0)
     in_tail = []
     eigvalsh = np.linalg.eigvalsh
@@ -669,27 +681,26 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(sublap.spectral, "_check_homomorphism", counted_check)
     monkeypatch.setattr(sublap.spectral, "_tail", marked_tail)
+    # the moved so4_alt frame has c = 0 and visits every irrep
+    moved = moved_frame(load_builtin("so4_alt"), np.random.default_rng(19))
     for name, cutoff in (("so4_twisted", None), ("so3_twisted", None),
                          ("so4_alt", None), ("twisted_spheres", None),
-                         ("so4_twisted", 137.5), ("so3_twisted", 18000.0)):
-        space = load_builtin(name)
+                         ("so4_twisted", 137.5), ("so3_twisted", 18000.0), (moved, 40.0)):
+        space = load_builtin(name) if isinstance(name, str) else name
         irreps = sublap.spectral._enumerate_irreps(space.oracle, cutoff or space.oracle.cutoff)
         c, _ = tail(sublap.spectral._model_coeffs(space)[: space.dim_h])
         visit = sorted(irreps, key=lambda two_js: (c * sum(two_js) / 2.0, irreps.index(two_js)))
         counts.update(tail=0, homomorphism=0)
         records.clear()
         res = lambda1(space, cutoff=cutoff)
-        combos = [two_js for r in records for two_js in r["combos"]]
+        combos = [r["two_js"] for r in records]
         assert combos == visit[: len(combos)], name
         assert sorted(combos, key=irreps.index) == [e.two_js for e in res.table], name
-        assert [d for r in records for d in r["dims"]] == [
+        assert [r["dim"] for r in records] == [
             math.prod(t + 1 for t in two_js) for two_js in combos
         ]
         for r in records:
-            assert sum(r["dims"]) <= sublap.spectral._MAX_IRREP_DIM, name
-            _component_owners(r)
-        for r, later in zip(records, records[1:]):
-            assert sum(r["dims"]) + later["dims"][0] > sublap.spectral._MAX_IRREP_DIM
+            _check_components(r)
         rows = sum(math.prod(s[:-1]) for r in records for s, _ in r["calls"])
         assert rows == sum(entry.dim for entry in res.table), name
         assert counts["homomorphism"] == 1, name
@@ -751,73 +762,30 @@ def test_block_split_agrees_with_the_dense_spectrum(name, params):
         )
 
 
-@pytest.mark.parametrize(
-    "name, params",
-    SPLIT_SPACES,
-    ids=[n + "".join(f"_{k}{v}" for k, v in p.items()) for n, p in SPLIT_SPACES],
-)
-def test_each_irrep_spectrum_is_independent_of_its_batch(monkeypatch, name, params):
-    # Byte for byte, an irrep's eigenvalues are the same in the full table's
-    # Casimir-consecutive batches, alone on the hlap_matrix path, and in a
-    # second split: the irreps in reverse order, three to a batch, so every
-    # irrep sits at another offset beside other neighbours.  lambda1's own
-    # batches match the full table in test_lambda1_matches_full_enumeration.
-    spectral = sublap.spectral
-    space = load_builtin(name, **params)
-    sizes, alone = [], []
-    assemble, checked = spectral._assemble, spectral._checked_spectra
-
-    def sized(coeffs, combos):
-        sizes.append(len(combos))
-        return assemble(coeffs, combos)
-
-    def kept(*args):
-        alone.extend(out := checked(*args))
-        return out
-
-    monkeypatch.setattr(spectral, "_assemble", sized)
-    one_factor = len(space.oracle.factors) == 1
-    res = irrep_table(space, 2000.0 if one_factor else 4.0 * space.oracle.cutoff)
-    assert max(sizes) > 1 and len(sizes) > 1
-    monkeypatch.setattr(spectral, "_checked_spectra", kept)
-    for entry in res.table:
-        hlap_matrix(space, entry.two_js)
-    horizontal = spectral._model_coeffs(space)[: space.dim_h]
-    combos = [entry.two_js for entry in res.table][::-1]
-    resplit = [
-        eig
-        for i in range(0, len(combos), 3)
-        for eig in checked(*assemble(horizontal, combos[i : i + 3]))
-    ][::-1]
-    assert len(alone) == len(resplit) == len(res.table)
-    for entry, one, other in zip(res.table, alone, resplit):
-        want = entry.eigenvalues.tobytes()
-        assert one.tobytes() == want and other.tobytes() == want, entry.label
-
-
-def test_each_irrep_of_a_batch_is_checked_at_its_own_scale():
-    # The 2 x 2 irrep has scale 1, so a Hermitian defect or a negative
-    # eigenvalue of 1e-9 exceeds its tolerance of 1e-10; the 1 x 1 irrep
-    # beside it has scale 1e3, whose tolerance of 1e-7 would let both pass.
-    checked = sublap.spectral._checked_spectra
-    dims = np.array([2, 1])
+def test_an_irrep_is_checked_at_its_own_scale():
+    # At scale 1 a Hermitian defect or a negative eigenvalue of 1e-9 exceeds
+    # the tolerance of 1e-10; beside an entry of 1e3 the scale is 1e3, whose
+    # tolerance of 1e-7 lets both pass.
+    checked = sublap.spectral._checked_spectrum
     large = (2, 2, 1e3)
-    batches = {
-        "not Hermitian": [(0, 0, 1.0), (0, 1, 0.5), (1, 0, 0.5 + 1e-9), (1, 1, 1.0), large],
-        "not positive semidefinite": [(0, 0, 1.0), (1, 1, -1e-9), large],
+    irreps = {
+        "not Hermitian": [(0, 0, 1.0), (0, 1, 0.5), (1, 0, 0.5 + 1e-9), (1, 1, 1.0)],
+        "not positive semidefinite": [(0, 0, 1.0), (1, 1, -1e-9)],
     }
-    for message, entries in batches.items():
+    for message, entries in irreps.items():
         rows, cols, vals = (np.array(v) for v in zip(*entries))
         with pytest.raises(RuntimeError, match=message):
-            checked(dims, rows, cols, vals.astype(complex))
-        # in one irrep with the large entry, the same defect is within tolerance
-        assert len(checked(np.array([3]), rows, cols, vals.astype(complex))[0]) == 3
+            checked(2, rows, cols, vals.astype(complex))
+        rows, cols, vals = (np.array(v) for v in zip(*entries, large))
+        assert len(checked(3, rows, cols, vals.astype(complex))) == 3
 
 
-def test_lambda1_memory_stays_at_one_irrep_scale():
-    # Batches stop at _MAX_IRREP_DIM, so lambda1 never holds much more than
-    # the largest irrep's dense matrix once did (289 x 289 complex, 1.3 MB);
-    # one batch for the whole cutoff would peak near 28 MB.
+def test_lambda1_memory_stays_at_one_irrep_scale(monkeypatch):
+    # lambda1 holds one irrep's working arrays at a time, so with every irrep
+    # built (c = 0) it never holds much more than the largest irrep's dense
+    # matrix once did (289 x 289 complex, 1.3 MB); the whole cutoff on one
+    # shared index would peak near 28 MB.
+    monkeypatch.setattr(sublap.spectral, "_tail", lambda horizontal: (0.0, "none"))
     space = load_builtin("so4_twisted")
     lambda1(space, cutoff=150.0)
     tracemalloc.start()
@@ -841,12 +809,15 @@ def test_lambda1_diagonalizes_small_blocks(monkeypatch, name, params, cutoff, la
     # so4_twisted's Laplacian is diagonal in the product spin basis, and
     # so3_twisted's at c = 0 splits by the parity of m; dense eigvalsh of a
     # whole irrep took most of a certify run there.  Every stacked block is
-    # a component of one irrep, no larger than that irrep allows.
-    records = _batch_eigvalsh_calls(monkeypatch)
+    # a component of one irrep, no larger than that irrep allows.  With c = 0
+    # every irrep within the cutoff is visited.
+    monkeypatch.setattr(sublap.spectral, "_tail", lambda horizontal: (0.0, "none"))
+    records = _irrep_eigvalsh_calls(monkeypatch)
     res = lambda1(load_builtin(name, **params), cutoff=cutoff)
     table = {entry.two_js: entry for entry in res.table}
     for r in records:
-        entries = [table.pop(two_js) for two_js in r["combos"]]
-        for comp, owner in zip(r["components"], _component_owners(r)):
-            assert len(comp) <= largest(entries[owner].dim), entries[owner].label
+        entry = table.pop(r["two_js"])
+        _check_components(r)
+        for comp in r["components"]:
+            assert len(comp) <= largest(entry.dim), entry.label
     assert not table
