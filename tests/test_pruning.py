@@ -460,19 +460,28 @@ def test_a_theorem_with_no_value_at_its_top_x_sweeps_on(monkeypatch):
 
 # report_text(optimize(s)) at the default grids, recorded before the dense cap
 # pass gave way to root, cell and leaf caps: the sweep-twisted benchmark points
-# and the general asn branch.  The CLI goldens run at --x-grid 400.
+# and the general asn branch.  The CLI goldens run at --x-grid 400.  The moved
+# frames (rotated and rescaled by `moved_frame` from the given seed), recorded
+# later, carry rounding-level sigma and sup T2 into every branch of `_m_arrays`.
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEFAULT_GRID_RUNS = {
-    **{f"optimize_so4_twisted_b{b}.txt": ("so4_twisted", {"b": b}) for b in (0.1, 0.2, 0.3, 0.4)},
-    **{f"optimize_so3_twisted_c{c}.txt": ("so3_twisted", {"c": c}) for c in (0.1, 0.5, 0.9)},
+    **{f"optimize_so4_twisted_b{b}.txt": ("so4_twisted", {"b": b}, None)
+       for b in (0.1, 0.2, 0.3, 0.4)},
+    **{f"optimize_so3_twisted_c{c}.txt": ("so3_twisted", {"c": c}, None) for c in (0.1, 0.5, 0.9)},
+    "optimize_moved_so4_alt.txt": ("so4_alt", {}, 1),
+    "optimize_moved_twisted_spheres.txt": ("twisted_spheres", {}, 2),
+    "optimize_moved_so4_twisted_b0.3.txt": ("so4_twisted", {"b": 0.3}, 3),
+    "optimize_moved_so3_twisted_c0.05.txt": ("so3_twisted", {"c": 0.05}, 4),
 }
 
 
 @pytest.mark.parametrize("name", [*sorted(DEFAULT_GRID_RUNS), "optimize_so4_weighted.txt"])
 def test_default_grid_optimize_matches_golden_file(name):
     if name in DEFAULT_GRID_RUNS:
-        builtin, params = DEFAULT_GRID_RUNS[name]
+        builtin, params, seed = DEFAULT_GRID_RUNS[name]
         space = load_builtin(builtin, **params)
+        if seed is not None:
+            space = moved_frame(space, np.random.default_rng(seed))
     else:
         space = so4_weighted()
     assert report_text(optimize(space)) == (GOLDEN / name).read_text(encoding="utf-8")
