@@ -28,14 +28,12 @@ consecutive base candidates takes r at its first, as r falls with rho2, and b
 its last; a leaf is one candidate.  Each level is computed only where the
 level above can still beat the best.
 
-Inside one x the root cap at b = rho2[k] bounds every candidate up to k, so
-leaf caps are taken from the largest rho2 down, in growing blocks, until a
-batch of them reaches the next root cap; complements are diagonalized only
-for the pending candidates of largest leaf cap, in growing batches.  The
-search stops once every pending leaf cap and the next root cap fall strictly
-below the best value; a cap equal to it is still visited, so the first
-candidate wins a tie.  asn's duality search runs only where (lambda_min(S) +
-pad)/(Delta + omega) reaches its best.
+Inside one x the leaf caps of every candidate are taken in one pass, and
+complements are diagonalized only for the pending candidates of largest leaf
+cap, in growing batches.  The search stops once every pending leaf cap falls
+strictly below the best value; a cap equal to it is still visited, so the
+first candidate wins a tie.  asn's duality search runs only where
+(lambda_min(S) + pad)/(Delta + omega) reaches its best.
 """
 
 from __future__ import annotations
@@ -113,8 +111,7 @@ _GOLDEN_ITERS = 60  # golden-section steps after the first two evaluations
 # Widths, in base-grid rho2 candidates, of the nested cells that refine the
 # caps pruning `optimize`: a live cell splits into ten of the next width.
 _CELLS = (100, 10, 1)
-# The first block of leaf caps and batch of Schur complements in `_evaluate`.
-_LEAVES, _BATCH = 64, 8
+_BATCH = 8  # the first batch of Schur complements in `_evaluate`
 
 
 # ---------------------------------------------------------------------------
@@ -571,23 +568,11 @@ def _evaluate(
     lam = {own: np.full(rho2.shape, np.nan) for own in forms}
     rho1s = dict.fromkeys(names, lam.get(False)) | {"asn": np.full(rho2.shape, np.nan)}
     vals = {n: np.full(rho2.shape, np.nan) for n in names}
-    rays = {own: _ray(q, d, w) for own, q in forms.items()}
+    r = {own: _rayleigh(*_ray(q, d, w), weights, ok) for own, q in forms.items()}
     for (own, lift), group in _formulas(inv, names).items():
-        (top, proj), q = rays[own], forms[own]
-        leaf = np.full(rho2.shape, -np.inf)  # the leaf caps of the candidates to visit
-        k, block, size, floor = rho2.size, _LEAVES, _BATCH, 0.0  # no leaf cap from k on
-        while True:
-            while k and (
-                (root := _cap(inv, lift, top, rho2[k - 1], delta, pad)) >= floor
-                and np.count_nonzero(leaf >= root) < size
-            ):
-                lo = max(k - block, 0)
-                r = _rayleigh(top, proj, weights[:, lo:k], ok[lo:k])
-                leaf[lo:k] = _cap(inv, lift, r, rho2[lo:k], delta, pad, True)
-                k, block = lo, 4 * block
-            i = np.flatnonzero(leaf >= floor)
-            if not i.size:
-                break
+        q, size, floor = forms[own], _BATCH, 0.0
+        leaf = _cap(inv, lift, r[own], rho2, delta, pad, True)  # -inf once visited
+        while (i := np.flatnonzero(leaf >= floor)).size:
             i = i[np.argsort(-leaf[i], kind="stable")[:size]]
             leaf[i] = -np.inf
             sc = q[:d, :d] - np.einsum("aj,bj,jr->rab", w, w, weights[:, i])

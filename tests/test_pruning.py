@@ -129,13 +129,12 @@ def dense_evaluate(
     return out
 
 
-@pytest.mark.parametrize("leaves, batch", [(64, 8), (1, 1)], ids=["default", "one-by-one"])
+@pytest.mark.parametrize("batch", [8, 1], ids=["default", "one-by-one"])
 @pytest.mark.parametrize("key", [*KEYS, *NILPOTENT])
-def test_evaluate_matches_the_dense_curve(monkeypatch, key, leaves, batch):
+def test_evaluate_matches_the_dense_curve(monkeypatch, key, batch):
     # best-first search inside each curve diagonalizes a few candidates, yet
-    # must return the dense argmax to the last bit, ties included; one leaf
-    # cap and one complement at a time, the search takes many more rounds
-    monkeypatch.setattr(sublap.bounds, "_LEAVES", leaves)
+    # must return the dense argmax to the last bit, ties included; one
+    # complement at a time, the search takes many more rounds
     monkeypatch.setattr(sublap.bounds, "_BATCH", batch)
     space, per_decade = _space(key)
     inv = invariants(space)
@@ -372,10 +371,22 @@ def test_no_bound_spaces_settle_without_an_elimination(monkeypatch, space):
 )
 def test_optimize_computes_few_rayleigh_bounds(monkeypatch, make):
     # a dense cap pass takes a Rayleigh bound at each of 2000 x and each of
-    # up to 1211 rho2 candidates; the root and cell caps leave few of them
+    # up to 1211 rho2 candidates; the root and cell caps leave few of them to
+    # the sweep, and `_evaluate` takes one pass per form at each x it visits
     space = make()
     calls = _counting(monkeypatch, "_rayleigh")
+    evaluate, passes = sublap.bounds._evaluate, []
+
+    def counted(inv, names, x, grid):
+        before = len(calls)
+        out = evaluate(inv, names, x, grid)
+        passes.append((len(calls) - before, len({n == "asn" and inv.tt2 for n in names})))
+        del calls[before:]
+        return out
+
+    monkeypatch.setattr(sublap.bounds, "_evaluate", counted)
     optimize(space)
+    assert passes and all(got == forms for got, forms in passes), passes
     dense = 2000 * (_rho2_base_grid(invariants(space).kappa, 200).size + 10)
     assert sum(ok.size for *_, ok in calls) <= dense // 100
 
