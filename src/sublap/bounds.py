@@ -819,12 +819,12 @@ def optimize(
     winning x of all of them in one golden-section pass, and report
     per-theorem bests; a space where none applies gets no sweep.
 
-    The exact cap at each theorem's top x, less one ulp, seeds its floor, and
-    every cap above a floor is made exact in one batch.  The theorems then
-    sweep the x grid in lockstep, each in decreasing order of its sound cap
-    (root, cell or leaf; see the module docstring) until the cap cannot beat
-    its best value, so pruning never changes the result.  Each x is evaluated
-    once for all the theorems there, and none after the golden pass.
+    The theorems sweep the x grid in lockstep, each in decreasing order of its
+    sound cap (root, cell or leaf; see the module docstring) until the cap
+    cannot beat its best value, so pruning never changes the result.  Each
+    theorem first visits its top root-cap x; once it has a best, every cap
+    above that best is made exact in one batch.  Each x is evaluated once for
+    all the theorems there, and none after the golden pass.
     Raises ValueError when a grid size is below 1.
     """
     if x_points < 1 or rho2_per_decade < 1:
@@ -854,16 +854,11 @@ def optimize(
                 best[name] = res
         return out
 
-    rows = np.unique([np.argmax(c) for c in caps.values()])
-    seed = {n: np.where(rows == np.argmax(caps[n]), caps[n][rows], -math.inf) for n in names}
-    _refine(inv, seed, dict.fromkeys(names, -math.inf), xs[rows], grid)
-    floor = {n: max(float(np.nextafter(seed[n].max(), -math.inf)), 0.0) for n in names}
-    _refine(inv, caps, floor, xs, grid)
     # The theorems step down their own caps together, sharing the curve of any
     # x they meet at; each stops once its cap cannot beat its best.  Caps above
-    # floor[name] are exact; a top cap at or below it is first refined against
-    # the best, or visited while the theorem has none.
-    live = list(names)
+    # floor[name] are exact; a top cap at or below it is visited while the
+    # theorem has no best, and otherwise first refined against the best.
+    floor, live = dict.fromkeys(names, math.inf), list(names)
     while live:
         points, todo = {}, {}
         for name in list(live):
