@@ -132,12 +132,11 @@ def validate(space: HomogeneousSpace) -> list[str]:
 
     skew = c + c.transpose(1, 0, 2)
     bad = np.argwhere(np.abs(skew) > ZERO_TOL)
-    for i, j, k in bad[: len(bad) // 2 + 1]:
-        if i <= j:
-            problems.append(
-                f"antisymmetry violated at ({i + 1},{j + 1},{k + 1}): "
-                f"c[{i + 1}][{j + 1}][{k + 1}] + c[{j + 1}][{i + 1}][{k + 1}] = {skew[i, j, k]:.3e}"
-            )
+    for i, j, k in bad[bad[:, 0] <= bad[:, 1]]:
+        problems.append(
+            f"antisymmetry violated at ({i + 1},{j + 1},{k + 1}): "
+            f"c[{i + 1}][{j + 1}][{k + 1}] + c[{j + 1}][{i + 1}][{k + 1}] = {skew[i, j, k]:.3e}"
+        )
 
     # jac[i,j,k,:] = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
     comp = np.tensordot(c, c, axes=(2, 0))  # comp[i,j,k,m] = sum_l c[i,j,l] c[l,k,m]

@@ -215,6 +215,16 @@ def test_validate_reports_antisymmetry_violation():
     assert any(p.startswith("antisymmetry violated at (1,2,3)") for p in problems)
 
 
+def test_validate_reports_every_antisymmetry_violation():
+    # three skewed pairs, the last of them past the first half of the
+    # violating index triples
+    space = load_builtin("so4_alt")
+    for i, j in ((0, 1), (0, 2), (3, 4)):
+        space.c[i, j, 0] += 1e-3
+    skew = [p.split(":")[0] for p in validate(space) if p.startswith("antisymmetry")]
+    assert skew == [f"antisymmetry violated at ({i},{j},1)" for i, j in ((1, 2), (1, 3), (4, 5))]
+
+
 def test_validate_reports_jacobi_violation():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
