@@ -199,7 +199,9 @@ def eval_coefficient(expr: str, params: dict[str, float]) -> float:
     """Evaluate an arithmetic coefficient expression over named parameters.
 
     Supports numbers, parameter names, + - * / ** and parentheses; '^' is accepted
-    as a power alias. Anything else is rejected.
+    as a power alias. Anything else is rejected. A division by zero, an overflow
+    or a non-real value (a negative base to a fractional power) raises
+    ArithmeticError.
     """
     text = expr.strip().replace("^", "**")
     try:
@@ -223,7 +225,9 @@ def eval_coefficient(expr: str, params: dict[str, float]) -> float:
             return _ALLOWED_BINOPS[type(node.op)](walk(node.left), walk(node.right))
         raise ValueError(f"unsupported syntax in coefficient {expr!r}")
 
-    return walk(tree)
+    if isinstance(val := walk(tree), complex):
+        raise ArithmeticError(f"non-real value {val}")
+    return val
 
 
 class SpecFormatError(ValueError):

@@ -117,6 +117,7 @@ oracle {
         ("bracket 1 2", "bracket 1 x", "bad index 'x'"),
         ("= 1 2", "= q 2", "unbound parameter 'q'"),
         ("= 1 2", "= 1/0 2", "cannot evaluate coefficient '1/0'"),
+        ("= 1 2", "= (-8)**(1/3) 2", "cannot evaluate coefficient '(-8)**(1/3)': non-real"),
         ("su2 all", "su3 all", "bad oracle factor"),
         ("su2 all", "su2 all\n  cutoff = big", "bad oracle cutoff 'big'"),
         ("su2 all", "su2 all\n  constraint = odd", "unknown oracle constraint 'odd'"),
@@ -125,6 +126,7 @@ oracle {
         ("  factor 1 = su2 all\n", "", "oracle block declares no factors"),
         ("  map 3 = 1 f1.3\n", "", "oracle map must cover every frame vector"),
         ("1 f1.1", "1 f2.1", "oracle map index out of range in 'map 1'"),
+        ("1 f1.1", "(-1)**0.5 f1.1", "cannot evaluate coefficient '(-1)**0.5': non-real"),
     ],
 )
 def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, message):

@@ -192,3 +192,18 @@ def test_a_variant_that_cannot_be_evaluated_exits_3(capsys, tmp_path):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: variant sntf"), err
+
+
+@pytest.mark.parametrize("command", ["bound", "certify"])
+def test_a_variant_with_a_non_real_value_exits_3(capsys, tmp_path, command):
+    # the unit sample (1 - 5) ** 0.5 is not real either, and the line is
+    # still accepted as well formed
+    path = tmp_path / "spec.txt"
+    line = "variant sntf = (rho1 - 5) ** 0.5 : complex on purpose\n"
+    path.write_text(_builtin_text("so4_alt") + line, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), "--x-grid", "20")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: variant sntf"), err
+    assert "non-real value" in lines[0]
