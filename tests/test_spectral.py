@@ -285,6 +285,21 @@ def test_lambda1_builds_only_the_irreps_that_can_hold_lambda1(monkeypatch):
         assert res.skipped > 100, name
 
 
+def test_lambda1_visits_an_irrep_whose_bound_is_within_the_stop_slack(monkeypatch):
+    # so4_alt's lambda1 = 1 lies at s = 1 and its tail constant is about 1;
+    # the sound c = (lambda1 + 5e-10)/2 puts every s = 2 irrep's bound c s
+    # above lambda1 by less than the 1e-9 slack, so the visit takes them all
+    # and stops at s = 3
+    space = load_builtin("so4_alt")
+    exact = lambda1(space)
+    c = (exact.lambda1 + 5e-10) / 2.0
+    monkeypatch.setattr(sublap.spectral, "_tail", lambda horizontal: (c, "patched"))
+    res = lambda1(space)
+    assert (res.lambda1, res.witness) == (exact.lambda1, exact.witness)
+    sums = sorted(sum(e.two_js) for e in res.table)  # twice s
+    assert sums.count(4) == 5 and sums[-1] == 4, sums
+
+
 def test_spectrum_table_structure():
     res = lambda1(load_builtin("so4_twisted"))
     assert res.table[0].label == "(0, 0)"
