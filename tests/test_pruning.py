@@ -167,8 +167,8 @@ def _one_group() -> Invariants:
 def test_evaluate_visits_every_candidate_its_leaf_cap_keeps(monkeypatch, key):
     # A candidate whose leaf cap reaches the lowest best of its group could
     # still raise that theorem, so the search must form its complement; the
-    # group floor and the root-cap stop rule decide this, and a candidate
-    # they skip rarely decides a maximum, so the dense oracle cannot tell.
+    # group floor decides this, and a candidate it skips rarely decides a
+    # maximum, so the dense oracle cannot tell.
     if key == "so4_weighted-one-group":
         inv, per_decade = _one_group(), 200
         assert [len(g) for g in _formulas(inv, _theorems(inv)).values()] == [3]
