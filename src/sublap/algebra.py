@@ -433,27 +433,29 @@ def _coeff(expr: str, params: dict[str, float]) -> float:
 def _parse_oracle(
     entries: list[str], params: dict[str, float], n: int
 ) -> OracleConfig:
-    factors: list[OracleFactor] = []
+    factors: dict[int, OracleFactor] = {}
     options: dict[str, float | bool] = {}  # cutoff and integer_sum, where set
     raw_maps: dict[int, list[tuple[float, int, int]]] = {}
 
     for entry in entries:
         word = _KEYWORD.match(entry).group()
         if word == "factor":
-            _, _, rhs = entry.partition("=")
-            fields = rhs.split()
-            if len(fields) != 2 or fields[0] != "su2" or fields[1] not in (
-                "all",
-                "integer",
-            ):
+            head, _, rhs = entry.partition("=")
+            fields, kind = head.split(), rhs.split()
+            if len(fields) != 2 or kind not in (["su2", "all"], ["su2", "integer"]):
                 raise SpecFormatError(f"bad oracle factor {entry!r}")
-            factors.append(OracleFactor(spins=fields[1]))
+            idx = _index(fields[1], entry)
+            if idx in factors:
+                raise SpecFormatError(f"duplicate oracle factor {idx}")
+            factors[idx] = OracleFactor(spins=kind[1])
         elif word == "cutoff":
             value = entry.partition("=")[2].strip()
             try:
                 options["cutoff"] = float(value)
-            except ValueError as exc:
-                raise SpecFormatError(f"bad oracle cutoff {value!r}") from exc
+            except ValueError:
+                options["cutoff"] = math.nan
+            if not 0.0 < options["cutoff"] < math.inf:
+                raise SpecFormatError(f"bad oracle cutoff {value!r}")
         elif word == "constraint":
             value = entry.partition("=")[2].strip()
             if value != "integer_sum":
@@ -480,6 +482,10 @@ def _parse_oracle(
 
     if not factors:
         raise SpecFormatError("oracle block declares no factors")
+    if sorted(factors) != list(range(1, len(factors) + 1)):
+        raise SpecFormatError(
+            f"oracle factors must be numbered 1 to {len(factors)}, got {sorted(factors)}"
+        )
     if set(raw_maps) != set(range(1, n + 1)):
         raise SpecFormatError("oracle map must cover every frame vector exactly once")
 
@@ -491,7 +497,11 @@ def _parse_oracle(
                 raise SpecFormatError(f"oracle map index out of range in 'map {i}'")
             rows[f][a] += coeff
         frame_map.append(tuple(tuple(r) for r in rows))
-    return OracleConfig(factors=tuple(factors), frame_map=tuple(frame_map), **options)
+    return OracleConfig(
+        factors=tuple(f for _, f in sorted(factors.items())),
+        frame_map=tuple(frame_map),
+        **options,
+    )
 
 
 def load_spec(path: str, overrides: dict[str, float] | None = None) -> HomogeneousSpace:

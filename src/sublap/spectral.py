@@ -10,14 +10,11 @@ irreps whose bound does not pass the least bottom found are assembled.
 
 In the product spin basis G3 is diagonal and G1, G2 move one m by one, so
 each frame image lies on 2F + 1 shifted diagonals for F factors; -sum_i X_i^2
-is formed from their products, pair of shifts by pair, as (row, column, value)
-triplets, one irrep at a time.  The Laplacian is mostly zeros and often
-splits: it is diagonal on so4_twisted.  It is diagonalized as the connected
-components of its exact nonzero pattern, equal-size components stacked.  The
-reordering is a permutation similarity that drops no entry, so the spectrum is
-exact with no added tolerance; an irrep with no imaginary entry is
-diagonalized in real arithmetic.  The complex eigvalsh of a block of 200 or
-more rows can change in its last bits between one and two OpenBLAS threads.
+is accumulated from their products, pair of shifts by pair, into one dense
+matrix per irrep.  That matrix is checked and diagonalized whole, in real
+arithmetic when no entry is imaginary.  The complex eigvalsh of an irrep of
+200 or more rows can change in its last bits between one and two OpenBLAS
+threads.
 """
 
 from __future__ import annotations
@@ -154,9 +151,9 @@ def irrep_matrices(
     return images
 
 
-def _assemble(coeffs: np.ndarray, two_js: tuple[int, ...]) -> tuple:
+def _assemble(coeffs: np.ndarray, two_js: tuple[int, ...]) -> np.ndarray:
     """-sum_i X_i^2, X_i = sum_{f,a} coeffs[i, f, a] G_a^{(f)}, in the irrep
-    with doubled spins two_js, as (dim, rows, cols, vals) triplets.
+    with doubled spins two_js, as a dense complex matrix.
 
     Basis vector p = sum_f k_f stride_f has m_f = j_f - k_f.  Each G_a^{(f)}
     keeps k_f or moves it by one, so X_i lives on the shifted diagonals
@@ -164,8 +161,7 @@ def _assemble(coeffs: np.ndarray, two_js: tuple[int, ...]) -> tuple:
     at k_f.  Then X_i^2 holds x[i, s, p] x[i, t, p + s] at (p, p + s + t) for
     every pair of shifts.  Pairs with equal s + t land on the same entries,
     as do the shifts of a spin-0 factor and the factor before it, so the
-    entries accumulate in the order of (s, t, p).  The triplets come sorted
-    by (row, col), with the entries that cancel to zero dropped.
+    entries accumulate in the order of (s, t, p).
     """
     factor_dims = np.array(two_js) + 1
     index = np.arange(dim := math.prod(t + 1 for t in two_js))
@@ -183,86 +179,35 @@ def _assemble(coeffs: np.ndarray, two_js: tuple[int, ...]) -> tuple:
     prod = np.empty((len(shifts), len(shifts), dim), dtype=complex)
     for s, shift in enumerate(shifts):
         np.einsum("ip,itp->tp", x[:, s], x[:, :, (index + shift) % dim], out=prod[s])
-    s, t, p = np.nonzero(prod)
-    key = p * dim + p + shifts[s] + shifts[t]  # row-major (p, p + s + t)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.diff(key, prepend=-1) != 0
-    vals = np.zeros(np.count_nonzero(new), dtype=complex)
-    np.subtract.at(vals, np.cumsum(new) - 1, prod[s, t, p][order])
-    rows, cols = np.divmod(key[new], dim)
-    keep = vals != 0
-    return dim, rows[keep], cols[keep], vals[keep]
+    s, t, p = np.nonzero(prod)  # every nonzero product lands inside the irrep
+    lap = np.zeros((dim, dim), dtype=complex)
+    np.subtract.at(lap, (p, p + shifts[s] + shifts[t]), prod[s, t, p])
+    return lap
 
 
-def _blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """The connected components of the graph on range(n) with the edges
-    (rows[e], cols[e]): one (k, s) array per component size s, holding each
-    such component's indices in ascending order as a row.
-
-    Labels start as the indices.  Each round hooks the larger label of every
-    edge whose ends differ onto the smaller, then jumps pointers until each
-    index points at the least index of its component so far.
-    """
-    label = np.arange(n)
-    a, b = rows, cols
-    while (diff := a != b).any():
-        np.minimum.at(label, np.maximum(a, b)[diff], np.minimum(a, b)[diff])
-        while ((jump := label[label]) != label).any():
-            label = jump
-        a, b = label[rows], label[cols]
-    order = np.argsort(label, kind="stable")
-    size = np.bincount(label)
-    size = size[size > 0]  # by least index, the order of `order`
-    start = np.cumsum(size) - size
-    sizes = sorted(set(size.tolist()))  # np.unique would map 1.5 MB more of numpy
-    return [order[start[size == s][:, None] + np.arange(s)] for s in sizes]
-
-
-def _checked_spectrum(dim, rows, cols, vals) -> np.ndarray:
-    """Sorted eigenvalues of the irrep Laplacian `_assemble` returned, after
-    checking at its scale max(1, max |entry|) that it is Hermitian, then that
-    its spectrum is nonnegative.
-
-    Only the entries are read: lap - lap^H vanishes wherever lap and its
-    transpose do.  The connected components of the pattern are diagonalized
-    stacked, one `eigvalsh` per component size, in real arithmetic when no
-    entry is imaginary.
-    """
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    key, back = rows * dim + cols, cols * dim + rows
-    at = np.minimum(np.searchsorted(key, back), len(key) - 1)
-    defect = np.abs(vals - np.where(key[at] == back, vals[at], 0).conj())
-    if defect.max(initial=0.0) > _HERM_TOL * scale:
+def _checked_spectrum(lap: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the irrep Laplacian `_assemble` returned,
+    after checking at its scale max(1, max |entry|) that it is Hermitian,
+    then that its spectrum is nonnegative.  An irrep with no imaginary entry
+    is checked and diagonalized as a contiguous real copy, which halves the
+    check's temporaries."""
+    if not lap.imag.any():
+        lap = np.ascontiguousarray(lap.real)
+    scale = max(1.0, float(np.abs(lap).max()))
+    if np.abs(lap - lap.T.conj()).max() > _HERM_TOL * scale:
         raise RuntimeError("assembled Laplacian is not Hermitian")
-    if not vals.imag.any():
-        vals = vals.real
-    # an index's component size, its component's row in that size's stack and
-    # its place in the component
-    width, row, pos = (np.zeros(dim, dtype=int) for _ in range(3))
-    eig = []
-    for idx in _blocks(dim, rows, cols):
-        k, s = idx.shape
-        width[idx], row[idx], pos[idx] = s, np.arange(k)[:, None], np.arange(s)
-        e = width[rows] == s
-        block = np.zeros((k, s, s), dtype=vals.dtype)
-        block[row[rows[e]], pos[rows[e]], pos[cols[e]]] = vals[e]
-        eig.append(np.linalg.eigvalsh(block))
-        del block  # before the next stack is allocated
-    eig = np.sort(np.concatenate(eig, axis=None))
+    eig = np.linalg.eigvalsh(lap)
     if eig[0] < -_HERM_TOL * scale:
         raise RuntimeError("assembled Laplacian is not positive semidefinite")
     return eig
 
 
 def hlap_matrix(space: HomogeneousSpace, two_js: tuple[int, ...]) -> np.ndarray:
-    """Horizontal Laplacian -sum_i X_i^2 in one irrep: `lambda1`'s path
-    (model validation, assembly, Hermitian and positivity checks) made dense."""
+    """Horizontal Laplacian -sum_i X_i^2 in one irrep, by `lambda1`'s path:
+    model validation, assembly, and the Hermitian and positivity checks."""
     coeffs = _model_coeffs(space, two_js)
-    dim, rows, cols, vals = _assemble(coeffs[: space.dim_h], two_js)
-    _checked_spectrum(dim, rows, cols, vals)
-    lap = np.zeros((dim, dim), dtype=complex)
-    lap[rows, cols] = vals
+    lap = _assemble(coeffs[: space.dim_h], two_js)
+    _checked_spectrum(lap)
     return lap
 
 
@@ -367,8 +312,7 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     more than 1e-9: no later irrep can hold lambda1, nor come within the
     witness's 1e-12 tie-break of it.  With c = 0 every irrep is visited, in
     Casimir order.  Each visited irrep is assembled, checked to be Hermitian
-    and diagonalized once, block by block (see the module docstring), and the
-    positivity check reads that same spectrum.  The table holds the visited
+    and diagonalized once, and the positivity check reads that spectrum.  The table holds the visited
     irreps in Casimir order and `skipped` counts the others.  The trivial
     irrep is the 1 x 1 zero matrix, which carries the constants and is left
     out of the minimum; a zero eigenvalue anywhere else means the model is
@@ -397,7 +341,7 @@ def lambda1(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumRes
     for r in sorted(range(len(irreps)), key=bound.__getitem__):
         if bound[r] > least + 1e-9:
             break
-        spectra[r] = _checked_spectrum(*_assemble(horizontal, irreps[r]))
+        spectra[r] = _checked_spectrum(_assemble(horizontal, irreps[r]))
         if any(irreps[r]):
             least = min(least, float(spectra[r][0]))
     table = [IrrepSpectrum(_label(irreps[r]), irreps[r], len(e), e)

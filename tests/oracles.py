@@ -100,7 +100,7 @@ def irrep_table(space: HomogeneousSpace, cutoff: float | None = None) -> Spectru
     horizontal = spectral._model_coeffs(space)[: space.dim_h]
     table = []
     for combo in spectral._enumerate_irreps(space.oracle, cutoff):
-        e = spectral._checked_spectrum(*spectral._assemble(horizontal, combo))
+        e = spectral._checked_spectrum(spectral._assemble(horizontal, combo))
         table.append(spectral.IrrepSpectrum(spectral._label(combo), combo, len(e), e))
     best, witness = None, ""
     for entry in table:

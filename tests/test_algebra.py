@@ -187,6 +187,15 @@ def test_parse_spec_text_blocks_may_open_right_after_the_keyword():
     assert space.oracle == load_builtin("so4_alt").oracle
 
 
+def test_oracle_factors_are_indexed_by_their_number():
+    # declared out of order, each factor keeps the spin kind of its number
+    text = importlib.resources.files("sublap.data").joinpath("twisted_spheres.txt").read_text()
+    given = "  factor 1 = su2 all\n  factor 2 = su2 integer\n"
+    assert given in text
+    swapped = text.replace(given, "  factor 2 = su2 integer\n  factor 1 = su2 all\n")
+    assert parse_spec_text(swapped).oracle == load_builtin("twisted_spheres").oracle
+
+
 def test_parse_spec_text_unknown_override():
     with pytest.raises(SpecFormatError):
         parse_spec_text("name x\ndim_h 2\ndim_v 1\n", {"zz": 1.0})

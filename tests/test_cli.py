@@ -127,6 +127,14 @@ oracle {
         ("  map 3 = 1 f1.3\n", "", "oracle map must cover every frame vector"),
         ("1 f1.1", "1 f2.1", "oracle map index out of range in 'map 1'"),
         ("1 f1.1", "(-1)**0.5 f1.1", "cannot evaluate coefficient '(-1)**0.5': non-real"),
+        ("su2 all", "su2 all\n  factor 1 = su2 integer", "duplicate oracle factor 1"),
+        ("factor 1 =", "factor 2 =", "oracle factors must be numbered 1 to 1, got [2]"),
+        ("factor 1 =", "factor 0 =", "oracle factors must be numbered 1 to 1, got [0]"),
+        ("su2 all", "su2 all\n  cutoff = -5", "bad oracle cutoff '-5'"),
+        ("su2 all", "su2 all\n  cutoff = 0", "bad oracle cutoff '0'"),
+        ("su2 all", "su2 all\n  cutoff = nan", "bad oracle cutoff 'nan'"),
+        ("su2 all", "su2 all\n  cutoff = inf", "bad oracle cutoff 'inf'"),
+        ("su2 all", "su2 all\n  cutoff = 1e400", "bad oracle cutoff '1e400'"),
     ],
 )
 def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, message):
@@ -137,6 +145,26 @@ def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, mes
     assert old in ORACLE_SPEC
     path.write_text(ORACLE_SPEC.replace(old, new, 1), encoding="utf-8")
     code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + message), err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bound", "so4_twisted", "--param", "b"), "--param expects name=value, got 'b'"),
+        (("bound", "so4_twisted", "--x-grid", "0"), "--x-grid must be at least 1, got 0"),
+        (("bound", "so4_twisted", "--rho2-grid", "-1"), "--rho2-grid must be at least 1, got -1"),
+        (("certify", "so4_alt", "--cutoff", "0"), "--cutoff must be a positive finite number"),
+        (("certify", "so4_alt", "--cutoff", "nan"), "--cutoff must be a positive finite number"),
+        (("certify", "so4_alt", "--cutoff", "inf"), "--cutoff must be a positive finite number"),
+        (("report", "so4_twisted", "--sweep", "b=a:1:3"),
+         "--sweep expects numbers start:stop and an integer count, got 'a:1:3'"),
+    ],
+)
+def test_bad_flags_exit_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + message), err

@@ -566,57 +566,13 @@ def test_assembly_builds_no_kronecker_products(monkeypatch):
     assert len(calls) > 0
 
 
-def _components(lap):
-    """The connected components of lap's nonzero pattern as sets, by a plain
-    search independent of the module's label propagation."""
-    adjacent = (lap != 0) | (lap != 0).T
-    seen, out = np.zeros(len(lap), dtype=bool), []
-    for root in range(len(lap)):
-        if seen[root]:
-            continue
-        stack, seen[root], comp = [root], True, set()
-        while stack:
-            k = stack.pop()
-            comp.add(k)
-            for nb in np.flatnonzero(adjacent[k] & ~seen):
-                seen[nb] = True
-                stack.append(int(nb))
-        out.append(comp)
-    return out
-
-
-def _component_sizes(lap):
-    return [len(comp) for comp in _components(lap)]
-
-
-def test_blocks_are_the_connected_components_of_any_pattern():
-    # The builtins' patterns are chains in index order; a random pattern
-    # needs several hooking rounds (edges 0-2 and 1-2 take two).
-    rng = np.random.default_rng(12)
-    pattern = np.zeros((3, 3), dtype=bool)
-    pattern[[0, 2, 1, 2], [2, 0, 2, 1]] = True
-    patterns = [pattern, np.zeros((1, 1), dtype=bool)]
-    for n in (2, 5, 17, 40):
-        for density in (0.02, 0.08, 0.3):
-            pattern = rng.random((n, n)) < density
-            patterns.append(pattern | pattern.T)
-    for pattern in patterns:
-        blocks = sublap.spectral._blocks(len(pattern), *np.nonzero(pattern))
-        got = sorted(sorted(row.tolist()) for stack in blocks for row in stack)
-        want = sorted(sorted(comp) for comp in _components(pattern))
-        assert got == want
-        assert all(np.all(np.diff(stack, axis=1) > 0) for stack in blocks)
-        assert len({stack.shape[1] for stack in blocks}) == len(blocks)
-
-
 def _irrep_eigvalsh_calls(monkeypatch):
-    """Record, per `_assemble` call (one irrep), its doubled spins, how often
-    `_checked_spectrum` then ran and on what dimension, the components
-    `_blocks` finds and the shape and dtype of every stack passed to
-    `eigvalsh`."""
+    """Record, per `_assemble` call (one irrep), its doubled spins and its
+    dimension, the dtype it should be diagonalized in (real unless an entry
+    is imaginary), how often `_checked_spectrum` then ran and the shape and
+    dtype of every array passed to `eigvalsh`."""
     records = []
     eigvalsh = np.linalg.eigvalsh
-    blocks = sublap.spectral._blocks
     assemble = sublap.spectral._assemble
     checked = sublap.spectral._checked_spectrum
 
@@ -625,52 +581,34 @@ def _irrep_eigvalsh_calls(monkeypatch):
             records[-1]["calls"].append((np.shape(a), np.asarray(a).dtype))
         return eigvalsh(a, *args, **kwargs)
 
-    def recorded_blocks(*args):
-        out = blocks(*args)
-        records[-1]["components"] += [row for stack in out for row in stack]
-        return out
-
     def recorded_assemble(coeffs, two_js):
-        records.append({"two_js": two_js, "open": False, "checked": 0,
-                        "calls": [], "components": []})
-        return assemble(coeffs, two_js)
+        lap = assemble(coeffs, two_js)
+        records.append({"two_js": two_js, "open": False, "checked": 0, "calls": [],
+                        "dim": len(lap),
+                        "dtype": lap.dtype if lap.imag.any() else np.dtype(float)})
+        return lap
 
-    def marked_checked(dim, *args):
+    def marked_checked(lap):
         record = records[-1]
-        record.update(open=True, dim=dim, checked=record["checked"] + 1)
+        record.update(open=True, checked=record["checked"] + 1)
         try:
-            return checked(dim, *args)
+            return checked(lap)
         finally:
             record["open"] = False
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(sublap.spectral, "_blocks", recorded_blocks)
     monkeypatch.setattr(sublap.spectral, "_assemble", recorded_assemble)
     monkeypatch.setattr(sublap.spectral, "_checked_spectrum", marked_checked)
     return records
 
 
-def _check_components(record):
-    """Check that an irrep was checked once, that its components partition
-    its index range, and that they are exactly the blocks stacked for
-    `eigvalsh`, at most one call per (block size, arithmetic)."""
-    assert record["checked"] == 1
-    comps = record["components"]
-    assert sorted(np.concatenate(comps).tolist()) == list(range(record["dim"]))
-    stacked = sorted(s[-1] for s, _ in record["calls"] for _ in range(s[0]))
-    assert stacked == sorted(len(comp) for comp in comps)
-    keys = [(s[-1], dtype) for s, dtype in record["calls"]]
-    assert len(keys) == len(set(keys))
-
-
 def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
-    # Every row of every visited irrep is diagonalized exactly once, in
-    # stacks of equal-size blocks: one eigvalsh call per (irrep, block size,
-    # arithmetic) at most.  Irreps are assembled one at a time in lambda1's
-    # visit, by ascending bound c sum_f j_f and then Casimir order; the table
-    # holds the visited irreps in Casimir order.  The tail diagonalizes the
-    # Gram of the horizontal coefficients once; that call is counted apart
-    # from the irreps'.
+    # Every visited irrep is diagonalized exactly once, as one (dim, dim)
+    # matrix, real where no entry is imaginary.  Irreps are assembled one at
+    # a time in lambda1's visit, by ascending bound c sum_f j_f and then
+    # Casimir order; the table holds the visited irreps in Casimir order.
+    # The tail diagonalizes the Gram of the horizontal coefficients once;
+    # that call is counted apart from the irreps'.
     records = _irrep_eigvalsh_calls(monkeypatch)
     counts = dict.fromkeys(("tail", "homomorphism"), 0)
     in_tail = []
@@ -696,11 +634,15 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(sublap.spectral, "_check_homomorphism", counted_check)
     monkeypatch.setattr(sublap.spectral, "_tail", marked_tail)
-    # the moved so4_alt frame has c = 0 and visits every irrep
+    # the moved so4_alt frame has c = 0 and visits every irrep; so3_twisted
+    # at c = 0.3 has imaginary entries
     moved = moved_frame(load_builtin("so4_alt"), np.random.default_rng(19))
+    twisted = load_builtin("so3_twisted", c=0.3)
+    dtypes = set()
     for name, cutoff in (("so4_twisted", None), ("so3_twisted", None),
                          ("so4_alt", None), ("twisted_spheres", None),
-                         ("so4_twisted", 137.5), ("so3_twisted", 18000.0), (moved, 40.0)):
+                         ("so4_twisted", 137.5), ("so3_twisted", 18000.0), (moved, 40.0),
+                         (twisted, None)):
         space = load_builtin(name) if isinstance(name, str) else name
         irreps = sublap.spectral._enumerate_irreps(space.oracle, cutoff or space.oracle.cutoff)
         c, _ = tail(sublap.spectral._model_coeffs(space)[: space.dim_h])
@@ -715,66 +657,12 @@ def test_lambda1_validates_once_and_diagonalizes_each_irrep_once(monkeypatch):
             math.prod(t + 1 for t in two_js) for two_js in combos
         ]
         for r in records:
-            _check_components(r)
-        rows = sum(math.prod(s[:-1]) for r in records for s, _ in r["calls"])
-        assert rows == sum(entry.dim for entry in res.table), name
+            assert r["checked"] == 1
+            assert r["calls"] == [((r["dim"], r["dim"]), r["dtype"])], name
+            dtypes.add(r["dtype"])
         assert counts["homomorphism"] == 1, name
         assert counts["tail"] == 1, name
-
-
-SPLIT_SPACES = [
-    ("so4_twisted", {"b": 0.0}),
-    ("so4_twisted", {"b": 0.3}),
-    ("so3_twisted", {"c": 0.0}),
-    ("so3_twisted", {"c": 0.3}),
-    ("so4_alt", {}),
-    ("twisted_spheres", {}),
-]
-
-
-@pytest.mark.parametrize(
-    "name, params",
-    SPLIT_SPACES,
-    ids=[n + "".join(f"_{k}{v}" for k, v in p.items()) for n, p in SPLIT_SPACES],
-)
-def test_block_split_agrees_with_the_dense_spectrum(name, params):
-    # The components are a permutation similarity of each irrep's Laplacian:
-    # nothing couples two of them, so their spectra make up the dense one.
-    space = load_builtin(name, **params)
-    res = irrep_table(space)
-    for entry in res.table:
-        lap = hlap_matrix(space, entry.two_js)
-        ref = np.linalg.eigvalsh(lap)
-        tol = 1e-12 * np.maximum(1.0, np.abs(ref))
-        assert np.all(np.abs(entry.eigenvalues - ref) <= tol), entry.label
-
-        # Reordered block by block, lap has no nonzero entry between blocks:
-        # every index lies in one block, and every entry's ends in the same.
-        rows, cols = np.nonzero(lap)
-        blocks = sublap.spectral._blocks(len(lap), rows, cols)
-        owner = np.full(len(lap), -1)
-        for k, idx in enumerate(row for stack in blocks for row in stack):
-            assert np.all(np.diff(idx) > 0) and np.all(owner[idx] == -1), entry.label
-            owner[idx] = k
-        assert np.all(owner >= 0), entry.label
-        assert np.all(owner[rows] == owner[cols]), entry.label
-        assert sorted(idx.shape[1] for idx in blocks) == sorted(
-            set(_component_sizes(lap))
-        ), entry.label
-
-    # the cases the split must cover: half-integer spins, a complex single
-    # block, and a diagonal operator
-    if name == "twisted_spheres":
-        assert any(t % 2 for entry in res.table for t in entry.two_js)
-    if (name, params) == ("so3_twisted", {"c": 0.3}):
-        lap = hlap_matrix(space, res.table[-1].two_js)
-        assert np.abs(lap.imag).max() > 0.0
-        assert _component_sizes(lap) == [len(lap)]
-    if (name, params) == ("so4_twisted", {"b": 0.0}):
-        assert all(
-            not np.any(lap - np.diag(np.diag(lap)))
-            for lap in (hlap_matrix(space, e.two_js) for e in res.table)
-        )
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
 
 
 def test_an_irrep_is_checked_at_its_own_scale():
@@ -782,17 +670,16 @@ def test_an_irrep_is_checked_at_its_own_scale():
     # the tolerance of 1e-10; beside an entry of 1e3 the scale is 1e3, whose
     # tolerance of 1e-7 lets both pass.
     checked = sublap.spectral._checked_spectrum
-    large = (2, 2, 1e3)
     irreps = {
-        "not Hermitian": [(0, 0, 1.0), (0, 1, 0.5), (1, 0, 0.5 + 1e-9), (1, 1, 1.0)],
-        "not positive semidefinite": [(0, 0, 1.0), (1, 1, -1e-9)],
+        "not Hermitian": [[1.0, 0.5], [0.5 + 1e-9, 1.0]],
+        "not positive semidefinite": [[1.0, 0.0], [0.0, -1e-9]],
     }
     for message, entries in irreps.items():
-        rows, cols, vals = (np.array(v) for v in zip(*entries))
         with pytest.raises(RuntimeError, match=message):
-            checked(2, rows, cols, vals.astype(complex))
-        rows, cols, vals = (np.array(v) for v in zip(*entries, large))
-        assert len(checked(3, rows, cols, vals.astype(complex))) == 3
+            checked(np.array(entries, dtype=complex))
+        lap = np.zeros((3, 3), dtype=complex)
+        lap[:2, :2], lap[2, 2] = entries, 1e3
+        assert len(checked(lap)) == 3
 
 
 def test_lambda1_memory_stays_at_one_irrep_scale(monkeypatch):
@@ -810,29 +697,3 @@ def test_lambda1_memory_stays_at_one_irrep_scale(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3e6
-
-
-@pytest.mark.parametrize(
-    "name, params, cutoff, largest",
-    [
-        ("so4_twisted", {"b": 0.0}, 150.0, lambda n: 1),
-        ("so3_twisted", {"c": 0.0}, 2000.0, lambda n: -(-n // 2)),
-    ],
-    ids=["so4_twisted", "so3_twisted"],
-)
-def test_lambda1_diagonalizes_small_blocks(monkeypatch, name, params, cutoff, largest):
-    # so4_twisted's Laplacian is diagonal in the product spin basis, and
-    # so3_twisted's at c = 0 splits by the parity of m; dense eigvalsh of a
-    # whole irrep took most of a certify run there.  Every stacked block is
-    # a component of one irrep, no larger than that irrep allows.  With c = 0
-    # every irrep within the cutoff is visited.
-    monkeypatch.setattr(sublap.spectral, "_tail", lambda horizontal: (0.0, "none"))
-    records = _irrep_eigvalsh_calls(monkeypatch)
-    res = lambda1(load_builtin(name, **params), cutoff=cutoff)
-    table = {entry.two_js: entry for entry in res.table}
-    for r in records:
-        entry = table.pop(r["two_js"])
-        _check_components(r)
-        for comp in r["components"]:
-            assert len(comp) <= largest(entry.dim), entry.label
-    assert not table
