@@ -65,9 +65,13 @@ VARIANT_THEOREMS = ("main", "t1zero", "asn", "sntf")
 VARIANT_NAMES = ("d", "rho1", "rho2", "omega")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomogeneousSpace:
-    """Structure constants of a homogeneous space in an adapted orthonormal frame."""
+    """Structure constants of a homogeneous space in an adapted orthonormal frame.
+
+    Immutable: ``c`` is a read-only float copy of the caller's array.  Spaces
+    compare by identity; `rescale_vertical` and `dataclasses.replace` make new ones.
+    """
 
     name: str
     dim_h: int
@@ -77,6 +81,11 @@ class HomogeneousSpace:
     oracle: OracleConfig | None = field(default=None, repr=False)
     # (theorem, formula, convention) of each `variant` line of the spec
     variants: tuple[tuple[str, str, str], ...] = field(default=(), repr=False)
+
+    def __post_init__(self) -> None:
+        c = np.array(self.c, dtype=float)
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:
@@ -467,6 +476,8 @@ def _parse_oracle(
             if len(fields) != 2:
                 raise SpecFormatError(f"bad oracle map head {head.strip()!r}")
             idx = _index(fields[1], entry)
+            if idx in raw_maps:
+                raise SpecFormatError(f"duplicate oracle map {idx}")
             terms: list[tuple[float, int, int]] = []
             for term in rhs.split(";"):
                 term = term.strip()

@@ -38,6 +38,7 @@ first candidate wins a tie.  asn's duality search runs only where
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -188,10 +189,13 @@ def _asn_product(g1: np.ndarray, g2: np.ndarray, tol: float) -> tuple[str, float
     return "general", 0.0
 
 
+@functools.lru_cache(maxsize=1)
 def invariants(space: HomogeneousSpace) -> Invariants:
     """Build the adapted connection and derive every invariant from its
     torsion.  The traces and blocks of the torsion derivative and of the
-    iterated torsion are contracted directly; neither tensor is formed."""
+    iterated torsion are contracted directly; neither tensor is formed.
+    The result for the most recent space object is kept and returned again;
+    every array in it is read-only."""
     conn = canonical_connection(space)
     d, n = space.dim_h, space.dim
     t = conn.tor
@@ -221,7 +225,7 @@ def invariants(space: HomogeneousSpace) -> Invariants:
     cmax = max(1.0, float(np.abs(space.c).max()))
     zero_cut = ZERO_TOL * cmax**3
     kappa = float(np.linalg.eigvalsh(grams.tau_hv[:d, :d])[-1])
-    return Invariants(
+    inv = Invariants(
         space=space,
         flags=_classify(conn, rig),
         src=src,
@@ -242,6 +246,9 @@ def invariants(space: HomogeneousSpace) -> Invariants:
         q_tt2=tt,
         tt2=bool(np.any(tt)),
     )
+    for a in (src, rig, t1, dist.t2, *vars(grams).values(), inv.q_src, inv.q_nt, tt):
+        a.flags.writeable = False
+    return inv
 
 
 def distortion(space: HomogeneousSpace) -> DistortionPack:

@@ -13,6 +13,7 @@ test suite's `tests/oracles.py` as the reference for these contractions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,7 @@ class Connection:
         object.__setattr__(self, "tor", torsion(self))
 
 
+@functools.lru_cache(maxsize=1)
 def canonical_connection(space: HomogeneousSpace) -> Connection:
     """Build the adapted connection and verify its defining properties.
 
@@ -54,6 +56,8 @@ def canonical_connection(space: HomogeneousSpace) -> Connection:
     compatibility, splitting preservation, or the torsion mapping and
     symmetry properties.  That cannot happen for a valid structure tensor,
     so a failure indicates corrupted input rather than a borderline case.
+    The result for the most recent space object is kept and returned again;
+    its ``gamma`` and ``tor`` are read-only.
     """
     d, n = space.dim_h, space.dim
     c = space.c
@@ -77,7 +81,9 @@ def canonical_connection(space: HomogeneousSpace) -> Connection:
         half = 0.5 * (cb.transpose(2, 1, 0) - cb)
         gamma[direction, block, block] = half.transpose(1, 0, 2)
 
+    gamma.flags.writeable = False
     conn = Connection(space=space, gamma=gamma)
+    conn.tor.flags.writeable = False
     problems = verify_connection(conn)
     if problems:
         raise RuntimeError("; ".join(problems))

@@ -15,8 +15,19 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from sublap import HomogeneousSpace, load_builtin, rescale_vertical
+from sublap.bounds import invariants
+from sublap.connection import canonical_connection
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    """Start every test with empty `invariants` and `canonical_connection`
+    caches, so no test reads a result that an earlier test left behind."""
+    invariants.cache_clear()
+    canonical_connection.cache_clear()
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

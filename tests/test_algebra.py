@@ -227,9 +227,11 @@ def test_validate_reports_antisymmetry_violation():
 def test_validate_reports_every_antisymmetry_violation():
     # three skewed pairs, the last of them past the first half of the
     # violating index triples
-    space = load_builtin("so4_alt")
+    base = load_builtin("so4_alt")
+    c = base.c.copy()
     for i, j in ((0, 1), (0, 2), (3, 4)):
-        space.c[i, j, 0] += 1e-3
+        c[i, j, 0] += 1e-3
+    space = HomogeneousSpace(base.name, base.dim_h, base.dim_v, c)
     skew = [p.split(":")[0] for p in validate(space) if p.startswith("antisymmetry")]
     assert skew == [f"antisymmetry violated at ({i},{j},1)" for i, j in ((1, 2), (1, 3), (4, 5))]
 
@@ -271,6 +273,23 @@ def test_rescale_vertical_scales_blocks():
     before, after = lambda1(space), lambda1(scaled)
     assert abs(after.lambda1 - before.lambda1) <= 1e-12 * before.lambda1
     assert after.tail_note == before.tail_note
+
+
+def test_spaces_compare_and_hash_by_identity():
+    a, b = load_builtin("so4_alt"), load_builtin("so4_alt")
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_space_constants_are_a_read_only_copy():
+    c = load_builtin("so4_alt").c.copy()
+    space = HomogeneousSpace("copy", 3, 3, c)
+    with pytest.raises(ValueError):
+        space.c[0, 1, 4] = 0.0
+    with pytest.raises(ValueError):
+        load_builtin("so4_alt").c[0, 1, 4] = 0.0
+    c[0, 1, 4] = 0.0  # the caller's array stays writeable and apart
+    assert space.c[0, 1, 4] == -1.0
 
 
 def test_rescale_vertical_requires_positive_factor():

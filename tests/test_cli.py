@@ -128,6 +128,7 @@ oracle {
         ("1 f1.1", "1 f2.1", "oracle map index out of range in 'map 1'"),
         ("1 f1.1", "(-1)**0.5 f1.1", "cannot evaluate coefficient '(-1)**0.5': non-real"),
         ("su2 all", "su2 all\n  factor 1 = su2 integer", "duplicate oracle factor 1"),
+        ("map 2 = 1 f1.2", "map 2 = 1 f1.2\n  map 2 = 1 f1.2", "duplicate oracle map 2"),
         ("factor 1 =", "factor 2 =", "oracle factors must be numbered 1 to 1, got [2]"),
         ("factor 1 =", "factor 0 =", "oracle factors must be numbered 1 to 1, got [0]"),
         ("su2 all", "su2 all\n  cutoff = -5", "bad oracle cutoff '-5'"),

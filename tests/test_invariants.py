@@ -1,4 +1,4 @@
-"""The shared invariants object: the connection is built once per call and
+"""The shared invariants object: the connection is built once per space and
 the package holds no n^4 tensor or PSD-bisection oracle, and the closed-form
 asn product term on a space that needs the general branch."""
 
@@ -8,6 +8,8 @@ import functools
 import importlib
 import pkgutil
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ import sublap
 import sublap.cli
 from sublap import (
     bound_asn,
+    bound_main,
     bound_sntf,
+    distortion,
     invariants,
     load_builtin,
     optimize,
@@ -29,6 +33,7 @@ COUNTED = ("canonical_connection", "torsion")
 # The pipeline builds the connection and its torsion once and contracts the
 # traces it needs directly.
 PER_CALL = {"canonical_connection": 1, "torsion": 1}
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 # Names no module of the package holds: the n^4 tensors and the PSD bisection
 # live in the tests' `oracles.py`, and the curvature form at one x is
 # `invariants(space).q(x)`.
@@ -61,23 +66,62 @@ def calls(monkeypatch):
     ids=["so4_alt", "so4_twisted_b03", "so4_weighted"],
 )
 def test_each_tensor_is_built_once_per_entry_point(calls, space):
-    optimize(space, x_points=20)
-    assert calls == PER_CALL
+    entries = [
+        lambda s: optimize(s, x_points=20),
+        bound_sntf,
+        distortion,
+        lambda s: bound_main(s, 0.0),
+        # through the package, where the fixture wrapped canonical_connection
+        lambda s: sub_ricci(sublap.canonical_connection(s)),
+    ]
+    # a build counts as one torsion call; each fresh space costs one build
+    for entry in entries:
+        calls["torsion"] = 0
+        entry(replace(space))
+        assert calls["torsion"] == 1
 
-    calls.update(dict.fromkeys(COUNTED, 0))
-    bound_sntf(space)
-    assert calls == PER_CALL
-
-    calls.update(dict.fromkeys(COUNTED, 0))
-    # through the package, where the fixture wrapped canonical_connection
-    sub_ricci(sublap.canonical_connection(space))
-    assert calls == PER_CALL
+    # and one space costs one build however many entry points read it
+    calls["torsion"] = 0
+    for entry in entries:
+        entry(space)
+    assert calls["torsion"] == 1
 
 
 def test_analyze_builds_each_tensor_once(calls, capsys):
     assert sublap.cli.main(["analyze", "so4_twisted", "--param", "b=0.3"]) == 0
     capsys.readouterr()
     assert calls == PER_CALL
+
+
+def test_report_sweep_builds_the_tensors_once_per_point(calls, capsys):
+    argv = ["report", "so4_twisted", "--sweep", "b=0:0.4:3", "--x-grid", "400"]
+    assert sublap.cli.main(argv) == 0
+    golden = GOLDEN / "report_so4_twisted_b0-0.4-3.csv"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert calls["torsion"] == 3
+
+
+def test_cached_arrays_are_read_only():
+    space = load_builtin("so4_twisted", b=0.3)
+    with pytest.raises(ValueError):
+        distortion(space).t1[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        invariants(space).q_src[0, 0] = 1.0
+    inv, conn = invariants(space), sublap.canonical_connection(space)
+    arrays = [conn.gamma, conn.tor, inv.src, inv.rig, inv.dist.t1, inv.dist.t2]
+    arrays += [inv.grams.tau_vh, inv.grams.tau_hv, inv.grams.tau_h]
+    arrays += [inv.q_src, inv.q_nt, inv.q_tauh, inv.q_tt2]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_results_are_kept_for_the_last_space_object():
+    space = load_builtin("so4_twisted", b=0.3)
+    inv, conn = invariants(space), sublap.canonical_connection(space)
+    assert invariants(space) is inv and distortion(space) is inv.dist
+    assert sublap.canonical_connection(space) is conn
+    # another space object, even with the same constants, gets its own
+    other = replace(space)
+    assert invariants(other) is not inv and invariants(other).space is other
 
 
 def test_no_module_defines_or_exports_a_reference_implementation():
