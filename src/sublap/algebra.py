@@ -41,6 +41,12 @@ COEFF_LIMIT = 1e50
 _BUILTINS = ("so3_twisted", "so4_alt", "so4_twisted", "twisted_spheres")
 # The keyword of a spec line or block entry: its first word, ended by a blank, '=' or '{'.
 _KEYWORD = re.compile(r"[^\s={]*")
+# A plain decimal literal, which `float` reads to the double `ast` gives: an
+# optional sign, digits with an optional fraction and an optional exponent;
+# a bare integer has no leading zero, since Python rejects one ("007").
+_DECIMAL = re.compile(
+    r"[+-]?(?:0|[1-9][0-9]*|(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)"
+)
 
 
 @dataclass(frozen=True)
@@ -150,14 +156,17 @@ def validate(space: HomogeneousSpace) -> list[str]:
     # jac[i,j,k,:] = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
     comp = np.tensordot(c, c, axes=(2, 0))  # comp[i,j,k,m] = sum_l c[i,j,l] c[l,k,m]
     jac = comp + comp.transpose(1, 2, 0, 3) + comp.transpose(2, 0, 1, 3)
-    bad = np.argwhere(np.max(np.abs(jac), axis=3) > ZERO_TOL)
+    # One test clears a valid space.  Past it, the per-triple scan reports each
+    # (i, j, k) row whose maximum exceeds the tolerance (a NaN maximum does not).
+    defects = np.abs(jac)
+    bad = np.argwhere(defects.max(axis=3) > ZERO_TOL) if (defects > ZERO_TOL).any() else []
     seen = set()
     for i, j, k in bad:
         key = tuple(sorted((int(i), int(j), int(k))))
         if key in seen:
             continue
         seen.add(key)
-        defect = float(np.max(np.abs(jac[i, j, k])))
+        defect = float(defects[i, j, k].max())
         problems.append(
             f"Jacobi identity violated on ({key[0] + 1},{key[1] + 1},{key[2] + 1}): "
             f"max defect {defect:.3e}"
@@ -213,10 +222,9 @@ def eval_coefficient(expr: str, params: dict[str, float]) -> float:
     ArithmeticError.
     """
     text = expr.strip().replace("^", "**")
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse coefficient {expr!r}: {exc}") from None
+    # An integer past the float range reads inf here but overflows in the walk.
+    if _DECIMAL.fullmatch(text) and math.isfinite(val := float(text)):
+        return val
 
     def walk(node: ast.AST) -> float:
         if isinstance(node, ast.Expression):
@@ -234,7 +242,13 @@ def eval_coefficient(expr: str, params: dict[str, float]) -> float:
             return _ALLOWED_BINOPS[type(node.op)](walk(node.left), walk(node.right))
         raise ValueError(f"unsupported syntax in coefficient {expr!r}")
 
-    if isinstance(val := walk(tree), complex):
+    try:
+        val = walk(ast.parse(text, mode="eval"))
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse coefficient {expr!r}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"cannot parse coefficient {expr!r}: nested too deeply") from None
+    if isinstance(val, complex):
         raise ArithmeticError(f"non-real value {val}")
     return val
 
@@ -329,7 +343,7 @@ def parse_spec_text(
         params.update(overrides)
 
     n = dim_h + dim_v
-    c = np.zeros((n, n, n))
+    terms: list[tuple[int, int, int, float]] = []  # (i, j, k, value), 0-based
     for i, j, rhs in bracket_lines:
         if not (1 <= i <= n and 1 <= j <= n):
             raise SpecFormatError(f"bracket index out of range in 'bracket {i} {j}'")
@@ -343,9 +357,13 @@ def parse_spec_text(
             k = _index(target, term)
             if not 1 <= k <= n:
                 raise SpecFormatError(f"bracket target {k} out of range")
-            val = _coeff(expr, params)
-            c[i - 1, j - 1, k - 1] += val
-            c[j - 1, i - 1, k - 1] -= val
+            terms.append((i - 1, j - 1, k - 1, _coeff(expr, params)))
+    # Each scatter accumulates in term order; i < j, so the two never share a slot.
+    c = np.zeros((n, n, n))
+    if terms:
+        i, j, k, vals = (np.array(col) for col in zip(*terms))
+        np.add.at(c, (i, j, k), vals)
+        np.subtract.at(c, (j, i, k), vals)
 
     oracle = _parse_oracle(oracle_lines, params, n) if oracle_lines else None
     return HomogeneousSpace(

@@ -883,16 +883,16 @@ def optimize(
 
     # One golden-section pass refines every winning abscissa together.  `run`
     # keeps the strictly better points in the order `_golden_max` does.
-    won = list(best)
-    center = np.array([best[name].x for name in won])
-    step = 1.0 / x_points
+    if won := list(best):
+        center = np.array([best[name].x for name in won])
+        step = 1.0 / x_points
 
-    def values(points: np.ndarray) -> np.ndarray:
-        res = run(dict(zip(won, points.tolist())))
-        return np.array([-math.inf if res[n] is None else res[n].value for n in won])
+        def values(points: np.ndarray) -> np.ndarray:
+            res = run(dict(zip(won, points.tolist())))
+            return np.array([-math.inf if res[n] is None else res[n].value for n in won])
 
-    lo = np.maximum(center - step, 0.0)
-    _golden_max(values, lo, np.minimum(center + step, 1.0 - 1e-12))
+        lo = np.maximum(center - step, 0.0)
+        _golden_max(values, lo, np.minimum(center + step, 1.0 - 1e-12))
 
     if (sntf := _sntf(inv)) is not None:
         best["sntf"] = sntf

@@ -6,6 +6,8 @@ complement.  Here are the full n^4 tensors those traces come from and the PSD
 bisection the Schur complement replaces, each written the direct way.
 `lambda1` diagonalizes only the irreps whose proven lower bound does not
 pass the least bottom it has found; `irrep_table` diagonalizes them all.
+`validate` scans the Jacobi rows only when some entry fails; `validate_problems`
+locates every violation unconditionally.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from sublap import Connection, HomogeneousSpace, SpectrumResult, spectral
+from sublap.algebra import ZERO_TOL
 from sublap.bounds import _PSD_TOL
 
 _BISECT_TOL = 1e-10
@@ -88,6 +91,32 @@ def feasible_rho1(q: np.ndarray, d: int, rho2: float) -> float | None:
         else:
             hi = mid
     return lo
+
+
+def validate_problems(space: HomogeneousSpace) -> list[str]:
+    """The antisymmetry and Jacobi violations of a finite structure array of
+    the right shape, in `validate`'s words and order, each check run in full."""
+    c = space.c
+    problems = []
+    skew = c + c.transpose(1, 0, 2)
+    bad = np.argwhere(np.abs(skew) > ZERO_TOL)
+    for i, j, k in bad[bad[:, 0] <= bad[:, 1]]:
+        problems.append(
+            f"antisymmetry violated at ({i + 1},{j + 1},{k + 1}): "
+            f"c[{i + 1}][{j + 1}][{k + 1}] + c[{j + 1}][{i + 1}][{k + 1}] = {skew[i, j, k]:.3e}"
+        )
+    comp = np.tensordot(c, c, axes=(2, 0))
+    jac = comp + comp.transpose(1, 2, 0, 3) + comp.transpose(2, 0, 1, 3)
+    seen = set()
+    for i, j, k in np.argwhere(np.max(np.abs(jac), axis=3) > ZERO_TOL):
+        key = tuple(sorted((int(i), int(j), int(k))))
+        if key not in seen:
+            seen.add(key)
+            problems.append(
+                f"Jacobi identity violated on ({key[0] + 1},{key[1] + 1},{key[2] + 1}): "
+                f"max defect {float(np.max(np.abs(jac[i, j, k]))):.3e}"
+            )
+    return problems
 
 
 def irrep_table(space: HomogeneousSpace, cutoff: float | None = None) -> SpectrumResult:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.resources
 import math
 
@@ -25,7 +26,8 @@ from sublap import (
 from sublap.algebra import eval_coefficient
 from sublap.spectral import _model_coeffs
 
-from conftest import SOLVABLE_SPEC
+from conftest import SOLVABLE_SPEC, free_step2, moved_frame
+from oracles import validate_problems
 
 SO4_ALT = importlib.resources.files("sublap.data").joinpath("so4_alt.txt").read_text()
 
@@ -215,6 +217,55 @@ def test_eval_coefficient_rejects_everything_else():
             eval_coefficient(expr, {"b": 1.0})
 
 
+def _counted_ast_parse(monkeypatch) -> list[str]:
+    """Record the text of every `ast.parse` call."""
+    calls, inner = [], ast.parse
+
+    def counted(source, *args, **kwargs):
+        calls.append(source)
+        return inner(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counted)
+    return calls
+
+
+def _outcome(expr: str) -> str:
+    """repr of the value of a coefficient, or the type of its error."""
+    try:
+        return repr(eval_coefficient(expr, {}))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0.0", "+1", ".5", "5.", "00.5", "007e1", "1E-3", "-2.5e+10", "1e400", "1e-400",
+     "4.9e-324", "123456789012345678901234567890", "9" * 400],
+)
+def test_plain_decimals_read_as_the_expression_evaluator_reads_them(text):
+    # the parentheses send the same literal through the ast walk
+    assert _outcome(text) == _outcome(f"({text})")
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("inf", "ValueError"), ("nan", "ValueError"), ("1_000", "1000.0"), ("0x10", "16.0"),
+     ("007", "ValueError"), ("\u0661\u0662", "ValueError"), ("- 1", "-1.0"), ("1j", "ValueError")],
+)
+def test_other_literals_go_through_the_expression_evaluator(monkeypatch, text, want):
+    calls = _counted_ast_parse(monkeypatch)
+    assert _outcome(text) == want
+    assert calls == [text]
+
+
+def test_a_coefficient_nested_too_deeply_is_a_value_error():
+    for expr in ("-" * 5000 + "1", "1" + "+1" * 1200):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            eval_coefficient(expr, {})
+        with pytest.raises(SpecFormatError, match="nested too deeply"):
+            parse_spec_text(f"dim_h 2\ndim_v 1\nbracket 1 2 = {expr} 3\n")
+
+
 def test_validate_reports_antisymmetry_violation():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2] = 1.0
@@ -243,6 +294,72 @@ def test_validate_reports_jacobi_violation():
     space = HomogeneousSpace("nonassoc", 2, 1, c)
     problems = validate(space)
     assert any(p.startswith("Jacobi identity violated on (1,2,3)") for p in problems)
+
+
+def _spec_text(space: HomogeneousSpace) -> str:
+    """The space as a spec whose coefficients are the repr of its constants."""
+    n = space.dim
+    lines = [f"dim_h {space.dim_h}", f"dim_v {space.dim_v}"]
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = [f"{float(space.c[i, j, k])!r} {k + 1}" for k in range(n) if space.c[i, j, k]]
+            if terms:
+                lines.append(f"bracket {i + 1} {j + 1} = " + "; ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def test_a_literal_only_spec_parses_without_the_expression_evaluator(monkeypatch):
+    frame = moved_frame(free_step2(5), np.random.default_rng(24))
+    text = _spec_text(frame)
+    calls = _counted_ast_parse(monkeypatch)
+    space = parse_spec_text(text)
+    assert calls == []
+    upper = np.triu_indices(frame.dim, 1)  # 100 nonzero coefficients
+    assert np.array_equal(space.c[upper], frame.c[upper])
+    assert np.count_nonzero(space.c[upper]) == 100
+
+
+def test_parameter_expressions_still_go_through_the_expression_evaluator(monkeypatch):
+    calls = _counted_ast_parse(monkeypatch)
+    load_builtin("so3_twisted")
+    assert calls == ["-c", "1 + c**2", "c", "c"]
+
+
+def test_repeated_bracket_terms_accumulate_in_spec_order():
+    space = parse_spec_text(
+        "dim_h 2\ndim_v 1\nbracket 1 2 = 0.1 3; 0.2 3\nbracket 1 2 = 0.3 3; -0.0 1\n"
+    )
+    assert space.c[0, 1, 2] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert space.c[1, 0, 2] == ((-0.1) - 0.2) - 0.3
+    assert math.copysign(1.0, space.c[0, 1, 0]) == math.copysign(1.0, space.c[1, 0, 0]) == 1.0
+
+
+def _perturbed_free_frame(seed: int, scale: float, skew: bool) -> HomogeneousSpace:
+    """free_step2(5), dimension 15, with a few constants moved by about `scale`;
+    the partner constant c[j, i, k] follows unless `skew`."""
+    rng = np.random.default_rng([24, seed])
+    base = free_step2(5)
+    c = base.c.copy()
+    for _ in range(4):
+        i, j = sorted(rng.choice(base.dim, size=2, replace=False))
+        k = int(rng.integers(base.dim))
+        delta = scale * rng.uniform(0.5, 2.0)
+        c[i, j, k] += delta
+        if not skew:
+            c[j, i, k] -= delta
+    return HomogeneousSpace(base.name, base.dim_h, base.dim_v, c)
+
+
+@pytest.mark.parametrize("skew", [False, True], ids=["jacobi", "skew-and-jacobi"])
+@pytest.mark.parametrize("scale", [1e-13, 1e-12, 1e-11, 1e-3, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_validate_locates_every_violation(seed, scale, skew):
+    space = _perturbed_free_frame(seed, scale, skew)
+    problems = validate(space)
+    assert problems == validate_problems(space)
+    if scale >= 1e-3:
+        assert any(p.startswith("Jacobi") for p in problems)
+        assert any(p.startswith("antisymmetry") for p in problems) == skew
 
 
 def test_validate_reports_step2_failure():

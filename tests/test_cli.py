@@ -136,6 +136,10 @@ oracle {
         ("su2 all", "su2 all\n  cutoff = nan", "bad oracle cutoff 'nan'"),
         ("su2 all", "su2 all\n  cutoff = inf", "bad oracle cutoff 'inf'"),
         ("su2 all", "su2 all\n  cutoff = 1e400", "bad oracle cutoff '1e400'"),
+        pytest.param("= 1 2", "= " + "-" * 5000 + "1 2", "cannot parse coefficient '---",
+                     id="5000-signs"),
+        pytest.param("= 1 2", "= 1" + "+1" * 3000 + " 2", "cannot parse coefficient '1+1+1",
+                     id="3001-terms"),
     ],
 )
 def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, message):

@@ -361,6 +361,14 @@ def test_no_bound_spaces_settle_without_an_elimination(monkeypatch, space):
     assert calls == []
 
 
+@pytest.mark.parametrize("c", [0.5, 0.9])
+def test_optimize_runs_no_golden_pass_without_a_best(monkeypatch, c):
+    # the root caps rule out every x, so no theorem has an abscissa to refine
+    calls = _counting(monkeypatch, "_golden_max")
+    assert optimize(load_builtin("so3_twisted", c=c)).entries == []
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "make",
     [
