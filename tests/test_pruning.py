@@ -506,3 +506,35 @@ def test_default_grid_optimize_matches_golden_file(name):
     else:
         space = so4_weighted()
     assert report_text(optimize(space)) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# repr(optimize(s).entries) to the last bit, one line per space: the
+# sweep-twisted benchmark points, the certify-symmetric spaces, the moved
+# frames above and the general asn branch.  The text goldens print 12 digits,
+# so they cannot see a change in the last bits of a bound or its abscissa.
+ENTRY_REPRS = GOLDEN / "optimize_entries_repr.txt"
+REPR_RUNS = {
+    **{f"so4_twisted-b{b}": ("so4_twisted", {"b": b}, None) for b in (0.0, 0.1, 0.2, 0.3, 0.4)},
+    **{f"so3_twisted-c{c}": ("so3_twisted", {"c": c}, None) for c in (0.0, 0.05, 0.1, 0.5, 0.9)},
+    "so4_alt": ("so4_alt", {}, None),
+    "twisted_spheres": ("twisted_spheres", {}, None),
+    **{f"moved-{name[len('optimize_moved_'):-4]}": run
+       for name, run in DEFAULT_GRID_RUNS.items() if run[2] is not None},
+}
+
+
+def _entry_repr(key: str) -> str:
+    if key == "so4_weighted-x200":
+        return repr(optimize(so4_weighted(), x_points=200).entries)
+    builtin, params, seed = REPR_RUNS[key]
+    space = load_builtin(builtin, **params)
+    if seed is not None:
+        space = moved_frame(space, np.random.default_rng(seed))
+    return repr(optimize(space).entries)
+
+
+@pytest.mark.parametrize("key", [*REPR_RUNS, "so4_weighted-x200"])
+def test_optimize_entries_match_full_precision_golden(key):
+    lines = ENTRY_REPRS.read_text(encoding="utf-8").splitlines()
+    want = dict(line.split(" ", 1) for line in lines)
+    assert _entry_repr(key) == want[key]
