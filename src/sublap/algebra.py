@@ -47,6 +47,15 @@ _KEYWORD = re.compile(r"[^\s={]*")
 _DECIMAL = re.compile(
     r"[+-]?(?:0|[1-9][0-9]*|(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)"
 )
+_ECHO = 40  # characters of a long coefficient that an error message repeats
+
+
+def _shown(expr: str) -> str:
+    """expr quoted for a one-line message: a long one is cut to its first
+    _ECHO characters, followed by its length."""
+    if len(expr) <= _ECHO:
+        return repr(expr)
+    return f"{expr[:_ECHO]!r}... ({len(expr)} characters)"
 
 
 @dataclass(frozen=True)
@@ -233,21 +242,21 @@ def eval_coefficient(expr: str, params: dict[str, float]) -> float:
             return float(node.value)
         if isinstance(node, ast.Name):
             if node.id not in params:
-                raise ValueError(f"unbound parameter {node.id!r} in {expr!r}")
+                raise ValueError(f"unbound parameter {node.id!r} in {_shown(expr)}")
             return float(params[node.id])
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             val = walk(node.operand)
             return val if isinstance(node.op, ast.UAdd) else -val
         if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
             return _ALLOWED_BINOPS[type(node.op)](walk(node.left), walk(node.right))
-        raise ValueError(f"unsupported syntax in coefficient {expr!r}")
+        raise ValueError(f"unsupported syntax in coefficient {_shown(expr)}")
 
     try:
         val = walk(ast.parse(text, mode="eval"))
     except SyntaxError as exc:
-        raise ValueError(f"cannot parse coefficient {expr!r}: {exc}") from None
+        raise ValueError(f"cannot parse coefficient {_shown(expr)}: {exc}") from None
     except RecursionError:
-        raise ValueError(f"cannot parse coefficient {expr!r}: nested too deeply") from None
+        raise ValueError(f"cannot parse coefficient {_shown(expr)}: nested too deeply") from None
     if isinstance(val, complex):
         raise ArithmeticError(f"non-real value {val}")
     return val
@@ -448,10 +457,10 @@ def _coeff(expr: str, params: dict[str, float]) -> float:
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from exc
     except ArithmeticError as exc:
-        raise SpecFormatError(f"cannot evaluate coefficient {expr!r}: {exc}") from exc
+        raise SpecFormatError(f"cannot evaluate coefficient {_shown(expr)}: {exc}") from exc
     if not abs(val) <= COEFF_LIMIT:
         raise SpecFormatError(
-            f"coefficient {expr!r} evaluates to {val!r}; "
+            f"coefficient {_shown(expr)} evaluates to {val!r}; "
             f"it must be finite and at most {COEFF_LIMIT:g} in magnitude"
         )
     return val

@@ -13,6 +13,14 @@ so those that reach the same x share its elimination; a single golden-section
 pass refines the winning abscissas of all of them, and no x is evaluated
 again after it.  A space where `_theorems` finds no theorem is not swept.
 
+`_evaluate` takes a stack of x in one call, and a call of three x costs about
+1.4 times a call of one, most of it fixed numpy overhead.  So the golden pass
+evaluates each step's point together with both points the next step can
+take, two steps per call, 31 calls for its 60 steps.  Every step takes the
+point it would have computed itself, bit for bit, and a point no step takes
+never reaches a result.  asn's duality search over t keeps one point per
+step: each of its points costs a matrix per live candidate, not overhead.
+
 The x sweep evaluates only the x whose cap can still beat the best value
 found.  A cap bounds rho1 by r, the Rayleigh quotient of the Schur complement
 at the bottom eigenvector of Q_HH plus a rounding pad, by Courant-Fischer.
@@ -30,9 +38,10 @@ level above can still beat the best.
 
 Inside one x the leaf caps of every candidate are taken in one pass, and
 complements are diagonalized only for the pending candidates of largest leaf
-cap, in growing batches.  The search stops once every pending leaf cap falls
-strictly below the best value; a cap equal to it is still visited, so the
-first candidate wins a tie.  asn's duality search runs only where
+cap, in growing batches; the x of one call go through the batches in
+lockstep, each with its own floor.  The search stops once every pending leaf
+cap falls strictly below the best value; a cap equal to it is still visited,
+so the first candidate wins a tie.  asn's duality search runs only where
 (lambda_min(S) + pad)/(Delta + omega) reaches its best.
 """
 
@@ -112,7 +121,12 @@ _GOLDEN_ITERS = 60  # golden-section steps after the first two evaluations
 # Widths, in base-grid rho2 candidates, of the nested cells that refine the
 # caps pruning `optimize`: a live cell splits into ten of the next width.
 _CELLS = (100, 10, 1)
+_NEAR = 1.0 - np.power(10.0, -np.arange(2.0, 11.0))  # rho2 = mu_min * _NEAR near the edge
 _BATCH = 8  # the first batch of Schur complements in `_evaluate`
+_AUX = {"main": "s", "t1zero": "case"}  # the aux field each theorem reports
+# The trailing columns of a theorem's result that never vary: t1zero's psi and
+# m, and asn's chi, aux, psi and m.
+_FIXED = {"main": [], "t1zero": [0.0, 0.0], "asn": [math.nan] * 4}
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +355,9 @@ def _pad(q: np.ndarray) -> np.ndarray:
     return _PSD_TOL * np.maximum(1.0, np.abs(q).max(axis=(-2, -1)))
 
 
-def _vertical(q: np.ndarray, d: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The elimination of the vertical block of q, or of each form in a stack.
+def _vertical(q: np.ndarray, d: int, base: np.ndarray, pad) -> tuple[np.ndarray, ...]:
+    """The elimination of the vertical block of q, or of each form in a stack,
+    whose `_pad` is pad.
 
     Returns the rho2 candidates (the base grid below the vertical minimum
     mu_min, the near-boundary refinements mu_min(1 - 10^-k) and, for a
@@ -351,19 +366,20 @@ def _vertical(q: np.ndarray, d: int, base: np.ndarray) -> tuple[np.ndarray, ...]
     w = Q_HV U in its eigenbasis U.  Only Q_VV, Q_HV and |q|max enter, so a
     form that differs from q only on H x H shares the elimination.
     """
-    mu, u = np.linalg.eigh(q[..., d:, d:])
-    w = q[..., :d, d:] @ u
+    qvv, qhv = q[..., d:, d:], q[..., :d, d:]
+    mu, u = np.linalg.eigh(qvv)
+    w = qhv @ u
     # The candidates take mu_min from eigvalsh, which can differ from mu[0]
     # in the last bit on a degenerate block.  The best rho2 sits at the
     # boundary there, and the golden refinement follows such bits: with
     # mu[0], rotated twisted_spheres frames report 0.54545454541 in place
     # of 0.545454545455.
-    mu_min = np.linalg.eigvalsh(q[..., d:, d:])[..., :1]
-    coupling = np.abs(q[..., :d, d:]).max(axis=(-2, -1), initial=0.0)[..., None]
+    mu_min = np.linalg.eigvalsh(qvv)[..., :1]
+    coupling = np.abs(qhv).max(axis=(-2, -1), initial=0.0)[..., None]
     base = base[base < mu_min.max() * (1.0 - 1e-12)]  # columns some form keeps
     below = np.where(base < mu_min * (1.0 - 1e-12), base, np.nan)
-    near = mu_min * (1.0 - np.power(10.0, -np.arange(2.0, 11.0)))
-    edge = np.where(coupling <= _pad(q)[..., None], mu_min, np.nan)
+    near = mu_min * _NEAR
+    edge = np.where(coupling <= pad[..., None], mu_min, np.nan)
     rho2 = np.concatenate([below, near, edge], axis=-1)
     return np.where((mu_min > 0.0) & (rho2 > 0.0), rho2, np.nan), mu_min, mu, w
 
@@ -375,18 +391,20 @@ def _weights(mu: np.ndarray, coupled: np.ndarray, rho2: np.ndarray) -> tuple:
     mu_min, so the valid candidates are those below a threshold."""
     # mu is ascending, so every coupled gap is positive below the lowest
     # coupled eigenvalue (this also rejects the NaN padding)
-    bad = ~(rho2 < np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True))
-    keep = coupled[..., :, None] & ~bad[..., None, :]
+    good = rho2 < np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True)
+    keep = coupled[..., :, None] & good[..., None, :]
     with np.errstate(divide="ignore"):
         weights = np.where(keep, 1.0 / (mu[..., :, None] - rho2[..., None, :]), 0.0)
     low = mu[..., :1]
-    return weights, ~bad & (rho2 <= low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
+    return weights, good & (rho2 <= low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
 
 
-def _schur(q: np.ndarray, d: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The elimination of one form q at its sorted valid rho2 candidates: the
-    candidates, the coupling w = Q_HV U, the weights 1/(mu_j - rho2) indexed
-    [j, candidate] and the mask where the elimination is valid.
+def _schur(q: np.ndarray, d: int, base: np.ndarray, pad) -> tuple[np.ndarray, ...]:
+    """The elimination of one form q, or of each form in a stack, whose
+    `_pad` is pad, at its sorted valid rho2 candidates: the candidates (NaN
+    past the last valid one of a form), the coupling w = Q_HV U, the weights
+    1/(mu_j - rho2) indexed [..., j, candidate] and the mask where the
+    elimination is valid.
 
     Q_HH - w diag(weights[:, r]) w' is the Schur complement of the vertical
     block of q - diag(0 on H, rho2_r on V), and of every form that differs
@@ -394,8 +412,8 @@ def _schur(q: np.ndarray, d: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
     rho1 keeping that form minus diag(rho1, rho2) positive semidefinite, the
     value the PSD bisection `feasible_rho1` of `tests/oracles.py` gives.
     """
-    rho2, _, mu, w = _vertical(q, d, base)
-    rho2 = np.sort(rho2)[: np.count_nonzero(~np.isnan(rho2))]
+    rho2, _, mu, w = _vertical(q, d, base, pad)
+    rho2 = np.sort(rho2, axis=-1)[..., : rho2.shape[-1] - np.isnan(rho2).sum(axis=-1).min()]
     return rho2, w, *_weights(mu, (np.abs(w) > 0.0).any(axis=-2), rho2)
 
 
@@ -404,12 +422,12 @@ def _forms(inv: Invariants, names: list[str], q: np.ndarray) -> dict[bool, np.nd
     return {o: q + inv.q_tt2 if o else q for o in {n == "asn" and inv.tt2 for n in names}}
 
 
-def _ray(f: np.ndarray, d: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_rayleigh`'s top = lambda_min(f_HH) + pad and proj_j = (e'w_j)^2 at the
-    bottom eigenvector e of f_HH, for a form or a stack."""
+def _ray(f: np.ndarray, d: int, w: np.ndarray, pad) -> tuple[np.ndarray, np.ndarray]:
+    """`_rayleigh`'s top = lambda_min(f_HH) + pad, pad = `_pad(f)`, and
+    proj_j = (e'w_j)^2 at the bottom eigenvector e of f_HH, for a form or a stack."""
     lam, vec = np.linalg.eigh(f[..., :d, :d])
     proj = np.einsum("...a,...aj->...j", vec[..., 0], w) ** 2
-    return lam[..., :1] + _pad(f)[..., None], proj
+    return lam[..., :1] + pad[..., None], proj
 
 
 def _rayleigh(top: np.ndarray, proj: np.ndarray, weights: np.ndarray, ok: np.ndarray):
@@ -419,29 +437,48 @@ def _rayleigh(top: np.ndarray, proj: np.ndarray, weights: np.ndarray, ok: np.nda
     return np.where(ok, top - (proj[..., :, None] * weights).sum(axis=-2), -np.inf)
 
 
-def _golden_max(fun, lo, hi):
+def _golden_max(fun, lo, hi, speculate: bool):
     """Golden-section maximization of a unimodal fun on [lo, hi], elementwise
-    over arrays of brackets; returns the best (argument, value) among every
-    evaluation, so it never regresses."""
+    over arrays of brackets; returns the best (argument, value) among the
+    points the steps take, so it never regresses.
+
+    fun maps a stack of points, one per leading index, to their values.  The
+    first call takes both interior points.  With speculate, each later call
+    takes a step's point together with both points the next step can take,
+    so two steps cost one call; the point the next step drops never enters
+    the result.
+    """
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c, d = b - ratio * (b - a), a + ratio * (b - a)
-    fc = fun(c)
-    fd = fun(d)
+    fc, fd = fun(np.stack([c, d]))
     best_x, best_f = np.where(fd > fc, d, c), np.where(fd > fc, fd, fc)
-    for _ in range(_GOLDEN_ITERS):
+    ahead = None  # [points, values] of this step if its test holds, and if not
+    for k in range(_GOLDEN_ITERS):
         left = fc >= fd  # the maximum lies in [a, d]
         a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
-        fx = fun(x)
+        if ahead:
+            x, fx = (np.where(left, *pair) for pair in ahead)
+        else:
+            x = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
         c, d = np.where(left, x, d), np.where(left, c, x)
+        if ahead:
+            ahead = None
+        elif speculate and k + 1 < _GOLDEN_ITERS:
+            # the next step's point if its test holds and if not, by the
+            # expressions that step computes itself
+            more = [d - ratio * (d - a), c + ratio * (b - c)]
+            fx, *rest = fun(np.stack([x, *more]))
+            ahead = [more, rest]
+        else:
+            fx = fun(x[None])[0]
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
         better = fx > best_f
         best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
     return best_x, best_f
 
 
-def _asn_rho1(inv: Invariants, s: np.ndarray, lam, cap, floor: float) -> np.ndarray:
+def _asn_rho1(inv: Invariants, s: np.ndarray, lam, cap, floor) -> np.ndarray:
     """rho1 for the refined bound at Schur complements s, lam = lambda_min(s):
     the minimum over unit horizontal h of h'Sh - 2 sqrt(h'G1h * h'G2h).
 
@@ -458,12 +495,13 @@ def _asn_rho1(inv: Invariants, s: np.ndarray, lam, cap, floor: float) -> np.ndar
     live, rho1, s = cap >= floor, np.full(lam.shape, np.nan), s[cap >= floor]
 
     def bottom(log_t: np.ndarray) -> np.ndarray:
-        t = np.exp(log_t)[:, None, None]
-        return np.linalg.eigvalsh(s - t * g1 - g2 / t)[:, 0]
+        t = np.exp(log_t)[..., None, None]
+        return np.linalg.eigvalsh(s - t * g1 - g2 / t)[..., 0]
 
     if s.size:
+        # one point per step: a call's cost is its matrices, not its overhead
         lo = np.full(s.shape[0], 0.5 * math.log(np.trace(g2) / np.trace(g1)) - _LOG_T_SPAN)
-        rho1[live] = _golden_max(bottom, lo, lo + 2.0 * _LOG_T_SPAN)[1]
+        rho1[live] = _golden_max(bottom, lo, lo + 2.0 * _LOG_T_SPAN, False)[1]
     return rho1
 
 
@@ -524,8 +562,9 @@ def _t1zero_values(
         case2 = (rho1 + np.sqrt(np.maximum(base - 4.0 * delta * chi, 0.0))) / (
             2.0 * (delta + omega)
         )
-    in1 = (base > 0.0) & (base < 4.0 * chi * delta)
-    in2 = (base > 0.0) & (base >= 4.0 * chi * delta)
+    pos, threshold = base > 0.0, 4.0 * chi * delta
+    in1 = pos & (base < threshold)
+    in2 = pos & (base >= threshold)
     vals = np.where(in1, case1, np.where(in2, case2, np.nan))
     vals = np.where(np.isfinite(rho1) & (rho1 > 0.0), vals, np.nan)
     return vals, in1
@@ -546,62 +585,84 @@ def _theorems(inv: Invariants) -> list[str]:
 
 
 def _evaluate(
-    inv: Invariants, names: list[str], x: float, grid: np.ndarray
-) -> dict[str, BoundResult | None]:
-    """Each named theorem at x, maximized over its rho2 candidates with the
-    first winning a tie; None when no candidate gives a finite value.
+    inv: Invariants, names: list[str], xs: list[float], grid: np.ndarray
+) -> list[dict[str, BoundResult | None]]:
+    """Each named theorem at each x of xs, maximized over its rho2 candidates
+    with the first winning a tie; None when no candidate gives a finite value.
 
-    The vertical block of Q(x) is eliminated once for all of them (asn reads
-    the complements of Q(x) + q_tt2), and each `_formulas` group visits the
-    candidates best first, taking each lambda_min(S) at most once.
+    The vertical block of each Q(x) is eliminated once for all of them (asn
+    reads the complements of Q(x) + q_tt2), and each `_formulas` group visits
+    the candidates of every x best first, the x in lockstep, taking each
+    lambda_min(S) at most once and each closed form only where it visits.
     """
-    d, delta, q0 = inv.d, inv.delta(x), inv.q(x)
-    rho2, w, weights, ok = _schur(q0, d, grid)
+    d, delta, q0 = inv.d, inv.delta(np.asarray(xs, dtype=float)), inv.q(xs)
+    forms = _forms(inv, names, q0)
+    pad = {own: _pad(f) for own, f in {False: q0, **forms}.items()}
+    rho2, w, weights, ok = _schur(q0, d, grid, pad[False])
     omega, chi = inv.kappa / rho2, np.maximum(rho2 * inv.sup_t2, 0.0)
-    m, s = _m_arrays(omega, chi, rho2 * inv.sigma**2) if "main" in names else (None, None)
-    pad, forms = _pad(q0), _forms(inv, names, q0)
 
-    def closed(name: str, rho1, i):
-        """name's value at candidates i from rho1, its chi, psi and m, and its aux."""
+    def closed(name: str, rho1, dl, o, c, b) -> list:
+        """name's value, rho1, chi, aux (`_AUX`), psi and m from rho1, Delta,
+        omega, chi and rho2 at some candidates, less its `_FIXED` columns."""
         if name == "main":
-            vals = np.where(rho1 > m[i], (rho1 - m[i]) / (delta + omega[i]), np.nan)
-            return vals, (chi[i], rho2[i] * inv.sigma**2, m[i]), {"s": s[i]}
+            psi = b * inv.sigma**2
+            m, s = _m_arrays(o, c, psi)
+            return [np.where(rho1 > m, (rho1 - m) / (dl + o), np.nan), rho1, c, s, psi, m]
         if name == "t1zero":
-            vals, in1 = _t1zero_values(rho1, delta, omega[i], chi[i])
-            return vals, (chi[i], 0.0, 0.0), {"case": np.where(in1, 1.0, 2.0)}
-        return np.where(rho1 > 0.0, rho1 / (delta + omega[i]), np.nan), (math.nan,) * 3, {}
+            vals, in1 = _t1zero_values(rho1, dl, o, c)
+            return [vals, rho1, c, np.where(in1, 1.0, 2.0)]
+        return [np.where(rho1 > 0.0, rho1 / (dl + o), np.nan), rho1]
 
-    # NaN where not visited: lambda_min(S) per form, each theorem's rho1 and value
+    # lambda_min(S) per form and `closed` per theorem, read where visited:
+    # lambda_min(S) and the values are NaN elsewhere
     lam = {own: np.full(rho2.shape, np.nan) for own in forms}
-    rho1s = dict.fromkeys(names, lam.get(False)) | {"asn": np.full(rho2.shape, np.nan)}
-    vals = {n: np.full(rho2.shape, np.nan) for n in names}
-    r = {own: _rayleigh(*_ray(q, d, w), weights, ok) for own, q in forms.items()}
+    got = np.empty((len(names), 6, *rho2.shape))
+    got[:, 0] = np.nan
+    r = {own: _rayleigh(*_ray(f, d, w, pad[own]), weights, ok) for own, f in forms.items()}
     for (own, lift), group in _formulas(inv, names).items():
-        q, size, floor = forms[own], _BATCH, 0.0
-        leaf = _cap(inv, lift, r[own], rho2, delta, pad, True)  # -inf once visited
-        while (i := np.flatnonzero(leaf >= floor)).size:
-            i = i[np.argsort(-leaf[i], kind="stable")[:size]]
-            leaf[i] = -np.inf
-            sc = q[:d, :d] - np.einsum("aj,bj,jr->rab", w, w, weights[:, i])
-            if (new := np.isnan(lam[own][i])).any():
-                lam[own][i[new]] = np.linalg.eigvalsh(sc[new])[:, 0]
-            for name in group:
-                rho1 = lam[own][i]
+        f, size, slot = forms[own], _BATCH, [names.index(n) for n in group]
+        leaf = _cap(inv, lift, r[own], rho2, delta[:, None], pad[False][:, None], True)
+        # Each x visits a prefix of its candidates ranked by leaf cap, best
+        # first (a stable sort, so the first of a tie comes first): in each
+        # round, at most size more of those whose cap reaches the group floor.
+        order = np.argsort(-leaf, axis=1, kind="stable")
+        ranked, done = np.take_along_axis(leaf, order, axis=1), [0] * len(xs)
+        tops = np.zeros((len(group), len(xs)))  # each theorem's best value per x, or 0
+        while True:
+            reach = np.count_nonzero(ranked >= tops.min(axis=0)[:, None], axis=1).tolist()
+            stop = [max(a, min(n, a + size)) for a, n in zip(done, reach)]
+            k = np.repeat(np.arange(len(xs)), np.subtract(stop, done))
+            if not k.size:
+                break
+            i = np.concatenate([row[a:b] for row, a, b in zip(order, done, stop)])
+            done, size, wk = stop, 4 * size, w[k]
+            sc = f[k, :d, :d] - np.einsum("naj,nbj,nj->nab", wk, wk, weights[k, :, i])
+            lam_ki, here = lam[own][k, i], (delta[k], omega[k, i], chi[k, i], rho2[k, i])
+            if (new := np.isnan(lam_ki)).any():
+                lam_ki[new] = np.linalg.eigvalsh(sc[new])[:, 0]
+                lam[own][k, i] = lam_ki
+            for g, name in enumerate(group):
+                rho1 = lam_ki
                 if name == "asn":
-                    cap = (rho1 + _pad(q)) / (delta + omega[i])
-                    best = np.fmax.reduce(vals[name], initial=0.0)
-                    rho1 = rho1s[name][i] = _asn_rho1(inv, sc, rho1, cap, best)
-                vals[name][i] = closed(name, rho1, i)[0]
-            floor, size = min(np.fmax.reduce(vals[n], initial=0.0) for n in group), 4 * size
-    out: dict[str, BoundResult | None] = dict.fromkeys(names)
-    for name in names:
-        if not (finite := np.isfinite(vals[name])).any():
-            continue
-        i = int(np.argmax(np.where(finite, vals[name], -np.inf)))
-        _, cols, aux = closed(name, rho1s[name][i], i)
-        aux = {k: float(a) for k, a in aux.items() if not math.isnan(a)}
-        row = map(float, (rho1s[name][i], rho2[i], omega[i], *cols))
-        out[name] = BoundResult(name, float(vals[name][i]), x, *row, aux)
+                    cap = (rho1 + pad[own][k]) / (here[0] + here[1])
+                    rho1 = _asn_rho1(inv, sc, rho1, cap, tops[g, k])
+                cols = closed(name, rho1, *here)
+                got[slot[g]][: len(cols), k, i] = cols
+            tops = np.fmax.reduce(got[slot, 0], axis=-1, initial=0.0)
+    out: list[dict[str, BoundResult | None]] = [dict.fromkeys(names) for _ in xs]
+    if not (finite := np.isfinite(got[:, 0])).any():
+        return out
+    # each theorem's first best candidate at each x, and its columns there
+    i = np.argmax(np.where(finite, got[:, 0], -np.inf), axis=-1)
+    n, k = np.arange(len(names))[:, None], np.arange(len(xs))
+    has, cols = finite.any(axis=-1).tolist(), got[n, :, k, i].tolist()
+    b, o = rho2[k, i].tolist(), omega[k, i].tolist()
+    for t, name in enumerate(names):
+        for j, x in enumerate(xs):
+            if has[t][j]:
+                val, rho1, c, aux, p, m = cols[t][j][: 6 - len(_FIXED[name])] + _FIXED[name]
+                aux = {} if math.isnan(aux) else {_AUX[name]: aux}
+                out[j][name] = BoundResult(name, val, x, rho1, b[t][j], o[t][j], c, p, m, aux)
     return out
 
 
@@ -630,7 +691,7 @@ def _bound_at(space: HomogeneousSpace, x: float, name: str) -> BoundResult | Non
     inv = invariants(space)
     if name not in _theorems(inv):
         return None
-    return _evaluate(inv, [name], x, _rho2_base_grid(inv.kappa, _RHO2_PER_DECADE))[name]
+    return _evaluate(inv, [name], [x], _rho2_base_grid(inv.kappa, _RHO2_PER_DECADE))[0][name]
 
 
 def bound_main(space: HomogeneousSpace, x: float) -> BoundResult | None:
@@ -771,10 +832,11 @@ def _cells(inv: Invariants, names: list[str], xs: np.ndarray, grid: np.ndarray):
     of each x of xs, and `cell(rows, lo, width)`: its caps over the base
     candidates grid[lo : lo + width] at xs[rows] (see the module docstring)."""
     q, d = inv.q(xs), inv.d
-    near, mu_min, mu, w = _vertical(q, d, grid[:0])
-    coupled, mu_min = (np.abs(w) > 0.0).any(axis=1), mu_min[:, 0]
-    delta, pad = inv.delta(xs)[:, None], _pad(q)[:, None]
-    rays = {own: _ray(f, d, w) for own, f in _forms(inv, names, q).items()}
+    pad = _pad(q)
+    near, mu_min, mu, w = _vertical(q, d, grid[:0], pad)
+    coupled, mu_min, pad = (np.abs(w) > 0.0).any(axis=1), mu_min[:, 0], pad[:, None]
+    delta = inv.delta(xs)[:, None]
+    rays = {own: _ray(f, d, w, _pad(f)) for own, f in _forms(inv, names, q).items()}
 
     def caps(rows, rho2, b, leaf) -> dict[str, np.ndarray]:
         weights, ok = _weights(mu[rows], coupled[rows], rho2)
@@ -850,16 +912,26 @@ def optimize(
 
     best: dict[str, BoundResult] = {}
 
-    def run(points: dict[str, float]) -> dict[str, BoundResult | None]:
-        """Evaluate each distinct x once, for every theorem that asks for it,
-        and keep a positive result when it beats its theorem's best."""
-        out: dict[str, BoundResult | None] = {}
-        for x in dict.fromkeys(points.values()):
-            out.update(_evaluate(inv, [n for n in points if points[n] == x], x, grid))
-        for name, res in out.items():
-            if res is not None and res.value > (best[name].value if name in best else 0.0):
-                best[name] = res
+    def run(asks: dict[str, list[float]]) -> dict[tuple[str, float], BoundResult | None]:
+        """Evaluate each distinct x once for every theorem that asks for it,
+        the x asked by the same theorems in one call; keyed by (theorem, x)."""
+        askers: dict[float, dict[str, None]] = {}
+        for name, points in asks.items():
+            for x in points:
+                askers.setdefault(x, {})[name] = None
+        calls: dict[tuple[str, ...], list[float]] = {}
+        for x, group in askers.items():
+            calls.setdefault(tuple(group), []).append(x)
+        out = {}
+        for group, points in calls.items():
+            for x, res in zip(points, _evaluate(inv, list(group), points, grid)):
+                out.update(((name, x), r) for name, r in res.items())
         return out
+
+    def keep(name: str, res: BoundResult | None) -> None:
+        """Keep a positive result when it beats its theorem's best."""
+        if res is not None and res.value > (best[name].value if name in best else 0.0):
+            best[name] = res
 
     # The theorems step down their own caps together, sharing the curve of any
     # x they meet at; each stops once its cap cannot beat its best.  Caps above
@@ -874,25 +946,31 @@ def optimize(
             if not 0.0 < ub < math.inf or (name in best and ub <= best[name].value + 1e-15):
                 live.remove(name)
             elif ub > floor[name] or name not in best:
-                points[name], caps[name][i] = float(xs[i]), -math.inf
+                points[name], caps[name][i] = [float(xs[i])], -math.inf
             else:
                 todo[name] = best[name].value + 1e-15
         _refine(inv, caps, todo, xs, grid)
         floor.update(todo)
-        run(points)
+        for (name, _), res in run(points).items():
+            keep(name, res)
 
-    # One golden-section pass refines every winning abscissa together.  `run`
-    # keeps the strictly better points in the order `_golden_max` does.
+    # One golden-section pass refines every winning abscissa together, two
+    # steps per call.  It returns the first best along the points its steps
+    # take; the result there replaces a theorem's best when strictly better,
+    # as it would have in step order, and a point no step took is never read.
     if won := list(best):
         center = np.array([best[name].x for name in won])
-        step = 1.0 / x_points
+        step, seen = 1.0 / x_points, {}
 
         def values(points: np.ndarray) -> np.ndarray:
-            res = run(dict(zip(won, points.tolist())))
-            return np.array([-math.inf if res[n] is None else res[n].value for n in won])
+            seen.update(run(dict(zip(won, points.T.tolist()))))
+            got = [[seen[n, x] for n, x in zip(won, row)] for row in points.tolist()]
+            return np.array([[-math.inf if r is None else r.value for r in row] for row in got])
 
         lo = np.maximum(center - step, 0.0)
-        _golden_max(values, lo, np.minimum(center + step, 1.0 - 1e-12))
+        top = _golden_max(values, lo, np.minimum(center + step, 1.0 - 1e-12), True)[0]
+        for name, x in zip(won, top.tolist()):
+            keep(name, seen[name, x])
 
     if (sntf := _sntf(inv)) is not None:
         best["sntf"] = sntf
@@ -919,7 +997,7 @@ def _largest_psd_x(inv: Invariants) -> float | None:
         return 1.0
     lo, hi = 0.0, 1.0
     if margin(lo) < 0.0:
-        lo, top = (float(v) for v in _golden_max(margin, 0.0, 1.0))
+        lo, top = (float(v) for v in _golden_max(margin, 0.0, 1.0, True))
         if top < 0.0:
             return None
     while lo < (mid := 0.5 * (lo + hi)) < hi:

@@ -7,7 +7,9 @@ bisection the Schur complement replaces, each written the direct way.
 `lambda1` diagonalizes only the irreps whose proven lower bound does not
 pass the least bottom it has found; `irrep_table` diagonalizes them all.
 `validate` scans the Jacobi rows only when some entry fails; `validate_problems`
-locates every violation unconditionally.
+locates every violation unconditionally.  `_golden_max` may evaluate a step's
+point with both points the next step can take; `golden_max_reference` takes
+one point per step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from sublap import Connection, HomogeneousSpace, SpectrumResult, spectral
 from sublap.algebra import ZERO_TOL
-from sublap.bounds import _PSD_TOL
+from sublap.bounds import _GOLDEN_ITERS, _PSD_TOL
 
 _BISECT_TOL = 1e-10
 
@@ -91,6 +93,28 @@ def feasible_rho1(q: np.ndarray, d: int, rho2: float) -> float | None:
         else:
             hi = mid
     return lo
+
+
+def golden_max_reference(fun, lo, hi):
+    """Golden-section maximization of a unimodal fun on [lo, hi], elementwise
+    over arrays of brackets, one point per call of fun; returns the best
+    (argument, value) among every evaluation, so it never regresses."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc = fun(c)
+    fd = fun(d)
+    best_x, best_f = np.where(fd > fc, d, c), np.where(fd > fc, fd, fc)
+    for _ in range(_GOLDEN_ITERS):
+        left = fc >= fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - ratio * (b - a), a + ratio * (b - a))
+        fx = fun(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        better = fx > best_f
+        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
+    return best_x, best_f
 
 
 def validate_problems(space: HomogeneousSpace) -> list[str]:

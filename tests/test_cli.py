@@ -140,10 +140,13 @@ oracle {
                      id="5000-signs"),
         pytest.param("= 1 2", "= 1" + "+1" * 3000 + " 2", "cannot parse coefficient '1+1+1",
                      id="3001-terms"),
+        pytest.param("= 1 2", "= q*1." + "0" * 3000 + " 2", "unbound parameter 'q' in 'q*1.000",
+                     id="long-unbound"),
     ],
 )
 def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, message):
-    # each case breaks one line of a spec that parses
+    # each case breaks one line of a spec that parses; a long coefficient is
+    # echoed only in part, so the line stays short
     path = tmp_path / "spec.txt"
     path.write_text(ORACLE_SPEC, encoding="utf-8")
     assert run(capsys, "validate", str(path))[0] == 0
@@ -153,6 +156,7 @@ def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, mes
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + message), err
+    assert len(lines[0]) < 200, lines[0]
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from sublap.bounds import (
     _evaluate,
     _formulas,
     _forms,
+    _golden_max,
     _m_arrays,
     _pad,
     _ray,
@@ -44,6 +45,8 @@ from sublap.bounds import (
     _theorems,
     invariants,
 )
+
+from oracles import golden_max_reference
 
 from conftest import (
     SOLVABLE_SPEC,
@@ -93,7 +96,7 @@ def dense_evaluate(
     lambda_min at every rho2 candidate, asn's duality search at every valid
     one, and np.argmax over each theorem's closed form."""
     delta, q0, d = inv.delta(x), inv.q(x), inv.d
-    rho2, w, weights, ok = _schur(q0, d, grid)
+    rho2, w, weights, ok = _schur(q0, d, grid, _pad(q0))
     cut = np.einsum("aj,bj,jr->rab", w, w, weights)
     out: dict[str, BoundResult | None] = {}
     for name in names:
@@ -140,9 +143,14 @@ def test_evaluate_matches_the_dense_curve(monkeypatch, key, batch):
     inv = invariants(space)
     names = ["main", "t1zero", "asn"] if key in NILPOTENT else _theorems(inv)
     grid = _rho2_base_grid(inv.kappa, per_decade)
-    for x in np.linspace(0.0, 0.96, 13):
-        got = _evaluate(inv, names, float(x), grid)
-        assert repr(got) == repr(dense_evaluate(inv, names, float(x), grid)), x
+    xs = np.linspace(0.0, 0.96, 13).tolist()
+    dense = [dense_evaluate(inv, names, x, grid) for x in xs]
+    for x, want in zip(xs, dense):
+        assert repr(_evaluate(inv, names, [x], grid)) == repr([want]), x
+    # all 13 x in one call: the rows keep their own candidates and floors
+    # (on the nilpotent keys every row is empty)
+    for x, got, want in zip(xs, _evaluate(inv, names, xs, grid), dense):
+        assert repr(got) == repr(want), x
 
 
 class _RecordedWeights(np.ndarray):
@@ -190,11 +198,12 @@ def test_evaluate_visits_every_candidate_its_leaf_cap_keeps(monkeypatch, key):
     for (own, lift), group in _formulas(inv, _theorems(inv)).items():
         for x in np.linspace(0.0, 0.96, 13):
             seen.clear()
-            got = _evaluate(inv, group, float(x), grid)
+            got = _evaluate(inv, group, [float(x)], grid)[0]
             floor = min(max(r.value, 0.0) if r else 0.0 for r in got.values())
             q0 = inv.q(float(x))
-            rho2, w, weights, ok = schur(q0, d, grid)
-            top, proj = _ray(_forms(inv, group, q0)[own], d, w)
+            rho2, w, weights, ok = schur(q0, d, grid, _pad(q0))
+            form = _forms(inv, group, q0)[own]
+            top, proj = _ray(form, d, w, _pad(form))
             r = _rayleigh(top, proj, weights, ok)
             leaf = _cap(inv, lift, r, rho2, inv.delta(float(x)), _pad(q0), True)
             missed = sorted(set(np.flatnonzero(leaf >= floor).tolist()) - seen)
@@ -223,7 +232,7 @@ def test_cap_is_at_least_the_value_at_every_x(key):
     _refine(inv, leaves, dict.fromkeys(names, -math.inf), xs, grid)
     levels["refined"] = leaves
     for i, x in enumerate(xs):
-        for name, res in _evaluate(inv, names, float(x), grid).items():
+        for name, res in _evaluate(inv, names, [float(x)], grid)[0].items():
             if res is not None and math.isfinite(res.value):
                 for level, caps in levels.items():
                     cap = caps[name][i]
@@ -305,9 +314,9 @@ def test_shared_curve_gives_each_theorem_its_own_result(key):
     names = _theorems(inv)
     grid = _rho2_base_grid(inv.kappa, per_decade)
     for x in np.linspace(0.0, 0.95, 12):
-        alone = {name: _evaluate(inv, [name], float(x), grid)[name] for name in names}
+        alone = {name: _evaluate(inv, [name], [float(x)], grid)[0][name] for name in names}
         for order in (names, names[::-1]):
-            together = _evaluate(inv, order, float(x), grid)
+            together = _evaluate(inv, order, [float(x)], grid)[0]
             assert repr(together) == repr({name: alone[name] for name in order}), x
 
 
@@ -332,7 +341,7 @@ def test_evaluate_eliminates_each_x_once_for_every_theorem(monkeypatch):
     grid = _rho2_base_grid(inv.kappa, 200)
     calls = _counting(monkeypatch, "_schur")
     for x in (0.0, 0.3, 0.6):
-        assert _evaluate(inv, ["main", "t1zero", "asn"], x, grid)["asn"] is not None
+        assert _evaluate(inv, ["main", "t1zero", "asn"], [x], grid)[0]["asn"] is not None
     assert len(calls) == 3
 
 
@@ -385,9 +394,9 @@ def test_optimize_computes_few_rayleigh_bounds(monkeypatch, make):
     calls = _counting(monkeypatch, "_rayleigh")
     evaluate, passes = sublap.bounds._evaluate, []
 
-    def counted(inv, names, x, grid):
+    def counted(inv, names, xs, grid):
         before = len(calls)
-        out = evaluate(inv, names, x, grid)
+        out = evaluate(inv, names, xs, grid)
         passes.append((len(calls) - before, len({n == "asn" and inv.tt2 for n in names})))
         del calls[before:]
         return out
@@ -427,12 +436,13 @@ def test_optimize_diagonalizes_few_matrices(monkeypatch, make):
 @pytest.mark.parametrize(
     "make, x_points, most",
     [
-        pytest.param(lambda: load_builtin("so4_twisted", b=0.3), 2000, 64, id="so4_twisted"),
-        pytest.param(lambda: load_builtin("so4_alt"), 2000, 63, id="so4_alt"),
-        pytest.param(lambda: load_builtin("twisted_spheres"), 2000, 63, id="twisted_spheres"),
-        # the theorems peak at different x here, so no golden step shares a
-        # curve between them
-        pytest.param(lambda: load_builtin("so3_twisted", c=0.05), 2000, 191, id="so3_twisted"),
+        # one or two sweep curves, then 31 golden-pass calls of three x each
+        pytest.param(lambda: load_builtin("so4_twisted", b=0.3), 2000, 33, id="so4_twisted"),
+        pytest.param(lambda: load_builtin("so4_alt"), 2000, 32, id="so4_alt"),
+        pytest.param(lambda: load_builtin("twisted_spheres"), 2000, 32, id="twisted_spheres"),
+        # the theorems peak at different x here, so no golden call shares a
+        # curve between them: 3 x 31 calls after the sweep
+        pytest.param(lambda: load_builtin("so3_twisted", c=0.05), 2000, 98, id="so3_twisted"),
         # every Schur complement is 0, so no theorem applies and no x is swept
         pytest.param(lambda: heisenberg(1), 200, 0, id="heisenberg3"),
         pytest.param(lambda: free_step2(3), 200, 0, id="free_step2_r3"),
@@ -442,6 +452,70 @@ def test_optimize_builds_one_schur_curve_per_refined_x(monkeypatch, make, x_poin
     calls = _counting(monkeypatch, "_schur")
     optimize(make(), x_points=x_points)
     assert len(calls) <= most
+
+
+def test_asn_duality_search_takes_one_point_per_step(monkeypatch):
+    # each step of the t search diagonalizes one matrix per live candidate, so
+    # evaluating both points the next step can take would cost more matrices
+    # than the calls it saves: 61 eigvalsh calls per search, as the first
+    # takes both interior points
+    inv = invariants(so4_weighted())
+    assert inv.product[0] == "general"
+    grid = _rho2_base_grid(inv.kappa, 200)
+    eigvalsh, search, calls, counts = np.linalg.eigvalsh, sublap.bounds._asn_rho1, [], []
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_search(*args):
+        before = len(calls)
+        out = search(*args)
+        counts.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(sublap.bounds, "_asn_rho1", counted_search)
+    assert all(r["asn"] for r in _evaluate(inv, ["asn"], [0.2, 0.31], grid))
+    assert 61 in counts and set(counts) <= {0, 61}, counts
+
+
+GOLDEN_FUNS = {
+    "unimodal": lambda x: -((x - 0.3) ** 2),
+    # flat on [0.4, 0.6], so both interior points tie there
+    "plateau": lambda x: np.minimum(1.0 - np.abs(x - 0.5), 0.9),
+    "-inf region": lambda x: np.where(x < 0.45, -np.inf, -((x - 0.7) ** 2)),
+    "non-unimodal": lambda x: np.sin(12.0 * x) + 0.3 * x,
+}
+GOLDEN_BRACKETS = {
+    "()": (0.0, 1.0),
+    "(1,)": ([0.0], [1.0]),
+    "(3,)": ([0.0, 0.2, -1.0], [1.0, 0.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("speculate, calls", [(True, 31), (False, 61)])
+@pytest.mark.parametrize("bracket", GOLDEN_BRACKETS)
+@pytest.mark.parametrize("fun", GOLDEN_FUNS)
+def test_golden_max_takes_the_reference_path(fun, bracket, speculate, calls):
+    # the first call takes both interior points; then each call takes a
+    # step's point and, when speculating, both points the next step can take,
+    # of which it takes one.  The points taken, in order, and the result must
+    # be the one-point-per-step reference's to the last bit.
+    lo, hi = GOLDEN_BRACKETS[bracket]
+    path, stacks = [], []
+    want = golden_max_reference(lambda x: path.append(x) or GOLDEN_FUNS[fun](x), lo, hi)
+    got = _golden_max(lambda x: stacks.append(x) or GOLDEN_FUNS[fun](x), lo, hi, speculate)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert len(stacks) == calls and len(path) == 62
+    assert stacks[0].tobytes() == np.stack(path[:2]).tobytes()
+    step = 2 if speculate else 1
+    for points, x, nxt in zip(stacks[1:], path[2::step], path[3::step] + [None]):
+        assert points.shape == (2 * step - 1, *x.shape)
+        assert points[0].tobytes() == x.tobytes()
+        if speculate:
+            took = np.where(nxt == points[1], points[1], points[2])
+            assert took.tobytes() == nxt.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -469,9 +543,11 @@ def test_a_theorem_with_no_value_at_its_top_x_sweeps_on(monkeypatch):
     # theorem has no best to refine its caps against, and visits the next x
     evaluate, calls = sublap.bounds._evaluate, []
 
-    def first_empty(inv, names, x, grid):
-        calls.append(x)
-        return dict.fromkeys(names) if len(calls) == 1 else evaluate(inv, names, x, grid)
+    def first_empty(inv, names, xs, grid):
+        calls.append(xs)
+        if len(calls) == 1:
+            return [dict.fromkeys(names) for _ in xs]
+        return evaluate(inv, names, xs, grid)
 
     monkeypatch.setattr(sublap.bounds, "_evaluate", first_empty)
     space = load_builtin("so4_alt")
