@@ -13,13 +13,14 @@ so those that reach the same x share its elimination; a single golden-section
 pass refines the winning abscissas of all of them, and no x is evaluated
 again after it.  A space where `_theorems` finds no theorem is not swept.
 
-`_evaluate` takes a stack of x in one call, and a call of three x costs about
-1.4 times a call of one, most of it fixed numpy overhead.  So the golden pass
-evaluates each step's point together with both points the next step can
-take, two steps per call, 31 calls for its 60 steps.  Every step takes the
-point it would have computed itself, bit for bit, and a point no step takes
-never reaches a result.  asn's duality search over t keeps one point per
-step: each of its points costs a matrix per live candidate, not overhead.
+`_evaluate` takes a stack of x in one call.  Most of a call is fixed numpy
+overhead, so a call of three x costs far less than three calls of one, and
+the golden pass evaluates each step's point together with both points the
+next step can take: two steps per call, 31 calls for its 60 steps.  Every
+step takes the point it would have computed itself, bit for bit, and a
+point no step takes never reaches a result.  asn's duality search over t
+keeps one point per step: each of its points costs a matrix per live
+candidate, not overhead.
 
 The x sweep evaluates only the x whose cap can still beat the best value
 found.  A cap bounds rho1 by r, the Rayleigh quotient of the Schur complement
