@@ -394,7 +394,7 @@ def _variant(line: str) -> tuple[str, str, str]:
     formula, _, convention = (s.strip() for s in rhs.partition(":"))
     if len(parts) != 2 or parts[1] not in VARIANT_THEOREMS or not (formula and convention):
         raise SpecFormatError(
-            f"bad variant line {line!r}; expected 'variant THEOREM = FORMULA : CONVENTION' "
+            f"bad variant line {_shown(line)}; expected 'variant THEOREM = FORMULA : CONVENTION' "
             f"with THEOREM one of {', '.join(VARIANT_THEOREMS)}"
         )
     try:
@@ -418,7 +418,7 @@ def _read_block(rest: str, lines: list[str], pos: int) -> tuple[list[str], int]:
         if "}" in buf:
             buf, _, tail = buf.partition("}")
             if tail.strip():
-                raise SpecFormatError(f"trailing text after block: {tail!r}")
+                raise SpecFormatError(f"trailing text after block: {_shown(tail)}")
             done = True
         chunk = buf.strip()
         if chunk:
@@ -435,11 +435,11 @@ def _int_field(line: str) -> int:
     """The integer value of a `key N` header line."""
     fields = line.split()
     if len(fields) != 2:
-        raise SpecFormatError(f"bad dimension line {line!r}")
+        raise SpecFormatError(f"bad dimension line {_shown(line)}")
     try:
         return int(fields[1])
     except ValueError as exc:
-        raise SpecFormatError(f"bad dimension line {line!r}") from exc
+        raise SpecFormatError(f"bad dimension line {_shown(line)}") from exc
 
 
 def _index(token: str, context: str) -> int:

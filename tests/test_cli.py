@@ -142,6 +142,12 @@ oracle {
                      id="3001-terms"),
         pytest.param("= 1 2", "= q*1." + "0" * 3000 + " 2", "unbound parameter 'q' in 'q*1.000",
                      id="long-unbound"),
+        pytest.param("dim_h 2", "dim_h 2 " + "5" * 5000, "bad dimension line 'dim_h 2 555",
+                     id="5000-digit-dimension"),
+        pytest.param("dim_v 1", "dim_v 1\nvariant main = " + "1+" * 1499 + "1",
+                     "bad variant line 'variant main = 1+1+", id="3000-character-variant"),
+        pytest.param("map 3 = 1 f1.3\n}", "map 3 = 1 f1.3\n}" + "x" * 5000,
+                     "trailing text after block: 'xxx", id="5000-character-tail"),
     ],
 )
 def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, message):

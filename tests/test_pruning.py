@@ -301,6 +301,38 @@ def test_t1zero_interval_cap_bounds_every_rho1_up_to_r_and_rho2_up_to_b():
         assert np.nanmax(vals, initial=-math.inf) <= cap, (r, top, cap)
 
 
+def test_main_and_asn_caps_bound_every_rho1_up_to_r_and_rho2_up_to_b():
+    # the leaf and interval caps of main, with sigma > 0 and sup T2 of either
+    # sign, and of asn, with a zero and an isotropic coefficient, each read
+    # off its `_formulas` lift: r around main's m_floor and asn's coefficient
+    rng = np.random.default_rng(5)
+    lam = np.linspace(0.0, 1.0, 401)[:, None]
+    for _ in range(200):
+        kappa, sigma, b, top = 10.0 ** rng.uniform(-2.0, 1.0, size=4)
+        sup_t2 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0)
+        coeff = rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 1.0)])
+        delta = rng.uniform(0.01, 2.0)
+        product = ("isotropic" if coeff else "zero", coeff)
+        inv = SimpleNamespace(kappa=kappa, sup_t2=sup_t2, sigma=sigma, product=product, tt2=False)
+        rho2 = b * np.linspace(0.0, 1.0, 401)[1:]
+        omega, chi = kappa / rho2, np.maximum(rho2 * sup_t2, 0.0)
+        m_floor = 2.0 * math.sqrt(kappa * max(sup_t2, 0.0))
+        for name, floor in (("main", m_floor), ("asn", coeff)):
+            r = (floor + top) * rng.uniform(0.5, 1.5)
+            if name == "main":
+                m, _ = _m_arrays(omega, chi, rho2 * sigma**2)
+                vals = np.where(r * lam > m, (r * lam - m) / (delta + omega), -np.inf)
+            else:
+                # lambda_min(S) - coeff, read without S, a cap or a floor
+                rho1 = _asn_rho1(inv, None, r * lam, None, None)
+                vals = np.where(rho1 > 0.0, rho1 / (delta + omega), -np.inf)
+            [(_, lift)] = _formulas(inv, [name])
+            leaf = _cap(inv, lift, np.array(r), rho2, delta, 1e-12, True)
+            assert (vals.max(axis=0) <= leaf).all(), (name, inv, delta, r)
+            cap = _cap(inv, lift, np.array(r), b, delta, 1e-12)
+            assert vals.max() <= cap, (name, inv, delta, r, cap)
+
+
 @pytest.mark.parametrize(
     "key", ["so4_twisted-b0.3", "so3_twisted-c0.05", "so4_alt", "so4_weighted"]
 )

@@ -106,6 +106,13 @@ def test_eigensolvers_are_looked_up_on_np_linalg_at_call_time():
     assert found == []
 
 
+def test_a_variant_line_names_exactly_the_theorems_optimize_reports():
+    # `algebra` cannot import `bounds`, so the names a `variant` line accepts
+    # are pinned here to those `optimize` reports on so4_twisted, where all apply
+    got = [e.theorem for e in optimize(load_builtin("so4_twisted"), x_points=60).entries]
+    assert sorted(got) == sorted(sublap.algebra.VARIANT_THEOREMS)
+
+
 def test_builtins_declare_their_variants():
     for name in sublap.builtin_names():
         space = load_builtin(name)
