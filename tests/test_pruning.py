@@ -620,7 +620,10 @@ def test_default_grid_optimize_matches_golden_file(name):
 # sweep-twisted benchmark points, the certify-symmetric spaces, the moved
 # frames above and the general asn branch.  The text goldens print 12 digits,
 # so they cannot see a change in the last bits of a bound or its abscissa.
+# The same runs count the np.linalg.eigvalsh and eigh calls and matrices of
+# each optimize, the work no printed digit shows.
 ENTRY_REPRS = GOLDEN / "optimize_entries_repr.txt"
+LINALG_COUNTS = GOLDEN / "optimize_linalg_counts.txt"
 REPR_RUNS = {
     **{f"so4_twisted-b{b}": ("so4_twisted", {"b": b}, None) for b in (0.0, 0.1, 0.2, 0.3, 0.4)},
     **{f"so3_twisted-c{c}": ("so3_twisted", {"c": c}, None) for c in (0.0, 0.05, 0.1, 0.5, 0.9)},
@@ -631,18 +634,38 @@ REPR_RUNS = {
 }
 
 
-def _entry_repr(key: str) -> str:
+def _repr_run(key: str) -> tuple[HomogeneousSpace, dict]:
+    """The space of a key and the options its optimize takes."""
     if key == "so4_weighted-x200":
-        return repr(optimize(so4_weighted(), x_points=200).entries)
+        return so4_weighted(), {"x_points": 200}
     builtin, params, seed = REPR_RUNS[key]
     space = load_builtin(builtin, **params)
     if seed is not None:
         space = moved_frame(space, np.random.default_rng(seed))
-    return repr(optimize(space).entries)
+    return space, {}
+
+
+def _count_linalg(monkeypatch) -> dict[str, list[int]]:
+    """[calls, matrices] of np.linalg.eigvalsh and eigh from here on."""
+    counts = {}
+    for kernel in ("eigvalsh", "eigh"):
+        run, counts[kernel] = getattr(np.linalg, kernel), [0, 0]
+
+        def counted(a, *args, _run=run, _count=counts[kernel], **kwargs):
+            _count[0] += 1
+            _count[1] += math.prod(np.shape(a)[:-2])
+            return _run(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kernel, counted)
+    return counts
 
 
 @pytest.mark.parametrize("key", [*REPR_RUNS, "so4_weighted-x200"])
-def test_optimize_entries_match_full_precision_golden(key):
-    lines = ENTRY_REPRS.read_text(encoding="utf-8").splitlines()
-    want = dict(line.split(" ", 1) for line in lines)
-    assert _entry_repr(key) == want[key]
+def test_optimize_entries_match_full_precision_golden(monkeypatch, key):
+    space, options = _repr_run(key)
+    counts = _count_linalg(monkeypatch)
+    entries = repr(optimize(space, **options).entries)
+    work = "; ".join(f"{k} {c} calls {m} matrices" for k, (c, m) in counts.items())
+    for path, got in ((ENTRY_REPRS, entries), (LINALG_COUNTS, work)):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert got == dict(line.split(" ", 1) for line in lines)[key], path.name
