@@ -37,13 +37,14 @@ consecutive base candidates takes r at its first, as r falls with rho2, and b
 its last; a leaf is one candidate.  Each level is computed only where the
 level above can still beat the best.
 
-Inside one x the leaf caps of every candidate are taken in one pass, and
-complements are diagonalized only for the pending candidates of largest leaf
-cap, in growing batches; the x of one call go through the batches in
-lockstep, each with its own floor.  The search stops once every pending leaf
-cap falls strictly below the best value; a cap equal to it is still visited,
-so the first candidate wins a tie.  asn's duality search runs only where
-(lambda_min(S) + pad)/(Delta + omega) reaches its best.
+The leaf caps of every candidate of the x of one call are taken in one
+pass.  A candidate is pending while its leaf cap reaches its x's best value,
+and complements are diagonalized only for the pending candidates of largest
+leaf cap over all the x, in growing batches.  A cap equal to the best is
+still visited, so the first candidate wins a tie.  The schedule is free: a
+result is the first argmax over the visited candidates, and every schedule
+visits each candidate whose leaf cap reaches the final best.  asn's duality
+search runs only where (lambda_min(S) + pad)/(Delta + omega) reaches its best.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ _CELLS = (100, 10, 1)
 _NEAR = 1.0 - np.power(10.0, -np.arange(2.0, 11.0))  # rho2 = mu_min * _NEAR near the edge
 _BATCH = 8  # the first batch of Schur complements in `_evaluate`
 _AUX = {"main": "s", "t1zero": "case"}  # the aux field each theorem reports
-# The trailing columns of a theorem's result that never vary: t1zero's psi and
-# m, and asn's chi, aux, psi and m.
-_FIXED = {"main": [], "t1zero": [0.0, 0.0], "asn": [math.nan] * 4}
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +591,9 @@ def _evaluate(
 
     The vertical block of each Q(x) is eliminated once for all of them (asn
     reads the complements of Q(x) + q_tt2), and each `_formulas` group visits
-    the candidates of every x best first, the x in lockstep, taking each
-    lambda_min(S) at most once and each closed form only where it visits.
+    the pending candidates of largest leaf cap over all the x, in rounds of
+    growing size, taking each lambda_min(S) at most once and each closed form
+    only where it visits.
     """
     d, delta, q0 = inv.d, inv.delta(np.asarray(xs, dtype=float)), inv.q(xs)
     forms = _forms(inv, names, q0)
@@ -604,15 +603,16 @@ def _evaluate(
 
     def closed(name: str, rho1, dl, o, c, b) -> list:
         """name's value, rho1, chi, aux (`_AUX`), psi and m from rho1, Delta,
-        omega, chi and rho2 at some candidates, less its `_FIXED` columns."""
+        omega, chi and rho2 at some candidates."""
         if name == "main":
             psi = b * inv.sigma**2
             m, s = _m_arrays(o, c, psi)
             return [np.where(rho1 > m, (rho1 - m) / (dl + o), np.nan), rho1, c, s, psi, m]
         if name == "t1zero":
             vals, in1 = _t1zero_values(rho1, dl, o, c)
-            return [vals, rho1, c, np.where(in1, 1.0, 2.0)]
-        return [np.where(rho1 > 0.0, rho1 / (dl + o), np.nan), rho1]
+            return [vals, rho1, c, np.where(in1, 1.0, 2.0), *[np.zeros_like(rho1)] * 2]
+        nan = np.full_like(rho1, np.nan)
+        return [np.where(rho1 > 0.0, rho1 / (dl + o), nan), rho1, nan, nan, nan, nan]
 
     # lambda_min(S) per form and `closed` per theorem, read where visited:
     # lambda_min(S) and the values are NaN elsewhere
@@ -623,20 +623,14 @@ def _evaluate(
     for (own, lift), group in _formulas(inv, names).items():
         f, size, slot = forms[own], _BATCH, [names.index(n) for n in group]
         leaf = _cap(inv, lift, r[own], rho2, delta[:, None], pad[False][:, None], True)
-        # Each x visits a prefix of its candidates ranked by leaf cap, best
-        # first (a stable sort, so the first of a tie comes first): in each
-        # round, at most size more of those whose cap reaches the group floor.
-        order = np.argsort(-leaf, axis=1, kind="stable")
-        ranked, done = np.take_along_axis(leaf, order, axis=1), [0] * len(xs)
         tops = np.zeros((len(group), len(xs)))  # each theorem's best value per x, or 0
-        while True:
-            reach = np.count_nonzero(ranked >= tops.min(axis=0)[:, None], axis=1).tolist()
-            stop = [max(a, min(n, a + size)) for a, n in zip(done, reach)]
-            k = np.repeat(np.arange(len(xs)), np.subtract(stop, done))
-            if not k.size:
-                break
-            i = np.concatenate([row[a:b] for row, a, b in zip(order, done, stop)])
-            done, size, wk = stop, 4 * size, w[k]
+        # A candidate is pending while its leaf cap reaches its x's group
+        # floor; each round visits the size * len(xs) pending ones of largest
+        # leaf cap (a stable sort, so a tie keeps index order) and retires them.
+        while (pending := np.nonzero(leaf >= tops.min(axis=0)[:, None]))[0].size:
+            take = np.argsort(-leaf[pending], kind="stable")[: size * len(xs)]
+            k, i = pending[0][take], pending[1][take]
+            leaf[k, i], size, wk = -np.inf, 4 * size, w[k]
             sc = f[k, :d, :d] - np.einsum("naj,nbj,nj->nab", wk, wk, weights[k, :, i])
             lam_ki, here = lam[own][k, i], (delta[k], omega[k, i], chi[k, i], rho2[k, i])
             if (new := np.isnan(lam_ki)).any():
@@ -647,8 +641,7 @@ def _evaluate(
                 if name == "asn":
                     cap = (rho1 + pad[own][k]) / (here[0] + here[1])
                     rho1 = _asn_rho1(inv, sc, rho1, cap, tops[g, k])
-                cols = closed(name, rho1, *here)
-                got[slot[g]][: len(cols), k, i] = cols
+                got[slot[g]][:, k, i] = closed(name, rho1, *here)
             tops = np.fmax.reduce(got[slot, 0], axis=-1, initial=0.0)
     out: list[dict[str, BoundResult | None]] = [dict.fromkeys(names) for _ in xs]
     if not (finite := np.isfinite(got[:, 0])).any():
@@ -661,7 +654,7 @@ def _evaluate(
     for t, name in enumerate(names):
         for j, x in enumerate(xs):
             if has[t][j]:
-                val, rho1, c, aux, p, m = cols[t][j][: 6 - len(_FIXED[name])] + _FIXED[name]
+                val, rho1, c, aux, p, m = cols[t][j]
                 aux = {} if math.isnan(aux) else {_AUX[name]: aux}
                 out[j][name] = BoundResult(name, val, x, rho1, b[t][j], o[t][j], c, p, m, aux)
     return out

@@ -132,12 +132,13 @@ def dense_evaluate(
     return out
 
 
-@pytest.mark.parametrize("batch", [8, 1], ids=["default", "one-by-one"])
+@pytest.mark.parametrize("batch", [8, 1, 10**6], ids=["default", "one-by-one", "one-round"])
 @pytest.mark.parametrize("key", [*KEYS, *NILPOTENT])
 def test_evaluate_matches_the_dense_curve(monkeypatch, key, batch):
     # best-first search inside each curve diagonalizes a few candidates, yet
     # must return the dense argmax to the last bit, ties included; one
-    # complement at a time, the search takes many more rounds
+    # complement at a time, the search takes many more rounds, and in one
+    # round it visits every candidate whose leaf cap reaches 0
     monkeypatch.setattr(sublap.bounds, "_BATCH", batch)
     space, per_decade = _space(key)
     inv = invariants(space)
@@ -147,9 +148,12 @@ def test_evaluate_matches_the_dense_curve(monkeypatch, key, batch):
     dense = [dense_evaluate(inv, names, x, grid) for x in xs]
     for x, want in zip(xs, dense):
         assert repr(_evaluate(inv, names, [x], grid)) == repr([want]), x
-    # all 13 x in one call: the rows keep their own candidates and floors
-    # (on the nilpotent keys every row is empty)
+    # all 13 x in one call, in either order: the rows keep their own floors,
+    # though one x's candidates can take another's share of a round (on the
+    # nilpotent keys every row is empty)
     for x, got, want in zip(xs, _evaluate(inv, names, xs, grid), dense):
+        assert repr(got) == repr(want), x
+    for x, got, want in zip(xs[::-1], _evaluate(inv, names, xs[::-1], grid), dense[::-1]):
         assert repr(got) == repr(want), x
 
 
