@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from sublap import HomogeneousSpace, load_builtin, rescale_vertical
+from sublap.algebra import OracleConfig, OracleFactor
 from sublap.bounds import invariants
 from sublap.connection import canonical_connection
 
@@ -56,13 +57,24 @@ def rotate_frame(
     )
 
 
+def _quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ab for quaternions given by their coefficients on (1, i, j, k)."""
+    return np.array([a[0] * b[0] - a[1:] @ b[1:], *(a[0] * b[1:] + b[0] * a[1:]
+                                                    + np.cross(a[1:], b[1:]))])
+
+
 def so4_weighted(
     sq_lengths: tuple[float, ...] = (1.0, 1.0, 1.0, 2.0, 1.0)
 ) -> HomogeneousSpace:
     """so(4) with V = span(M12) and H = (M13, M14, M23, M24, M34), where M_ij
     is the elementary rotation and the H vectors have the given squared
     lengths (M12 has length 1).  The default lengths give an almost strictly
-    normal space whose asn product term is neither zero nor isotropic."""
+    normal space whose asn product term is neither zero nor isotropic.
+
+    The spectral model writes each M_ij as L(p) + R(q), left and right
+    multiplication of R^4 = H by imaginary quaternions, and maps it to
+    (2p, -2q) in su(2) + su(2) with [g1, g2] = g3, divided by the frame
+    vector's length; with `integer_sum` it is SO(4)."""
     pairs = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]
     scale = np.sqrt(np.append(np.asarray(sq_lengths, dtype=float), 1.0))
     mats = []
@@ -76,7 +88,19 @@ def so4_weighted(
         for b, mb in enumerate(mats):
             coords = np.linalg.lstsq(flat, (ma @ mb - mb @ ma).ravel(), rcond=None)[0]
             c[a, b] = np.round(coords) * scale / (scale[a] * scale[b])
-    return HomogeneousSpace("so4_weighted", 5, 1, c)
+    # each M_ij on the basis L(i), L(j), L(k), -R(i), -R(j), -R(k): (p, -q)
+    unit = np.eye(4)
+    left = [np.array([_quaternion_product(u, e) for e in unit]).T for u in unit[1:]]
+    right = [-np.array([_quaternion_product(e, u) for e in unit]).T for u in unit[1:]]
+    lr = np.array([m.ravel() for m in left + right]).T
+    two_pq = np.round(2.0 * np.linalg.lstsq(lr, flat, rcond=None)[0].T)
+    rows = (two_pq / scale[:, None]).reshape(6, 2, 3).tolist()
+    oracle = OracleConfig(
+        factors=(OracleFactor("all"), OracleFactor("all")),
+        frame_map=tuple(tuple(map(tuple, r)) for r in rows),
+        integer_sum=True,
+    )
+    return HomogeneousSpace("so4_weighted", 5, 1, c, {}, oracle)
 
 
 def random_space(rng: np.random.Generator) -> HomogeneousSpace:

@@ -372,7 +372,7 @@ def test_lambda1_is_invariant_under_frame_rotations():
 
 def test_lambda1_requires_a_spectral_model():
     with pytest.raises(ValueError):
-        lambda1(so4_weighted())  # no model attached
+        lambda1(dataclasses.replace(so4_weighted(), oracle=None))
 
 
 def test_lambda1_rejects_a_non_homomorphic_model():
