@@ -106,12 +106,6 @@ class HomogeneousSpace:
     def dim(self) -> int:
         return self.dim_h + self.dim_v
 
-    def horizontal_indices(self) -> range:
-        return range(self.dim_h)
-
-    def vertical_indices(self) -> range:
-        return range(self.dim_h, self.dim)
-
     def basis_vector(self, i: int) -> np.ndarray:
         v = np.zeros(self.dim)
         v[i] = 1.0

@@ -75,8 +75,6 @@ def test_override_changes_structure_constants():
 def test_dimensions_and_index_ranges():
     space = load_builtin("so4_twisted")
     assert (space.dim_h, space.dim_v, space.dim) == (5, 1, 6)
-    assert list(space.horizontal_indices()) == [0, 1, 2, 3, 4]
-    assert list(space.vertical_indices()) == [5]
     e3 = space.basis_vector(2)
     assert e3[2] == 1.0 and np.count_nonzero(e3) == 1
 
