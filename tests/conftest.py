@@ -17,8 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sublap import HomogeneousSpace, load_builtin, rescale_vertical
-from sublap.algebra import OracleConfig, OracleFactor
+from sublap import HomogeneousSpace, OracleConfig, OracleFactor, load_builtin, rescale_vertical
 from sublap.bounds import invariants
 from sublap.connection import canonical_connection
 
@@ -59,8 +58,8 @@ def rotate_frame(
 
 def _quaternion_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab for quaternions given by their coefficients on (1, i, j, k)."""
-    return np.array([a[0] * b[0] - a[1:] @ b[1:], *(a[0] * b[1:] + b[0] * a[1:]
-                                                    + np.cross(a[1:], b[1:]))])
+    vec = a[0] * b[1:] + b[0] * a[1:] + np.cross(a[1:], b[1:])
+    return np.array([a[0] * b[0] - a[1:] @ b[1:], *vec])
 
 
 def so4_weighted(
@@ -72,9 +71,9 @@ def so4_weighted(
     normal space whose asn product term is neither zero nor isotropic.
 
     The spectral model writes each M_ij as L(p) + R(q), left and right
-    multiplication of R^4 = H by imaginary quaternions, and maps it to
-    (2p, -2q) in su(2) + su(2) with [g1, g2] = g3, divided by the frame
-    vector's length; with `integer_sum` it is SO(4)."""
+    multiplication of R^4, read as the quaternions, by imaginary quaternions,
+    and maps it to (2p, -2q) in su(2) + su(2) with [g1, g2] = g3, divided by
+    the frame vector's length; with `integer_sum` it is SO(4)."""
     pairs = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)]
     scale = np.sqrt(np.append(np.asarray(sq_lengths, dtype=float), 1.0))
     mats = []

@@ -283,20 +283,21 @@ def test_so4_weighted_bounds_meet_the_exact_spectrum():
     # so4_weighted carries the su(2) + su(2) model of so(4), so the general
     # asn branch meets the exact spectrum: lambda1 = 3/2 on the irrep
     # (1/2, 1/2) with a rigorous tail, at the given lengths and in a moved
-    # frame, and certify passes there and at five random squared lengths in
-    # [0.5, 2] on a coarse x grid (each optimize there takes 0.1-8 s at 400
-    # points, where the duality search runs at nearly every candidate).
+    # frame.  Random squared lengths in [0.5, 2] run on a coarse x grid: at
+    # 400 points some take seconds, as asn's duality search then runs at
+    # nearly every candidate.
     base = so4_weighted()
     spectrum = lambda1(base)
-    assert (spectrum.lambda1, spectrum.witness, spectrum.rigorous) == (1.5, "(1/2, 1/2)", True)
+    assert (spectrum.witness, spectrum.rigorous) == ("(1/2, 1/2)", True)
     assert invariants(base).product[0] == "general"
-    rng = np.random.default_rng(2027)
-    runs = [(base, 2000), (moved_frame(base, np.random.default_rng(7)), 2000)]
-    runs += [(so4_weighted(tuple(rng.uniform(0.5, 2.0, 5))), 40) for _ in range(5)]
-    for space, x_points in runs:
-        report = optimize(space, x_points=x_points)
+    for space in (base, moved_frame(base, np.random.default_rng(7))):
+        report = optimize(space)
         result = certify(space, report)
-        if x_points == 2000:
-            assert [e.theorem for e in report.entries] == ["asn"]
-            assert abs(result.lambda1 - 1.5) <= 1e-12
-        assert result.rigorous and result.all_passed, [e.value for e in report.entries]
+        assert [e.theorem for e in report.entries] == ["asn"]
+        assert abs(result.lambda1 - 1.5) <= 1e-12 and result.all_passed
+    rng = np.random.default_rng(2027)
+    for _ in range(5):
+        lengths = tuple(rng.uniform(0.5, 2.0, 5))
+        space = so4_weighted(lengths)
+        result = certify(space, optimize(space, x_points=40))
+        assert result.rigorous and result.all_passed, lengths
