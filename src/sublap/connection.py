@@ -183,22 +183,22 @@ def verify_connection(conn: Connection) -> list[str]:
     hmask = np.zeros(n, dtype=bool)
     hmask[:d] = True
     split = hmask[:, None] ^ hmask[None, :]  # True where j, k mix components
-    if np.abs(gamma[:, split]).max() > tol:
+    if np.abs(gamma[:, split]).max(initial=0.0) > tol:
         problems.append("connection does not preserve the splitting")
 
     t = conn.tor
     if np.abs(t[:d, :d, :d]).max() > tol:
         problems.append("torsion of two horizontal vectors is not vertical")
-    if np.abs(t[d:, d:, d:]).max() > tol:
+    if np.abs(t[d:, d:, d:]).max(initial=0.0) > tol:
         problems.append("torsion of two vertical vectors is not horizontal")
 
     # Mixed-pair symmetries: with one vertical argument fixed, the map on
     # horizontal vectors is self-adjoint, and symmetrically with the roles
     # of the distributions exchanged.
     mixed_h = t[:d, d:, :d]  # tor[x, t, y]
-    if np.abs(mixed_h - mixed_h.transpose(2, 1, 0)).max() > tol:
+    if np.abs(mixed_h - mixed_h.transpose(2, 1, 0)).max(initial=0.0) > tol:
         problems.append("mixed torsion is not symmetric on horizontal pairs")
     mixed_v = t[d:, :d, d:]  # tor[t, x, u]
-    if np.abs(mixed_v - mixed_v.transpose(2, 1, 0)).max() > tol:
+    if np.abs(mixed_v - mixed_v.transpose(2, 1, 0)).max(initial=0.0) > tol:
         problems.append("mixed torsion is not symmetric on vertical pairs")
     return problems

@@ -26,7 +26,7 @@ from sublap import (
 from sublap.algebra import eval_coefficient
 from sublap.spectral import _model_coeffs
 
-from conftest import SOLVABLE_SPEC, free_step2, moved_frame
+from conftest import SOLVABLE_SPEC, free_step2, moved_frame, nilpotent_spaces
 from oracles import validate_problems
 
 SO4_ALT = importlib.resources.files("sublap.data").joinpath("so4_alt.txt").read_text()
@@ -332,14 +332,15 @@ def test_repeated_bracket_terms_accumulate_in_spec_order():
     assert math.copysign(1.0, space.c[0, 1, 0]) == math.copysign(1.0, space.c[1, 0, 0]) == 1.0
 
 
-def _perturbed_free_frame(seed: int, scale: float, skew: bool) -> HomogeneousSpace:
-    """free_step2(5), dimension 15, with a few constants moved by about `scale`;
-    the partner constant c[j, i, k] follows unless `skew`."""
+def _perturbed_frame(
+    base: HomogeneousSpace, seed: int, scale: float, skew: bool
+) -> HomogeneousSpace:
+    """The base frame with a few constants moved by about `scale`; the partner
+    constant c[j, i, k] follows unless `skew`.  A one-vector frame moves c[0, 0, k]."""
     rng = np.random.default_rng([24, seed])
-    base = free_step2(5)
     c = base.c.copy()
     for _ in range(4):
-        i, j = sorted(rng.choice(base.dim, size=2, replace=False))
+        i, j = sorted(rng.choice(base.dim, size=2, replace=base.dim < 2))
         k = int(rng.integers(base.dim))
         delta = scale * rng.uniform(0.5, 2.0)
         c[i, j, k] += delta
@@ -348,16 +349,85 @@ def _perturbed_free_frame(seed: int, scale: float, skew: bool) -> HomogeneousSpa
     return HomogeneousSpace(base.name, base.dim_h, base.dim_v, c)
 
 
+def _step2_lines(space: HomogeneousSpace) -> list[str]:
+    """`validate`'s step-2 line, from the rank of the horizontal frame vectors
+    and their brackets listed one by one."""
+    d, n = space.dim_h, space.dim
+    rows = [space.basis_vector(i) for i in range(d)]
+    rows += [space.c[i, j] for i in range(d) for j in range(i + 1, d)]
+    rank = np.linalg.matrix_rank(np.array(rows), tol=1e-10)
+    if rank == n:
+        return []
+    return [f"step-2 generation fails: span(H + [H,H]) has rank {rank} < {n}"]
+
+
+def _degenerate_frames() -> list[HomogeneousSpace]:
+    """Shapes with no triple i < j < k or no horizontal pair: a point, the
+    affine algebra [e1, e2] = e2, and so(3) with one or all three frame vectors
+    horizontal."""
+    aff = np.zeros((2, 2, 2))
+    aff[0, 1, 1], aff[1, 0, 1] = 1.0, -1.0
+    so3 = load_builtin("so3_twisted").c
+    return [
+        HomogeneousSpace("point", 1, 0, np.zeros((1, 1, 1))),
+        HomogeneousSpace("aff", 2, 0, aff),
+        HomogeneousSpace("so3_d1", 1, 2, so3),
+        HomogeneousSpace("so3_v0", 3, 0, so3),
+    ]
+
+
 @pytest.mark.parametrize("skew", [False, True], ids=["jacobi", "skew-and-jacobi"])
 @pytest.mark.parametrize("scale", [1e-13, 1e-12, 1e-11, 1e-3, 1.0])
 @pytest.mark.parametrize("seed", range(3))
 def test_validate_locates_every_violation(seed, scale, skew):
-    space = _perturbed_free_frame(seed, scale, skew)
-    problems = validate(space)
-    assert problems == validate_problems(space)
-    if scale >= 1e-3:
-        assert any(p.startswith("Jacobi") for p in problems)
-        assert any(p.startswith("antisymmetry") for p in problems) == skew
+    # the free step-2 frames of dimension 6, 10 and 15, then the degenerate shapes
+    for r in (3, 4, 5):
+        space = _perturbed_frame(free_step2(r), seed, scale, skew)
+        problems = validate(space)
+        assert problems == validate_problems(space), space.name
+        if scale >= 1e-3:
+            assert any(p.startswith("Jacobi") for p in problems)
+            assert any(p.startswith("antisymmetry") for p in problems) == skew
+    for base in _degenerate_frames():
+        space = _perturbed_frame(base, seed, scale, skew)
+        assert validate(space) == validate_problems(space) + _step2_lines(space), space.name
+
+
+def _count_tensordot(monkeypatch) -> list[int]:
+    """[calls] of np.tensordot from here on."""
+    calls, inner = [0], np.tensordot
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tensordot", counted)
+    return calls
+
+
+def test_validate_clears_a_parsed_frame_without_the_jacobi_tensor(monkeypatch):
+    # The invariants-scan bases reach `validate` as the spec text of a moved
+    # frame, so their constants are exactly antisymmetric.
+    rng = np.random.default_rng(28)
+    spaces = [load_builtin(name) for name in builtin_names()]
+    spaces += [parse_spec_text(_spec_text(moved_frame(s, rng))) for s in nilpotent_spaces()]
+    calls = _count_tensordot(monkeypatch)
+    for space in spaces:
+        assert validate(space) == [], space.name
+    assert calls == [0]
+
+
+def test_validate_scans_the_jacobi_tensor_on_a_violation_or_any_skew(monkeypatch):
+    nonassoc = np.zeros((3, 3, 3))
+    nonassoc[0, 1, 2], nonassoc[1, 0, 2] = 1.0, -1.0
+    nonassoc[1, 2, 1], nonassoc[2, 1, 1] = 1.0, -1.0
+    skewed = load_builtin("so4_alt").c.copy()
+    skewed[0, 1, 4] += 1e-15  # below the tolerance, so still valid
+    calls = _count_tensordot(monkeypatch)
+    assert validate(HomogeneousSpace("nonassoc", 2, 1, nonassoc))[0].startswith("Jacobi")
+    assert calls == [1]
+    assert validate(HomogeneousSpace("skewed", 3, 3, skewed)) == []
+    assert calls == [2]
 
 
 def test_validate_reports_step2_failure():

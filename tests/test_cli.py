@@ -311,6 +311,38 @@ def test_certify_requires_a_spectral_model(capsys, tmp_path):
     assert "needs a spectral model" in out + err
 
 
+# Spaces with no vertical vectors: an abelian plane, and so(3) with all three
+# frame vectors horizontal and its model on SU(2).
+FLAT_PLANE_SPEC = "name flat2\ndim_h 2\ndim_v 0\n"
+SO3_HORIZONTAL_SPEC = """\
+name so3h
+dim_h 3
+dim_v 0
+bracket 1 2 = 1 3
+bracket 1 3 = -1 2
+bracket 2 3 = 1 1
+oracle {
+  factor 1 = su2 all
+  map 1 = 1 f1.1
+  map 2 = 1 f1.2
+  map 3 = 1 f1.3
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "analyze", "bound", "certify"])
+@pytest.mark.parametrize("spec", [FLAT_PLANE_SPEC, SO3_HORIZONTAL_SPEC], ids=["flat2", "so3h"])
+def test_a_space_without_vertical_vectors_keeps_the_exit_contract(capsys, tmp_path, spec, command):
+    path = tmp_path / "horizontal.txt"
+    path.write_text(spec, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    # flat2 carries no spectral model, so `certify` refuses it as a bad spec
+    assert code == (2 if (spec, command) == (FLAT_PLANE_SPEC, "certify") else 0), err
+    assert "array" not in err and "numpy" not in err and "Traceback" not in err
+    if command == "bound":
+        assert out.splitlines()[-1] == "bounds = none (no positive curvature constants)"
+
+
 def test_certify_rejects_a_low_cutoff(capsys):
     # 1 leaves no nontrivial irrep, so the headroom check must come first
     for cutoff in ("1.8", "1"):

@@ -16,6 +16,7 @@ from sublap import (
     OracleFactor,
     certify,
     hlap_matrix,
+    invariants,
     irrep_matrices,
     lambda1,
     load_builtin,
@@ -697,3 +698,43 @@ def test_lambda1_memory_stays_at_one_irrep_scale(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+# Each theorem branch: the given-frame space with a spectral model where it
+# fires, and the branch read from that space's reported entry of the theorem.
+_BRANCHES = {
+    "main:m=0": (lambda: load_builtin("so4_alt"), "main", lambda e, kind: e.m == 0.0),
+    "main:m=2sqrt(omega*chi)": (
+        lambda: load_builtin("so3_twisted", c=0.05),
+        "main",
+        lambda e, kind: e.psi == 0.0 < e.chi
+        and math.isclose(e.m, 2.0 * math.sqrt(e.omega * e.chi)),
+    ),
+    # open: no given-frame space with a model has a real torsion penalty
+    # psi > 0; random su(2)-product models are the route to one
+    "main:psi>0": None,
+    "t1zero:case1": (
+        lambda: load_builtin("so3_twisted", c=0.05), "t1zero", lambda e, kind: e.aux["case"] == 1.0
+    ),
+    "t1zero:case2": (
+        lambda: load_builtin("so4_alt"), "t1zero", lambda e, kind: e.aux["case"] == 2.0
+    ),
+    "asn:zero": (lambda: load_builtin("so4_alt"), "asn", lambda e, kind: kind == "zero"),
+    "asn:isotropic": (
+        lambda: load_builtin("so3_twisted", c=0.1), "asn", lambda e, kind: kind == "isotropic"
+    ),
+    "asn:general": (so4_weighted, "asn", lambda e, kind: kind == "general"),
+    "sntf": (lambda: load_builtin("so4_alt"), "sntf", lambda e, kind: True),
+}
+
+
+@pytest.mark.parametrize("branch", [b for b, row in _BRANCHES.items() if row])
+def test_every_theorem_branch_meets_the_exact_spectrum(branch):
+    make, theorem, fires = _BRANCHES[branch]
+    space = make()
+    report = optimize(space)
+    (entry,) = [e for e in report.entries if e.theorem == theorem]
+    assert fires(entry, invariants(space).product[0]), entry
+    result = certify(space, report)
+    assert [e.passed for e in result.entries if e.theorem == theorem] == [True]
+    assert result.all_passed
