@@ -20,7 +20,16 @@ import numpy as np
 import pytest
 
 import sublap.bounds
-from sublap import HomogeneousSpace, load_builtin, optimize, parse_spec_text, report_text
+from sublap import (
+    HomogeneousSpace,
+    bound_asn,
+    bound_main,
+    bound_t1zero,
+    load_builtin,
+    optimize,
+    parse_spec_text,
+    report_text,
+)
 from sublap.bounds import (
     _CELLS,
     BoundResult,
@@ -673,3 +682,20 @@ def test_optimize_entries_match_full_precision_golden(monkeypatch, key):
     for path, got in ((ENTRY_REPRS, entries), (LINALG_COUNTS, work)):
         lines = path.read_text(encoding="utf-8").splitlines()
         assert got == dict(line.split(" ", 1) for line in lines)[key], path.name
+
+
+# repr of bound_main, bound_t1zero and bound_asn at three x to the last bit,
+# one line per space and x, on the spaces of ENTRY_REPRS: the public per-x
+# evaluators read `_evaluate` where `optimize` does not, at x off its grid.
+BOUND_AT_REPRS = GOLDEN / "bound_at_repr.txt"
+BOUND_AT_XS = (0.0, 1.0 / 3.0, 0.6)
+
+
+@pytest.mark.parametrize("key", [*REPR_RUNS, "so4_weighted-x200"])
+def test_per_x_evaluators_match_full_precision_golden(key):
+    space, _ = _repr_run(key)
+    lines = BOUND_AT_REPRS.read_text(encoding="utf-8").splitlines()
+    want = dict(line.split(" ", 1) for line in lines)
+    for x in BOUND_AT_XS:
+        got = [bound(space, x) for bound in (bound_main, bound_t1zero, bound_asn)]
+        assert repr(got) == want[f"{key}/x={x!r}"], x
