@@ -284,29 +284,26 @@ class MConstant:
 
 
 def _m_arrays(omega: np.ndarray, chi: np.ndarray, psi: np.ndarray):
-    """Vectorized m = inf_{s>0} (s*omega + chi/s + psi/s**2) with minimizer."""
-    omega = np.asarray(omega, dtype=float)
-    chi = np.asarray(chi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    m = np.zeros(np.broadcast(omega, chi, psi).shape)
-    s = np.full_like(m, np.nan)
-    omega, chi, psi = np.broadcast_arrays(omega, chi, psi)
+    """m = inf_{s>0} (s*omega + chi/s + psi/s**2) with minimizer, elementwise
+    over arrays of one shape."""
+    omega, chi, psi = (np.asarray(a, dtype=float) for a in (omega, chi, psi))
+    m, s = np.zeros(omega.shape), np.full(omega.shape, np.nan)
 
-    pos = omega > 0.0
-    chi0 = pos & (chi <= 0.0) & (psi > 0.0)
-    psi0 = pos & (psi <= 0.0) & (chi > 0.0)
-    both = pos & (chi > 0.0) & (psi > 0.0)
+    pos, chi_pos, psi_pos = omega > 0.0, chi > 0.0, psi > 0.0
+    chi0 = pos & (chi <= 0.0) & psi_pos
+    psi0 = pos & (psi <= 0.0) & chi_pos
+    both = pos & chi_pos & psi_pos
     # omega = 0, or chi = psi = 0: the infimum is 0 in a limit, m stays 0.
 
-    if chi0.any():
+    if np.count_nonzero(chi0):
         sc = np.cbrt(2.0 * psi[chi0] / omega[chi0])
         s[chi0] = sc
         m[chi0] = np.cbrt(27.0 / 4.0 * omega[chi0] ** 2 * psi[chi0])
-    if psi0.any():
+    if np.count_nonzero(psi0):
         sc = np.sqrt(chi[psi0] / omega[psi0])
         s[psi0] = sc
         m[psi0] = 2.0 * np.sqrt(omega[psi0] * chi[psi0])
-    if both.any():
+    if np.count_nonzero(both):
         w, c, p = omega[both], chi[both], psi[both]
         # Unique positive root of w*s^3 - c*s - 2p = 0 (depressed cubic).
         pp = -c / w
@@ -374,28 +371,27 @@ def _vertical(q: np.ndarray, d: int, base: np.ndarray, pad) -> tuple[np.ndarray,
     # mu[0], rotated twisted_spheres frames report 0.54545454541 in place
     # of 0.545454545455.
     mu_min = np.linalg.eigvalsh(qvv)[..., :1]
+    top = np.where(mu_min > 0.0, mu_min, np.nan)
     coupling = np.abs(qhv).max(axis=(-2, -1), initial=0.0)[..., None]
-    base = base[base < mu_min.max() * (1.0 - 1e-12)]  # columns some form keeps
+    base = base[(base > 0.0) & (base < mu_min.max() * (1.0 - 1e-12))]  # columns some form keeps
     below = np.where(base < mu_min * (1.0 - 1e-12), base, np.nan)
-    near = mu_min * _NEAR
-    edge = np.where(coupling <= pad[..., None], mu_min, np.nan)
-    rho2 = np.concatenate([below, near, edge], axis=-1)
-    return np.where((mu_min > 0.0) & (rho2 > 0.0), rho2, np.nan), mu_min, mu, w
+    edge = np.where(coupling <= pad[..., None], top, np.nan)
+    return np.concatenate([below, top * _NEAR, edge], axis=-1), mu_min, mu, w
 
 
 def _weights(mu: np.ndarray, coupled: np.ndarray, rho2: np.ndarray) -> tuple:
     """The weights 1/(mu_j - rho2) indexed [..., j, candidate] (0 on
-    decoupled directions j, which never penalize H), and the mask where the
-    elimination is valid: every coupled gap is positive and rho2 is at most
-    mu_min, so the valid candidates are those below a threshold."""
+    decoupled directions j, which never penalize H, and off the mask), and
+    the mask where the elimination is valid: every coupled gap is positive
+    and rho2 is at most mu_min, so the valid candidates are those below a
+    threshold."""
     # mu is ascending, so every coupled gap is positive below the lowest
     # coupled eigenvalue (this also rejects the NaN padding)
-    good = rho2 < np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True)
-    keep = coupled[..., :, None] & good[..., None, :]
-    with np.errstate(divide="ignore"):
-        weights = np.where(keep, 1.0 / (mu[..., :, None] - rho2[..., None, :]), 0.0)
+    gaps = np.nextafter(np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True), -np.inf)
     low = mu[..., :1]
-    return weights, good & (rho2 <= low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
+    ok = rho2 <= np.minimum(gaps, low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
+    keep = coupled[..., :, None] & ok[..., None, :]
+    return 1.0 / np.where(keep, mu[..., :, None] - rho2[..., None, :], np.inf), ok
 
 
 def _schur(q: np.ndarray, d: int, base: np.ndarray, pad) -> tuple[np.ndarray, ...]:
@@ -450,7 +446,7 @@ def _golden_max(fun, lo, hi, speculate: bool):
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c, d = b - ratio * (b - a), a + ratio * (b - a)
-    fc, fd = fun(np.stack([c, d]))
+    fc, fd = fun(np.array([c, d]))
     best_x, best_f = np.where(fd > fc, d, c), np.where(fd > fc, fd, fc)
     ahead = None  # [points, values] of this step if its test holds, and if not
     for k in range(_GOLDEN_ITERS):
@@ -467,7 +463,7 @@ def _golden_max(fun, lo, hi, speculate: bool):
             # the next step's point if its test holds and if not, by the
             # expressions that step computes itself
             more = [d - ratio * (d - a), c + ratio * (b - c)]
-            fx, *rest = fun(np.stack([x, *more]))
+            fx, *rest = fun(np.array([x, *more]))
             ahead = [more, rest]
         else:
             fx = fun(x[None])[0]
@@ -549,24 +545,21 @@ def _t1zero_values(
 
     Requires rho1^2 > 4*omega*chi.  Below the threshold 4*chi*delta the
     penalty enters through the denominator; at or above it the bound is the
-    larger root of the underlying quadratic.  Returns the values and the
-    below-threshold mask (NaN where inapplicable).
+    larger root of the underlying quadratic.  Returns the values (NaN where
+    inapplicable or rho1 is not finite and positive) and the mask where they
+    take the first case.
     """
     rho1 = np.asarray(rho1, dtype=float)
     omega = np.asarray(omega, dtype=float)
     chi = np.asarray(chi, dtype=float)
-    base = rho1**2 - 4.0 * omega * chi
+    base, chi4 = rho1**2 - 4.0 * omega * chi, 4.0 * chi
+    threshold = chi4 * delta
     with np.errstate(invalid="ignore", divide="ignore"):
-        case1 = rho1 / (delta * (2.0 + 4.0 * chi / base))
-        case2 = (rho1 + np.sqrt(np.maximum(base - 4.0 * delta * chi, 0.0))) / (
-            2.0 * (delta + omega)
-        )
-    pos, threshold = base > 0.0, 4.0 * chi * delta
+        case1 = rho1 / (delta * (2.0 + chi4 / base))
+        case2 = (rho1 + np.sqrt(np.maximum(base - threshold, 0.0))) / (2.0 * (delta + omega))
+    pos = (base > 0.0) & np.isfinite(rho1) & (rho1 > 0.0)
     in1 = pos & (base < threshold)
-    in2 = pos & (base >= threshold)
-    vals = np.where(in1, case1, np.where(in2, case2, np.nan))
-    vals = np.where(np.isfinite(rho1) & (rho1 > 0.0), vals, np.nan)
-    return vals, in1
+    return np.where(in1, case1, np.where(pos, case2, np.nan)), in1
 
 
 def _theorems(inv: Invariants) -> list[str]:
@@ -583,11 +576,29 @@ def _theorems(inv: Invariants) -> list[str]:
     return names + ["asn"] if inv.flags.almost_strictly_normal else names
 
 
-def _evaluate(
-    inv: Invariants, names: list[str], xs: list[float], grid: np.ndarray
-) -> list[dict[str, BoundResult | None]]:
+def _visit(leaf: np.ndarray, floor: np.ndarray, count: int) -> tuple[np.ndarray, float]:
+    """The ascending flat indices of the count pending candidates of largest
+    leaf cap, or of every pending one when fewer are, and the largest leaf cap
+    of a pending candidate left (-inf when none).  A candidate of row k is
+    pending while its leaf cap reaches floor[k], and a tie goes to the lowest
+    flat index: the set a stable sort of the pending caps puts first, found
+    by a partition."""
+    pending = np.flatnonzero(leaf >= floor[:, None])
+    if pending.size <= count:
+        return pending, -np.inf
+    cap, n = leaf.reshape(-1)[pending], pending.size - count
+    rest, cut = np.partition(cap, [n - 1, n])[n - 1 : n + 1]
+    keep = cap >= cut
+    if rest == cut:  # more than count tie at the cut: drop the last of them
+        keep[np.flatnonzero(cap == cut)[count - np.count_nonzero(cap > cut) :]] = False
+    return pending[keep], rest
+
+
+def _evaluate(inv: Invariants, names: list[str], xs: list[float], grid: np.ndarray) -> np.ndarray:
     """Each named theorem at each x of xs, maximized over its rho2 candidates
-    with the first winning a tie; None when no candidate gives a finite value.
+    with the first winning a tie: [t, :, j] holds the value, rho1, rho2,
+    omega, chi, psi, m and aux (`_AUX`) of names[t] at xs[j] (see
+    `_result`), all NaN when no candidate gives a finite value.
 
     The vertical block of each Q(x) is eliminated once for all of them (asn
     reads the complements of Q(x) + q_tt2), and each `_formulas` group visits
@@ -599,65 +610,71 @@ def _evaluate(
     forms = _forms(inv, names, q0)
     pad = {own: _pad(f) for own, f in {False: q0, **forms}.items()}
     rho2, w, weights, ok = _schur(q0, d, grid, pad[False])
-    omega, chi = inv.kappa / rho2, np.maximum(rho2 * inv.sup_t2, 0.0)
+    width = rho2.shape[1]
 
     def closed(name: str, rho1, dl, o, c, b) -> list:
-        """name's value, rho1, chi, aux (`_AUX`), psi and m from rho1, Delta,
-        omega, chi and rho2 at some candidates."""
+        """name's columns from rho1, Delta, omega, chi and rho2 at some candidates."""
         if name == "main":
             psi = b * inv.sigma**2
             m, s = _m_arrays(o, c, psi)
-            return [np.where(rho1 > m, (rho1 - m) / (dl + o), np.nan), rho1, c, s, psi, m]
+            return [np.where(rho1 > m, (rho1 - m) / (dl + o), np.nan), rho1, b, o, c, psi, m, s]
         if name == "t1zero":
             vals, in1 = _t1zero_values(rho1, dl, o, c)
-            return [vals, rho1, c, np.where(in1, 1.0, 2.0), *[np.zeros_like(rho1)] * 2]
-        nan = np.full_like(rho1, np.nan)
-        return [np.where(rho1 > 0.0, rho1 / (dl + o), nan), rho1, nan, nan, nan, nan]
+            zero = np.zeros(rho1.shape)
+            return [vals, rho1, b, o, c, zero, zero, np.where(in1, 1.0, 2.0)]
+        nan = np.full(rho1.shape, np.nan)
+        return [np.where(rho1 > 0.0, rho1 / (dl + o), nan), rho1, b, o, nan, nan, nan, nan]
 
-    # lambda_min(S) per form and `closed` per theorem, read where visited:
-    # lambda_min(S) and the values are NaN elsewhere
-    lam = {own: np.full(rho2.shape, np.nan) for own in forms}
-    got = np.empty((len(names), 6, *rho2.shape))
-    got[:, 0] = np.nan
+    # lambda_min(S) per form, read where visited and NaN elsewhere
+    lam = {own: np.full(rho2.size, np.nan) for own in forms}
+    cols = np.empty((len(names), 8, len(xs)))
     r = {own: _rayleigh(*_ray(f, d, w, pad[own]), weights, ok) for own, f in forms.items()}
     for (own, lift), group in _formulas(inv, names).items():
-        f, size, slot = forms[own], _BATCH, [names.index(n) for n in group]
+        f, count, slot = forms[own], _BATCH * len(xs), [names.index(n) for n in group]
+        rows = np.arange(len(group))[:, None]
         leaf = _cap(inv, lift, r[own], rho2, delta[:, None], pad[False][:, None], True)
-        tops = np.zeros((len(group), len(xs)))  # each theorem's best value per x, or 0
+        tops, rest = np.zeros((len(group), len(xs))), np.inf  # best value per x, or 0
+        # each round's candidates and the group's columns there, after one
+        # all-NaN column that a theorem with no value at an x reads
+        takes, gots = [np.array([-1])], [np.full((len(group), 8, 1), np.nan)]
         # A candidate is pending while its leaf cap reaches its x's group
-        # floor; each round visits the size * len(xs) pending ones of largest
-        # leaf cap (a stable sort, so a tie keeps index order) and retires them.
-        while (pending := np.nonzero(leaf >= tops.min(axis=0)[:, None]))[0].size:
-            take = np.argsort(-leaf[pending], kind="stable")[: size * len(xs)]
-            k, i = pending[0][take], pending[1][take]
-            leaf[k, i], size, wk = -np.inf, 4 * size, w[k]
+        # floor; each round visits the count pending ones of largest leaf
+        # cap and retires them, until none is left.
+        while rest >= tops.min():
+            take, rest = _visit(leaf, tops.min(axis=0), count)
+            (k, i), count = np.divmod(take, width), 4 * count
+            leaf[k, i], b, wk = -np.inf, rho2[k, i], w[k]
             sc = f[k, :d, :d] - np.einsum("naj,nbj,nj->nab", wk, wk, weights[k, :, i])
-            lam_ki, here = lam[own][k, i], (delta[k], omega[k, i], chi[k, i], rho2[k, i])
-            if (new := np.isnan(lam_ki)).any():
+            if np.count_nonzero(new := np.isnan(lam_ki := lam[own][take])):
                 lam_ki[new] = np.linalg.eigvalsh(sc[new])[:, 0]
-                lam[own][k, i] = lam_ki
+                lam[own][take] = lam_ki
+            here, got = (delta[k], inv.kappa / b, np.maximum(b * inv.sup_t2, 0.0), b), []
             for g, name in enumerate(group):
                 rho1 = lam_ki
                 if name == "asn":
                     cap = (rho1 + pad[own][k]) / (here[0] + here[1])
                     rho1 = _asn_rho1(inv, sc, rho1, cap, tops[g, k])
-                got[slot[g]][:, k, i] = closed(name, rho1, *here)
-            tops = np.fmax.reduce(got[slot, 0], axis=-1, initial=0.0)
-    out: list[dict[str, BoundResult | None]] = [dict.fromkeys(names) for _ in xs]
-    if not (finite := np.isfinite(got[:, 0])).any():
-        return out
-    # each theorem's first best candidate at each x, and its columns there
-    i = np.argmax(np.where(finite, got[:, 0], -np.inf), axis=-1)
-    n, k = np.arange(len(names))[:, None], np.arange(len(xs))
-    has, cols = finite.any(axis=-1).tolist(), got[n, :, k, i].tolist()
-    b, o = rho2[k, i].tolist(), omega[k, i].tolist()
-    for t, name in enumerate(names):
-        for j, x in enumerate(xs):
-            if has[t][j]:
-                val, rho1, c, aux, p, m = cols[t][j]
-                aux = {} if math.isnan(aux) else {_AUX[name]: aux}
-                out[j][name] = BoundResult(name, val, x, rho1, b[t][j], o[t][j], c, p, m, aux)
-    return out
+                got += closed(name, rho1, *here)
+            takes.append(take)
+            gots.append(got := np.concatenate(got).reshape(len(group), 8, -1))
+            np.fmax.at(tops, (rows, k), got[:, 0])
+        # each theorem's first best candidate at each x: the lowest flat
+        # index among its largest finite values, or else the all-NaN column
+        take, got = np.concatenate(takes), np.concatenate(gots, axis=-1)
+        value = np.full((len(group), len(xs), take.size), -np.inf)
+        at = np.where(np.isfinite(got[:, 0, 1:]), got[:, 0, 1:], -np.inf)
+        value[:, take[1:] // width, np.arange(1, take.size)] = at
+        best = np.where(value == value.max(axis=-1, keepdims=True), take, rho2.size)
+        cols[slot] = got[rows, :, best.argmin(axis=-1)].transpose(0, 2, 1)
+    return cols
+
+
+def _result(name: str, x: float, col: list[float]) -> BoundResult | None:
+    """name's result at x from its `_evaluate` column, None where that is NaN."""
+    if math.isnan(col[0]):
+        return None
+    aux = {} if math.isnan(col[7]) else {_AUX[name]: col[7]}
+    return BoundResult(name, col[0], x, *col[1:7], aux)
 
 
 def _sntf(inv: Invariants) -> BoundResult | None:
@@ -685,7 +702,8 @@ def _bound_at(space: HomogeneousSpace, x: float, name: str) -> BoundResult | Non
     inv = invariants(space)
     if name not in _theorems(inv):
         return None
-    return _evaluate(inv, [name], [x], _rho2_base_grid(inv.kappa, _RHO2_PER_DECADE))[0][name]
+    col = _evaluate(inv, [name], [x], _rho2_base_grid(inv.kappa, _RHO2_PER_DECADE))[0, :, 0]
+    return _result(name, x, col.tolist())
 
 
 def bound_main(space: HomogeneousSpace, x: float) -> BoundResult | None:
@@ -904,11 +922,12 @@ def optimize(
     xs = np.arange(x_points, dtype=float) / x_points
     caps = _caps(inv, names, xs)
 
-    best: dict[str, BoundResult] = {}
+    best: dict[str, tuple] = {}  # each theorem's best value, its x and `_evaluate` column
 
-    def run(asks: dict[str, list[float]]) -> dict[tuple[str, float], BoundResult | None]:
+    def run(asks: dict[str, list[float]]) -> dict[tuple[str, float], list[float]]:
         """Evaluate each distinct x once for every theorem that asks for it,
-        the x asked by the same theorems in one call; keyed by (theorem, x)."""
+        the x asked by the same theorems in one call; the `_evaluate` columns
+        keyed by (theorem, x)."""
         askers: dict[float, dict[str, None]] = {}
         for name, points in asks.items():
             for x in points:
@@ -918,14 +937,15 @@ def optimize(
             calls.setdefault(tuple(group), []).append(x)
         out = {}
         for group, points in calls.items():
-            for x, res in zip(points, _evaluate(inv, list(group), points, grid)):
-                out.update(((name, x), r) for name, r in res.items())
+            cols = _evaluate(inv, list(group), points, grid).transpose(0, 2, 1).tolist()
+            for name, rows in zip(group, cols):
+                out.update(zip([(name, x) for x in points], rows))
         return out
 
-    def keep(name: str, res: BoundResult | None) -> None:
-        """Keep a positive result when it beats its theorem's best."""
-        if res is not None and res.value > (best[name].value if name in best else 0.0):
-            best[name] = res
+    def keep(name: str, x: float, col: list[float]) -> None:
+        """Keep a positive value when it beats its theorem's best."""
+        if col[0] > (best[name][0] if name in best else 0.0):
+            best[name] = (col[0], x, col)
 
     # The theorems step down their own caps together, sharing the curve of any
     # x they meet at; each stops once its cap cannot beat its best.  Caps above
@@ -937,39 +957,40 @@ def optimize(
         for name in list(live):
             i = int(np.argmax(caps[name]))
             ub = caps[name][i]
-            if not 0.0 < ub < math.inf or (name in best and ub <= best[name].value + 1e-15):
+            if not 0.0 < ub < math.inf or (name in best and ub <= best[name][0] + 1e-15):
                 live.remove(name)
             elif ub > floor[name] or name not in best:
                 points[name], caps[name][i] = [float(xs[i])], -math.inf
             else:
-                todo[name] = best[name].value + 1e-15
+                todo[name] = best[name][0] + 1e-15
         _refine(inv, caps, todo, xs, grid)
         floor.update(todo)
-        for (name, _), res in run(points).items():
-            keep(name, res)
+        for (name, x), col in run(points).items():
+            keep(name, x, col)
 
     # One golden-section pass refines every winning abscissa together, two
     # steps per call.  It returns the first best along the points its steps
     # take; the result there replaces a theorem's best when strictly better,
     # as it would have in step order, and a point no step took is never read.
     if won := list(best):
-        center = np.array([best[name].x for name in won])
+        center = np.array([best[name][1] for name in won])
         step, seen = 1.0 / x_points, {}
 
         def values(points: np.ndarray) -> np.ndarray:
             seen.update(run(dict(zip(won, points.T.tolist()))))
-            got = [[seen[n, x] for n, x in zip(won, row)] for row in points.tolist()]
-            return np.array([[-math.inf if r is None else r.value for r in row] for row in got])
+            got = [[seen[n, x][0] for n, x in zip(won, row)] for row in points.tolist()]
+            return np.fmax(got, -np.inf)  # -inf where a theorem has no value
 
         lo = np.maximum(center - step, 0.0)
         top = _golden_max(values, lo, np.minimum(center + step, 1.0 - 1e-12), True)[0]
         for name, x in zip(won, top.tolist()):
-            keep(name, seen[name, x])
+            keep(name, x, seen[name, x])
 
+    entries = {name: _result(name, x, col) for name, (_, x, col) in best.items()}
     if (sntf := _sntf(inv)) is not None:
-        best["sntf"] = sntf
+        entries["sntf"] = sntf
 
-    report.entries = [best[k] for k in sorted(best)]
+    report.entries = [entries[k] for k in sorted(entries)]
     if report.entries:
         report.best = max(report.entries, key=lambda r: r.value)
     _append_discrepancies(inv, report)

@@ -174,12 +174,10 @@ def _cmd_certify(args) -> int:
         )
     space = _checked_space(args)
     if space.oracle is None:
-        print(
+        raise SpecFormatError(
             f"{space.name}: certification needs a spectral model "
-            "(oracle block with a frame map)",
-            file=sys.stderr,
+            "(oracle block with a frame map)"
         )
-        return _EXIT_BAD_SPEC
     report = optimize(space, **grids)
     result = certify(space, report, cutoff=args.cutoff)
     print(f"example = {space.name}")

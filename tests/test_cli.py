@@ -307,8 +307,9 @@ def test_certify_requires_a_spectral_model(capsys, tmp_path):
     path = tmp_path / "plain.txt"
     path.write_text(VALID_SPEC, encoding="utf-8")
     code, out, err = run(capsys, "certify", str(path))
-    assert code == 2
-    assert "needs a spectral model" in out + err
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "needs a spectral model" in line
 
 
 # Spaces with no vertical vectors: an abelian plane, and so(3) with all three

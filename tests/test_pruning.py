@@ -47,11 +47,13 @@ from sublap.bounds import (
     _ray,
     _rayleigh,
     _refine,
+    _result,
     _rho2_base_grid,
     _schur,
     _t1zero_cap,
     _t1zero_values,
     _theorems,
+    _visit,
     invariants,
 )
 
@@ -96,6 +98,17 @@ def _space(key: str) -> tuple[HomogeneousSpace, int]:
 
 
 KEYS = [*NAMED, "so4_weighted", *(f"random-{i}" for i in range(RANDOM_DRAWS))]
+
+
+def evaluate(
+    inv: Invariants, names: list[str], xs: list[float], grid: np.ndarray
+) -> list[dict[str, BoundResult | None]]:
+    """`_evaluate` read as one {theorem: result} per x, each built by `_result`."""
+    cols = _evaluate(inv, names, xs, grid).tolist()
+    return [
+        {name: _result(name, x, [c[j] for c in cols[t]]) for t, name in enumerate(names)}
+        for j, x in enumerate(xs)
+    ]
 
 
 def dense_evaluate(
@@ -156,14 +169,37 @@ def test_evaluate_matches_the_dense_curve(monkeypatch, key, batch):
     xs = np.linspace(0.0, 0.96, 13).tolist()
     dense = [dense_evaluate(inv, names, x, grid) for x in xs]
     for x, want in zip(xs, dense):
-        assert repr(_evaluate(inv, names, [x], grid)) == repr([want]), x
+        assert repr(evaluate(inv, names, [x], grid)) == repr([want]), x
     # all 13 x in one call, in either order: the rows keep their own floors,
     # though one x's candidates can take another's share of a round (on the
     # nilpotent keys every row is empty)
-    for x, got, want in zip(xs, _evaluate(inv, names, xs, grid), dense):
+    for x, got, want in zip(xs, evaluate(inv, names, xs, grid), dense):
         assert repr(got) == repr(want), x
-    for x, got, want in zip(xs[::-1], _evaluate(inv, names, xs[::-1], grid), dense[::-1]):
+    for x, got, want in zip(xs[::-1], evaluate(inv, names, xs[::-1], grid), dense[::-1]):
         assert repr(got) == repr(want), x
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_visit_takes_what_a_stable_sort_of_the_pending_caps_puts_first(seed):
+    # Leaf caps with heavy ties (signed zeros among them), -inf and NaN, on
+    # a few rows with their own floors (-inf makes a -inf cap pending).  For
+    # every count, a round visits the same candidates as the first count of
+    # a stable sort of the pending caps, ties to the lowest flat index, and
+    # reports the largest pending cap it leaves.
+    rng = np.random.default_rng([2029, seed])
+    rows, width = int(rng.integers(1, 5)), int(rng.integers(1, 30))
+    values = [0.5, 0.25, 0.0, -0.0, -1.0, -np.inf, np.nan, *rng.uniform(-1.0, 1.0, 3)]
+    leaf = rng.choice(values, size=(rows, width))
+    floor = rng.choice([-np.inf, -1.0, 0.0, 0.25], size=rows)
+    pending = np.nonzero(leaf >= floor[:, None])
+    order = np.argsort(-leaf[pending], kind="stable")
+    for count in range(1, pending[0].size + 3):
+        want = {(int(pending[0][j]), int(pending[1][j])) for j in order[:count]}
+        left = [leaf[pending][j] for j in order[count:]]
+        take, rest = _visit(leaf.copy(), floor, count)
+        assert {divmod(int(t), width) for t in take} == want, count
+        assert take.tolist() == sorted(take.tolist())
+        assert rest == (left[0] if left else -np.inf), count
 
 
 class _RecordedWeights(np.ndarray):
@@ -211,7 +247,7 @@ def test_evaluate_visits_every_candidate_its_leaf_cap_keeps(monkeypatch, key):
     for (own, lift), group in _formulas(inv, _theorems(inv)).items():
         for x in np.linspace(0.0, 0.96, 13):
             seen.clear()
-            got = _evaluate(inv, group, [float(x)], grid)[0]
+            got = evaluate(inv, group, [float(x)], grid)[0]
             floor = min(max(r.value, 0.0) if r else 0.0 for r in got.values())
             q0 = inv.q(float(x))
             rho2, w, weights, ok = schur(q0, d, grid, _pad(q0))
@@ -245,7 +281,7 @@ def test_cap_is_at_least_the_value_at_every_x(key):
     _refine(inv, leaves, dict.fromkeys(names, -math.inf), xs, grid)
     levels["refined"] = leaves
     for i, x in enumerate(xs):
-        for name, res in _evaluate(inv, names, [float(x)], grid)[0].items():
+        for name, res in evaluate(inv, names, [float(x)], grid)[0].items():
             if res is not None and math.isfinite(res.value):
                 for level, caps in levels.items():
                     cap = caps[name][i]
@@ -359,9 +395,9 @@ def test_shared_curve_gives_each_theorem_its_own_result(key):
     names = _theorems(inv)
     grid = _rho2_base_grid(inv.kappa, per_decade)
     for x in np.linspace(0.0, 0.95, 12):
-        alone = {name: _evaluate(inv, [name], [float(x)], grid)[0][name] for name in names}
+        alone = {name: evaluate(inv, [name], [float(x)], grid)[0][name] for name in names}
         for order in (names, names[::-1]):
-            together = _evaluate(inv, order, [float(x)], grid)[0]
+            together = evaluate(inv, order, [float(x)], grid)[0]
             assert repr(together) == repr({name: alone[name] for name in order}), x
 
 
@@ -386,7 +422,7 @@ def test_evaluate_eliminates_each_x_once_for_every_theorem(monkeypatch):
     grid = _rho2_base_grid(inv.kappa, 200)
     calls = _counting(monkeypatch, "_schur")
     for x in (0.0, 0.3, 0.6):
-        assert _evaluate(inv, ["main", "t1zero", "asn"], [x], grid)[0]["asn"] is not None
+        assert evaluate(inv, ["main", "t1zero", "asn"], [x], grid)[0]["asn"] is not None
     assert len(calls) == 3
 
 
@@ -521,7 +557,7 @@ def test_asn_duality_search_takes_one_point_per_step(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(sublap.bounds, "_asn_rho1", counted_search)
-    assert all(r["asn"] for r in _evaluate(inv, ["asn"], [0.2, 0.31], grid))
+    assert all(r["asn"] for r in evaluate(inv, ["asn"], [0.2, 0.31], grid))
     assert 61 in counts and set(counts) <= {0, 61}, counts
 
 
@@ -591,7 +627,7 @@ def test_a_theorem_with_no_value_at_its_top_x_sweeps_on(monkeypatch):
     def first_empty(inv, names, xs, grid):
         calls.append(xs)
         if len(calls) == 1:
-            return [dict.fromkeys(names) for _ in xs]
+            return np.full((len(names), 8, len(xs)), np.nan)
         return evaluate(inv, names, xs, grid)
 
     monkeypatch.setattr(sublap.bounds, "_evaluate", first_empty)
