@@ -13,14 +13,16 @@ so those that reach the same x share its elimination; a single golden-section
 pass refines the winning abscissas of all of them, and no x is evaluated
 again after it.  A space where `_theorems` finds no theorem is not swept.
 
-`_evaluate` takes a stack of x in one call.  Most of a call is fixed numpy
-overhead, so a call of three x costs far less than three calls of one, and
-the golden pass evaluates each step's point together with both points the
+`_evaluate` takes a stack of x in one call and returns plain columns; only
+the results `optimize` reports become `BoundResult`s.  Of a three-x golden
+call, about half is the vertical elimination, a quarter the visited
+candidates and the rest picking them, and most of it is per call, not per
+x.  So the golden pass evaluates each step's point with both points the
 next step can take: two steps per call, 31 calls for its 60 steps.  Every
 step takes the point it would have computed itself, bit for bit, and a
 point no step takes never reaches a result.  asn's duality search over t
 keeps one point per step: each of its points costs a matrix per live
-candidate, not overhead.
+candidate.
 
 The x sweep evaluates only the x whose cap can still beat the best value
 found.  A cap bounds rho1 by r, the Rayleigh quotient of the Schur complement
@@ -40,11 +42,12 @@ level above can still beat the best.
 The leaf caps of every candidate of the x of one call are taken in one
 pass.  A candidate is pending while its leaf cap reaches its x's best value,
 and complements are diagonalized only for the pending candidates of largest
-leaf cap over all the x, in growing batches.  A cap equal to the best is
-still visited, so the first candidate wins a tie.  The schedule is free: a
-result is the first argmax over the visited candidates, and every schedule
-visits each candidate whose leaf cap reaches the final best.  asn's duality
-search runs only where (lambda_min(S) + pad)/(Delta + omega) reaches its best.
+leaf cap over all the x, in growing batches that a partition picks.  A cap
+equal to the best is still visited, so the first candidate wins a tie.  The
+schedule is free: a result is the first argmax over the visited candidates,
+the only ones whose closed forms are kept, and every schedule visits each
+candidate whose leaf cap reaches the final best.  asn's duality search runs
+only where (lambda_min(S) + pad)/(Delta + omega) reaches its best.
 """
 
 from __future__ import annotations
@@ -387,9 +390,9 @@ def _weights(mu: np.ndarray, coupled: np.ndarray, rho2: np.ndarray) -> tuple:
     threshold."""
     # mu is ascending, so every coupled gap is positive below the lowest
     # coupled eigenvalue (this also rejects the NaN padding)
-    gaps = np.nextafter(np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True), -np.inf)
+    top = np.nextafter(np.where(coupled, mu, np.inf).min(axis=-1, keepdims=True), -np.inf)
     low = mu[..., :1]
-    ok = rho2 <= np.minimum(gaps, low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
+    ok = rho2 <= np.minimum(top, low + _PSD_TOL * np.maximum(1.0, np.abs(low)))
     keep = coupled[..., :, None] & ok[..., None, :]
     return 1.0 / np.where(keep, mu[..., :, None] - rho2[..., None, :], np.inf), ok
 
@@ -578,11 +581,9 @@ def _theorems(inv: Invariants) -> list[str]:
 
 def _visit(leaf: np.ndarray, floor: np.ndarray, count: int) -> tuple[np.ndarray, float]:
     """The ascending flat indices of the count pending candidates of largest
-    leaf cap, or of every pending one when fewer are, and the largest leaf cap
-    of a pending candidate left (-inf when none).  A candidate of row k is
-    pending while its leaf cap reaches floor[k], and a tie goes to the lowest
-    flat index: the set a stable sort of the pending caps puts first, found
-    by a partition."""
+    leaf cap (all when fewer), ties to the lowest index, as a stable sort of
+    the pending caps puts them first, and the largest pending cap left (-inf
+    when none).  A candidate of row k is pending while its cap reaches floor[k]."""
     pending = np.flatnonzero(leaf >= floor[:, None])
     if pending.size <= count:
         return pending, -np.inf
