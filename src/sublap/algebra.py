@@ -323,6 +323,8 @@ def parse_spec_text(
         word = _KEYWORD.match(line).group()
         if word == "name":
             name = line[len("name") :].strip()
+            if "," in name or '"' in name:  # the name is a CSV cell, written unquoted
+                raise SpecFormatError(f"bad name line {_shown(line)}; a name has no ',' or '\"'")
         elif word == "dim_h":
             dim_h = _int_field(line)
         elif word == "dim_v":

@@ -9,20 +9,21 @@ identical output.  At each x the vertical block of Q(x) is eliminated once,
 and every theorem reads its Schur complements from that elimination: main,
 t1zero and asn take Q(x)'s, and when q_tt2 is nonzero asn takes those of
 Q(x) + q_tt2, which differ only on H x H.  The theorems sweep x in lockstep,
-so those that reach the same x share its elimination; a single golden-section
-pass refines the winning abscissas of all of them, and no x is evaluated
-again after it.  A space where `_theorems` finds no theorem is not swept.
+and a single golden-section pass refines the winning abscissas of all of
+them; no x is evaluated again after it.  A space where `_theorems` finds no
+theorem is not swept.
 
-`_evaluate` takes a stack of x in one call and returns plain columns; only
-the results `optimize` reports become `BoundResult`s.  Of a three-x golden
-call, about half is the vertical elimination, a quarter the visited
-candidates and the rest picking them, and most of it is per call, not per
-x.  So the golden pass evaluates each step's point with both points the
-next step can take: two steps per call, 31 calls for its 60 steps.  Every
-step takes the point it would have computed itself, bit for bit, and a
-point no step takes never reaches a result.  asn's duality search over t
-keeps one point per step: each of its points costs a matrix per live
-candidate.
+`_evaluate` takes a request, each theorem with the x it asks, and returns
+plain columns; only the results `optimize` reports become `BoundResult`s.
+Each sweep round and each golden call is one `_evaluate` call, whatever x
+each theorem asks.  Of a three-x golden call, about half is the vertical
+elimination, a quarter the visited candidates and the rest picking them, and
+most of it is per call, not per x.  So the golden pass evaluates each step's
+point with both points the next step can take: two steps per call, 31 calls
+for its 60 steps.  Every step takes the point it would have computed itself,
+bit for bit, and a point no step takes never reaches a result.  asn's
+duality search over t keeps one point per step: each of its points costs a
+matrix per live candidate.
 
 The x sweep evaluates only the x whose cap can still beat the best value
 found.  A cap bounds rho1 by r, the Rayleigh quotient of the Schur complement
@@ -40,14 +41,15 @@ its last; a leaf is one candidate.  Each level is computed only where the
 level above can still beat the best.
 
 The leaf caps of every candidate of the x of one call are taken in one
-pass.  A candidate is pending while its leaf cap reaches its x's best value,
-and complements are diagonalized only for the pending candidates of largest
-leaf cap over all the x, in growing batches that a partition picks.  A cap
-equal to the best is still visited, so the first candidate wins a tie.  The
-schedule is free: a result is the first argmax over the visited candidates,
-the only ones whose closed forms are kept, and every schedule visits each
-candidate whose leaf cap reaches the final best.  asn's duality search runs
-only where (lambda_min(S) + pad)/(Delta + omega) reaches its best.
+pass per form.  A candidate is pending while its leaf cap reaches its x's
+best value, and complements are diagonalized only for the pending candidates
+of largest leaf cap over the x a theorem asks, in growing batches that a
+partition picks.  A cap equal to the best is still visited, so the first
+candidate wins a tie.  The schedule is free: a result is the first argmax
+over the visited candidates, the only ones whose closed forms are kept, and
+every schedule visits each candidate whose leaf cap reaches the final best.
+asn's duality search runs only where (lambda_min(S) + pad)/(Delta + omega)
+reaches its best.
 """
 
 from __future__ import annotations
@@ -595,18 +597,21 @@ def _visit(leaf: np.ndarray, floor: np.ndarray, count: int) -> tuple[np.ndarray,
     return pending[keep], rest
 
 
-def _evaluate(inv: Invariants, names: list[str], xs: list[float], grid: np.ndarray) -> np.ndarray:
-    """Each named theorem at each x of xs, maximized over its rho2 candidates
-    with the first winning a tie: [t, :, j] holds the value, rho1, rho2,
-    omega, chi, psi, m and aux (`_AUX`) of names[t] at xs[j] (see
-    `_result`), all NaN when no candidate gives a finite value.
+def _evaluate(inv: Invariants, asks: dict[str, list[float]], grid: np.ndarray) -> dict:
+    """Each theorem of asks at each x it asks, maximized over its rho2
+    candidates with the first winning a tie: the value, rho1, rho2, omega,
+    chi, psi, m and aux (`_AUX`) of the theorem at x (see `_result`), keyed
+    by (theorem, x), all NaN when no candidate gives a finite value.
 
-    The vertical block of each Q(x) is eliminated once for all of them (asn
-    reads the complements of Q(x) + q_tt2), and each `_formulas` group visits
-    the pending candidates of largest leaf cap over all the x, in rounds of
-    growing size, taking each lambda_min(S) at most once and each closed form
-    only where it visits.
+    The vertical block of Q(x) is eliminated once for each distinct x asked
+    (asn reads the complements of Q(x) + q_tt2), each form's Rayleigh pass
+    runs only at the x that a theorem reading it asks, and each `_formulas`
+    group visits the pending candidates of largest leaf cap over the x its
+    theorems ask, in rounds of growing size, taking each lambda_min(S) at
+    most once and each closed form only where it visits.
     """
+    names = list(asks)
+    xs = list(dict.fromkeys(x for points in asks.values() for x in points))
     d, delta, q0 = inv.d, inv.delta(np.asarray(xs, dtype=float)), inv.q(xs)
     forms = _forms(inv, names, q0)
     pad = {own: _pad(f) for own, f in {False: q0, **forms}.items()}
@@ -626,15 +631,20 @@ def _evaluate(inv: Invariants, names: list[str], xs: list[float], grid: np.ndarr
         nan = np.full(rho1.shape, np.nan)
         return [np.where(rho1 > 0.0, rho1 / (dl + o), nan), rho1, b, o, nan, nan, nan, nan]
 
-    # lambda_min(S) per form, read where visited and NaN elsewhere
-    lam = {own: np.full(rho2.size, np.nan) for own in forms}
-    cols = np.empty((len(names), 8, len(xs)))
-    r = {own: _rayleigh(*_ray(f, d, w, pad[own]), weights, ok) for own, f in forms.items()}
+    # lambda_min(S) per form, read where visited and NaN elsewhere, and its
+    # Rayleigh bounds at the x a theorem reading it asks (views where all do)
+    lam, r, out = {own: np.full(rho2.size, np.nan) for own in forms}, {}, {}
+    for own, f in forms.items():
+        some = {x for n in names if (n == "asn" and inv.tt2) == own for x in asks[n]}
+        at = [x in some for x in xs] if len(some) < len(xs) else slice(None)
+        r[own] = np.full(rho2.shape, -np.inf)
+        r[own][at] = _rayleigh(*_ray(f[at], d, w[at], pad[own][at]), weights[at], ok[at])
     for (own, lift), group in _formulas(inv, names).items():
-        f, count, slot = forms[own], _BATCH * len(xs), [names.index(n) for n in group]
-        rows = np.arange(len(group))[:, None]
+        f, rows = forms[own], np.arange(len(group))[:, None]
         leaf = _cap(inv, lift, r[own], rho2, delta[:, None], pad[False][:, None], True)
-        tops, rest = np.zeros((len(group), len(xs))), np.inf  # best value per x, or 0
+        # each theorem's best value per x: from 0 where it asks, +inf where not
+        tops = np.array([[0.0 if x in asks[n] else np.inf for x in xs] for n in group])
+        count, rest = _BATCH * len({x for n in group for x in asks[n]}), np.inf
         # each round's candidates and the group's columns there, after one
         # all-NaN column that a theorem with no value at an x reads
         takes, gots = [np.array([-1])], [np.full((len(group), 8, 1), np.nan)]
@@ -666,8 +676,10 @@ def _evaluate(inv: Invariants, names: list[str], xs: list[float], grid: np.ndarr
         at = np.where(np.isfinite(got[:, 0, 1:]), got[:, 0, 1:], -np.inf)
         value[:, take[1:] // width, np.arange(1, take.size)] = at
         best = np.where(value == value.max(axis=-1, keepdims=True), take, rho2.size)
-        cols[slot] = got[rows, :, best.argmin(axis=-1)].transpose(0, 2, 1)
-    return cols
+        cols = got[rows, :, best.argmin(axis=-1)].tolist()  # [theorem][x] -> column
+        for name, col in zip(group, cols):
+            out.update(((name, x), col[xs.index(x)]) for x in asks[name])
+    return out
 
 
 def _result(name: str, x: float, col: list[float]) -> BoundResult | None:
@@ -703,8 +715,8 @@ def _bound_at(space: HomogeneousSpace, x: float, name: str) -> BoundResult | Non
     inv = invariants(space)
     if name not in _theorems(inv):
         return None
-    col = _evaluate(inv, [name], [x], _rho2_base_grid(inv.kappa, _RHO2_PER_DECADE))[0, :, 0]
-    return _result(name, x, col.tolist())
+    col = _evaluate(inv, {name: [x]}, _rho2_base_grid(inv.kappa, _RHO2_PER_DECADE))[name, x]
+    return _result(name, x, col)
 
 
 def bound_main(space: HomogeneousSpace, x: float) -> BoundResult | None:
@@ -905,8 +917,9 @@ def optimize(
     sound cap (root, cell or leaf; see the module docstring) until the cap
     cannot beat its best value, so pruning never changes the result.  Each
     theorem first visits its top root-cap x; once it has a best, every cap
-    above that best is made exact in one batch.  Each x is evaluated once for
-    all the theorems there, and none after the golden pass.
+    above that best is made exact in one batch.  Each sweep round and each
+    golden call is one `_evaluate` call, whatever x each theorem asks, and no
+    x is evaluated after the golden pass.
     Raises ValueError when a grid size is below 1.
     """
     if x_points < 1 or rho2_per_decade < 1:
@@ -925,33 +938,15 @@ def optimize(
 
     best: dict[str, tuple] = {}  # each theorem's best value, its x and `_evaluate` column
 
-    def run(asks: dict[str, list[float]]) -> dict[tuple[str, float], list[float]]:
-        """Evaluate each distinct x once for every theorem that asks for it,
-        the x asked by the same theorems in one call; the `_evaluate` columns
-        keyed by (theorem, x)."""
-        askers: dict[float, dict[str, None]] = {}
-        for name, points in asks.items():
-            for x in points:
-                askers.setdefault(x, {})[name] = None
-        calls: dict[tuple[str, ...], list[float]] = {}
-        for x, group in askers.items():
-            calls.setdefault(tuple(group), []).append(x)
-        out = {}
-        for group, points in calls.items():
-            cols = _evaluate(inv, list(group), points, grid).transpose(0, 2, 1).tolist()
-            for name, rows in zip(group, cols):
-                out.update(zip([(name, x) for x in points], rows))
-        return out
-
     def keep(name: str, x: float, col: list[float]) -> None:
         """Keep a positive value when it beats its theorem's best."""
         if col[0] > (best[name][0] if name in best else 0.0):
             best[name] = (col[0], x, col)
 
-    # The theorems step down their own caps together, sharing the curve of any
-    # x they meet at; each stops once its cap cannot beat its best.  Caps above
-    # floor[name] are exact; a top cap at or below it is visited while the
-    # theorem has no best, and otherwise first refined against the best.
+    # The theorems step down their own caps together, one `_evaluate` call per
+    # round for the x each asks; each stops once its cap cannot beat its best.
+    # Caps above floor[name] are exact; a top cap at or below it is visited
+    # while the theorem has no best, and otherwise first refined against it.
     floor, live = dict.fromkeys(names, math.inf), list(names)
     while live:
         points, todo = {}, {}
@@ -966,19 +961,21 @@ def optimize(
                 todo[name] = best[name][0] + 1e-15
         _refine(inv, caps, todo, xs, grid)
         floor.update(todo)
-        for (name, x), col in run(points).items():
-            keep(name, x, col)
+        if points:  # empty when no theorem has an x to visit this round
+            for (name, x), col in _evaluate(inv, points, grid).items():
+                keep(name, x, col)
 
     # One golden-section pass refines every winning abscissa together, two
-    # steps per call.  It returns the first best along the points its steps
-    # take; the result there replaces a theorem's best when strictly better,
-    # as it would have in step order, and a point no step took is never read.
+    # steps per call, and each call is one `_evaluate` call.  It returns the
+    # first best along the points its steps take; the result there replaces a
+    # theorem's best when strictly better, as it would have in step order, and
+    # a point no step took is never read.
     if won := list(best):
         center = np.array([best[name][1] for name in won])
         step, seen = 1.0 / x_points, {}
 
         def values(points: np.ndarray) -> np.ndarray:
-            seen.update(run(dict(zip(won, points.T.tolist()))))
+            seen.update(_evaluate(inv, dict(zip(won, points.T.tolist())), grid))
             got = [[seen[n, x][0] for n, x in zip(won, row)] for row in points.tolist()]
             return np.fmax(got, -np.inf)  # -inf where a theorem has no value
 

@@ -207,6 +207,8 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
         ) from exc
     if count < 1:
         raise SpecFormatError("--sweep count must be at least 1")
+    if not math.isfinite(hi - lo):  # also where start or stop is not finite
+        raise SpecFormatError(f"--sweep start, stop and stop - start must be finite, got {rng!r}")
     return name, np.linspace(lo, hi, count)
 
 

@@ -81,17 +81,15 @@ def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _check_homomorphism(space: HomogeneousSpace, coeffs: np.ndarray) -> None:
     """The frame map is a Lie algebra homomorphism iff the coefficient
     3-vectors close under the cross product factor by factor."""
-    n = space.dim
     scale = max(1.0, float(np.abs(coeffs).max()) ** 2, float(np.abs(space.c).max()))
-    for i in range(n):
-        for j in range(i + 1, n):
-            want = np.einsum("k,kfa->fa", space.c[i, j], coeffs)
-            got = np.cross(coeffs[i], coeffs[j])
-            if np.abs(got - want).max() > 1e-12 * scale:
-                raise ValueError(
-                    f"spectral model is not a Lie algebra homomorphism at "
-                    f"frame pair ({i + 1}, {j + 1})"
-                )
+    i, j = np.triu_indices(space.dim, 1)
+    want = np.einsum("pk,kfa->pfa", space.c[i, j], coeffs)
+    got = np.cross(coeffs[i], coeffs[j])
+    if (bad := np.flatnonzero(np.abs(got - want).max(axis=(1, 2)) > 1e-12 * scale)).size:
+        raise ValueError(
+            f"spectral model is not a Lie algebra homomorphism at "
+            f"frame pair ({i[bad[0]] + 1}, {j[bad[0]] + 1})"
+        )
 
 
 def _embed(dims: list[int], ops: dict[int, np.ndarray]) -> np.ndarray:

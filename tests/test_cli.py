@@ -113,6 +113,9 @@ oracle {
         ("bracket 1 2", "bracket 1 4", "bracket index out of range"),
         ("dim_v 1", "dim_v 1\nparams c = 1", "expected '{' to open a block"),
         ("dim_h 2", "dim_h 2 3", "bad dimension line 'dim_h 2 3'"),
+        # the name is the first cell of every CSV row
+        ("name demo", "name a,b", "bad name line 'name a,b'"),
+        ("name demo", 'name "a"', "bad name line 'name \"a\"'"),
         ("dim_h 2", "dim_h two", "bad dimension line 'dim_h two'"),
         ("bracket 1 2", "bracket 1 x", "bad index 'x'"),
         ("= 1 2", "= q 2", "unbound parameter 'q'"),
@@ -494,6 +497,10 @@ def test_non_finite_parameters_are_rejected(command, value):
         ("report", "so4_twisted", "--sweep", "b=0:0.4:x"),
         ("report", "so4_twisted", "--sweep", "b=a:0.4:3"),
         ("report", "so4_twisted", "--sweep", "b=0:0.4:2.5"),
+        # np.linspace would warn on each of these before the error line
+        ("report", "so4_twisted", "--sweep", "b=0:inf:2"),
+        ("report", "so4_twisted", "--sweep", "b=-1e308:1e308:3"),
+        ("report", "so4_twisted", "--sweep", "b=inf:inf:1"),
     ],
 )
 def test_bad_option_values_are_rejected(argv):

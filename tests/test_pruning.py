@@ -103,12 +103,10 @@ KEYS = [*NAMED, "so4_weighted", *(f"random-{i}" for i in range(RANDOM_DRAWS))]
 def evaluate(
     inv: Invariants, names: list[str], xs: list[float], grid: np.ndarray
 ) -> list[dict[str, BoundResult | None]]:
-    """`_evaluate` read as one {theorem: result} per x, each built by `_result`."""
-    cols = _evaluate(inv, names, xs, grid).tolist()
-    return [
-        {name: _result(name, x, [c[j] for c in cols[t]]) for t, name in enumerate(names)}
-        for j, x in enumerate(xs)
-    ]
+    """`_evaluate` with every named theorem asking every x of xs, read as one
+    {theorem: result} per x, each built by `_result`."""
+    cols = _evaluate(inv, dict.fromkeys(names, xs), grid)
+    return [{name: _result(name, x, cols[name, x]) for name in names} for x in xs]
 
 
 def dense_evaluate(
@@ -389,16 +387,24 @@ def test_shared_curve_gives_each_theorem_its_own_result(key):
     # main, t1zero and asn evaluated together share one elimination of the
     # vertical block (asn reads the complements of Q(x) + q_tt2 when q_tt2 is
     # nonzero, as on so3_twisted and so4_weighted); in either order, each
-    # result must equal the one the theorem gets alone, to the last bit.
+    # result must equal the one the theorem gets alone, to the last bit.  So
+    # must each when the theorems ask partly different x in one call.
     space, per_decade = _space(key)
     inv = invariants(space)
     names = _theorems(inv)
     grid = _rho2_base_grid(inv.kappa, per_decade)
-    for x in np.linspace(0.0, 0.95, 12):
-        alone = {name: evaluate(inv, [name], [float(x)], grid)[0][name] for name in names}
+    xs = np.linspace(0.0, 0.95, 12).tolist()
+    alone = {}
+    for x in xs:
+        alone[x] = {name: evaluate(inv, [name], [x], grid)[0][name] for name in names}
         for order in (names, names[::-1]):
-            together = evaluate(inv, order, [float(x)], grid)[0]
-            assert repr(together) == repr({name: alone[name] for name in order}), x
+            together = evaluate(inv, order, [x], grid)[0]
+            assert repr(together) == repr({name: alone[x][name] for name in order}), x
+    asks = {name: xs[3 * t : 3 * t + 6] for t, name in enumerate(names)}
+    got = _evaluate(inv, asks, grid)
+    assert sorted(got) == sorted((name, x) for name, points in asks.items() for x in points)
+    for (name, x), col in got.items():
+        assert repr(_result(name, x, col)) == repr(alone[x][name]), (name, x)
 
 
 def _counting(monkeypatch, name: str) -> list:
@@ -475,10 +481,10 @@ def test_optimize_computes_few_rayleigh_bounds(monkeypatch, make):
     calls = _counting(monkeypatch, "_rayleigh")
     evaluate, passes = sublap.bounds._evaluate, []
 
-    def counted(inv, names, xs, grid):
+    def counted(inv, asks, grid):
         before = len(calls)
-        out = evaluate(inv, names, xs, grid)
-        passes.append((len(calls) - before, len({n == "asn" and inv.tt2 for n in names})))
+        out = evaluate(inv, asks, grid)
+        passes.append((len(calls) - before, len({n == "asn" and inv.tt2 for n in asks})))
         del calls[before:]
         return out
 
@@ -521,9 +527,14 @@ def test_optimize_diagonalizes_few_matrices(monkeypatch, make):
         pytest.param(lambda: load_builtin("so4_twisted", b=0.3), 2000, 33, id="so4_twisted"),
         pytest.param(lambda: load_builtin("so4_alt"), 2000, 32, id="so4_alt"),
         pytest.param(lambda: load_builtin("twisted_spheres"), 2000, 32, id="twisted_spheres"),
-        # the theorems peak at different x here, so no golden call shares a
-        # curve between them: 3 x 31 calls after the sweep
-        pytest.param(lambda: load_builtin("so3_twisted", c=0.05), 2000, 98, id="so3_twisted"),
+        # the theorems peak at different x here, yet each golden call is one
+        # `_evaluate` call, and so one curve, for the x all of them ask
+        pytest.param(lambda: load_builtin("so3_twisted", c=0.05), 2000, 34, id="so3_twisted"),
+        # a rotated frame moves the theorems' peaks apart by rounding
+        pytest.param(
+            lambda: moved_frame(load_builtin("so4_alt"), np.random.default_rng(19)),
+            2000, 32, id="moved-so4_alt",
+        ),
         # every Schur complement is 0, so no theorem applies and no x is swept
         pytest.param(lambda: heisenberg(1), 200, 0, id="heisenberg3"),
         pytest.param(lambda: free_step2(3), 200, 0, id="free_step2_r3"),
@@ -624,11 +635,11 @@ def test_a_theorem_with_no_value_at_its_top_x_sweeps_on(monkeypatch):
     # theorem has no best to refine its caps against, and visits the next x
     evaluate, calls = sublap.bounds._evaluate, []
 
-    def first_empty(inv, names, xs, grid):
-        calls.append(xs)
+    def first_empty(inv, asks, grid):
+        calls.append(asks)
         if len(calls) == 1:
-            return np.full((len(names), 8, len(xs)), np.nan)
-        return evaluate(inv, names, xs, grid)
+            return {(n, x): [math.nan] * 8 for n, points in asks.items() for x in points}
+        return evaluate(inv, asks, grid)
 
     monkeypatch.setattr(sublap.bounds, "_evaluate", first_empty)
     space = load_builtin("so4_alt")

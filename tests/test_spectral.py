@@ -387,10 +387,48 @@ def test_lambda1_rejects_a_non_homomorphic_model():
         cutoff=10.0,
     )
     space = HomogeneousSpace("badmap", 2, 1, c, {}, oracle)
-    with pytest.raises(ValueError, match="homomorphism"):
+    message = r"homomorphism at frame pair \(1, 2\)$"
+    with pytest.raises(ValueError, match=message):
         lambda1(space)
-    with pytest.raises(ValueError, match="homomorphism"):
+    with pytest.raises(ValueError, match=message):
         hlap_matrix(space, (2,))
+    # [e2, e3] = 2 e1 with e_i -> g_i: only the pair (2, 3) fails, after
+    # pairs that hold
+    c[1, 2, 0], c[2, 1, 0] = 2.0, -2.0
+    frame_map = (((1.0, 0.0, 0.0),), ((0.0, 1.0, 0.0),), ((0.0, 0.0, 1.0),))
+    oracle = dataclasses.replace(oracle, frame_map=frame_map)
+    space = HomogeneousSpace("badbracket", 2, 1, c, {}, oracle)
+    message = r"homomorphism at frame pair \(2, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        lambda1(space)
+    with pytest.raises(ValueError, match=message):
+        hlap_matrix(space, (2,))
+
+
+@pytest.mark.parametrize("name", ["so4_alt", "so4_twisted", "twisted_spheres", "so3_twisted"])
+def test_homomorphism_check_names_the_first_pair_a_loop_finds(name):
+    # the check takes every frame pair in one array pass; the loop over pairs
+    # i < j with one einsum and one cross product each is the reference
+    space = load_builtin(name)
+    rng = np.random.default_rng(31)
+    base = np.asarray(space.oracle.frame_map, dtype=float)
+    for trial in range(24):
+        coeffs = base.copy()
+        if trial:  # one entry moved by far more, or far less, than the tolerance
+            coeffs[tuple(rng.integers(coeffs.shape))] += rng.choice([1e-20, 1e-6, 1.0])
+        tol = 1e-12 * max(1.0, np.abs(coeffs).max() ** 2, np.abs(space.c).max())
+        pairs = []
+        for i in range(space.dim):
+            for j in range(i + 1, space.dim):
+                want = np.einsum("k,kfa->fa", space.c[i, j], coeffs)
+                if np.abs(np.cross(coeffs[i], coeffs[j]) - want).max() > tol:
+                    pairs.append((i + 1, j + 1))
+        if not pairs:
+            sublap.spectral._check_homomorphism(space, coeffs)
+            continue
+        message = rf"at frame pair \({pairs[0][0]}, {pairs[0][1]}\)$"
+        with pytest.raises(ValueError, match=message):
+            sublap.spectral._check_homomorphism(space, coeffs)
 
 
 @pytest.mark.parametrize("case", ["extra row", "missing row", "pair for a triple"])
