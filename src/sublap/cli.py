@@ -71,7 +71,10 @@ def _load(spec: str, params: dict[str, float]) -> HomogeneousSpace:
     path = Path(spec)
     if not path.exists():
         raise SpecFormatError(f"{spec!r} is neither a builtin name nor a file")
-    return load_spec(path, params)
+    try:
+        return load_spec(path, params)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no read permission, not UTF-8
+        raise SpecFormatError(f"cannot read {spec!r}: {exc}") from exc
 
 
 def _cmd_validate(args) -> int:
@@ -234,21 +237,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("spec", help="builtin example name or path to a spec file")
-    sub.add_argument(
-        "--param",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a spec parameter (repeatable)",
-    )
-
-
-def _add_grids(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--x-grid", type=int, metavar="N", help="x grid points")
-    sub.add_argument(
-        "--rho2-grid", type=int, metavar="N", help="rho2 grid points per decade"
-    )
+# Each command's handler, its help line, and the options it takes besides
+# spec and --param.
+_COMMANDS = dict(
+    validate=(_cmd_validate, "check the structure constants", ()),
+    classify=(_cmd_classify, "print the structure flags", ()),
+    analyze=(_cmd_analyze, "print curvature and torsion data", ("format",)),
+    bound=(_cmd_bound, "optimize the eigenvalue bounds", ("grids", "format")),
+    certify=(_cmd_certify, "compare the bounds against the exact spectrum", ("grids", "cutoff")),
+    report=(_cmd_report, "sweep a parameter and emit bound-vs-parameter CSV", ("grids", "sweep")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,48 +258,32 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("validate", help="check the structure constants")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = commands.add_parser("classify", help="print the structure flags")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = commands.add_parser("analyze", help="print curvature and torsion data")
-    _add_common(p)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = commands.add_parser("bound", help="optimize the eigenvalue bounds")
-    _add_common(p)
-    _add_grids(p)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=_cmd_bound)
-
-    p = commands.add_parser(
-        "certify", help="compare the bounds against the exact spectrum"
-    )
-    _add_common(p)
-    _add_grids(p)
-    p.add_argument(
-        "--cutoff", type=float, default=None, metavar="R", help="Casimir cutoff"
-    )
-    p.set_defaults(func=_cmd_certify)
-
-    p = commands.add_parser(
-        "report", help="sweep a parameter and emit bound-vs-parameter CSV"
-    )
-    _add_common(p)
-    _add_grids(p)
-    p.add_argument(
-        "--sweep",
-        required=True,
-        metavar="NAME=START:STOP:COUNT",
-        help="parameter range to sweep",
-    )
-    p.set_defaults(func=_cmd_report)
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = commands.add_parser(name, help=help_line)
+        p.set_defaults(func=func)
+        p.add_argument("spec", help="builtin example name or path to a spec file")
+        p.add_argument(
+            "--param",
+            action="append",
+            metavar="NAME=VALUE",
+            help="override a spec parameter (repeatable)",
+        )
+        if "grids" in options:
+            p.add_argument("--x-grid", type=int, metavar="N", help="x grid points")
+            p.add_argument(
+                "--rho2-grid", type=int, metavar="N", help="rho2 grid points per decade"
+            )
+        if "format" in options:
+            p.add_argument("--format", choices=("text", "csv"), default="text")
+        if "cutoff" in options:
+            p.add_argument("--cutoff", type=float, metavar="R", help="Casimir cutoff")
+        if "sweep" in options:
+            p.add_argument(
+                "--sweep",
+                required=True,
+                metavar="NAME=START:STOP:COUNT",
+                help="parameter range to sweep",
+            )
     return parser
 
 

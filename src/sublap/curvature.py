@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ZERO_TOL, HomogeneousSpace
+from .algebra import ZERO_TOL
 from .connection import Connection, _tor2_outer, trace_tor2
 
 __all__ = [

@@ -19,6 +19,7 @@ import pytest
 
 from sublap import HomogeneousSpace, OracleConfig, OracleFactor, load_builtin, rescale_vertical
 from sublap.bounds import invariants
+from sublap.cli import main
 from sublap.connection import canonical_connection
 
 
@@ -28,6 +29,13 @@ def _fresh_caches():
     caches, so no test reads a result that an earlier test left behind."""
     invariants.cache_clear()
     canonical_connection.cache_clear()
+
+
+def run(capsys, *argv):
+    """Run the CLI in-process; return its exit code, stdout and stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -8,14 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import sublap.cli
 from sublap.cli import main
 from sublap.spectral import CertifyEntry, CertifyResult
 
-from conftest import SOLVABLE_SPEC
+from conftest import SOLVABLE_SPEC, run
 
 VALID_SPEC = """\
 name demo
@@ -53,12 +52,6 @@ params { a = 1 }
 bracket 1 3 = a 5
 bracket 2 4 = a 5
 """
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_validate_builtin(capsys):
@@ -179,9 +172,17 @@ def test_spec_format_errors_exit_2_with_one_line(capsys, tmp_path, old, new, mes
         (("certify", "so4_alt", "--cutoff", "inf"), "--cutoff must be a positive finite number"),
         (("report", "so4_twisted", "--sweep", "b=a:1:3"),
          "--sweep expects numbers start:stop and an integer count, got 'a:1:3'"),
+        # DIR and LATIN1 stand for a directory and a file that is not UTF-8
+        (("validate", "DIR"), "cannot read 'DIR': "),
+        (("bound", "DIR"), "cannot read 'DIR': "),
+        (("validate", "LATIN1"), "cannot read 'LATIN1': 'utf-8' codec can't decode byte 0xff"),
     ],
 )
-def test_bad_flags_exit_2_with_one_line(capsys, argv, message):
+def test_bad_flags_exit_2_with_one_line(capsys, tmp_path, argv, message):
+    (tmp_path / "latin1.txt").write_bytes(b"name x\xff\n")
+    for stand_in, path in (("DIR", tmp_path), ("LATIN1", tmp_path / "latin1.txt")):
+        argv = [str(path) if arg == stand_in else arg for arg in argv]
+        message = message.replace(stand_in, str(path))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     lines = err.splitlines()
@@ -304,6 +305,19 @@ def test_certify_builtin(capsys):
     assert lines[1] == "lambda1 = 1 at irrep (1)"
     assert lines[2] == "tail = rigorous tail (second Gram eigenvalue)"
     assert all(line.endswith("-> PASS") for line in lines[3:])
+
+
+def test_certify_an_ill_conditioned_model_with_no_bound(capsys):
+    # at c = 100 no theorem applies, and lambda1 ~ 1/c**2 sits eight decades
+    # below the top eigenvalue of its irrep, 1.0002e4; a zero-eigenvalue cut
+    # relative to that top eigenvalue would refuse this model
+    code, out, _ = run(capsys, "certify", "so3_twisted", "--param", "c=100")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("lambda1 = ") and lines[1].endswith(" at irrep (1)")
+    value = float(lines[1].split()[2])
+    assert abs(value - 9.99800048306e-05) <= 1e-6 * 9.99800048306e-05
+    assert len(lines) == 3
 
 
 def test_certify_requires_a_spectral_model(capsys, tmp_path):
@@ -456,6 +470,33 @@ def test_report_rejects_malformed_sweeps(capsys):
         assert code == 2, sweep
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "so4_alt", "--x-grid", "5"),
+        ("classify", "so4_alt", "--format", "csv"),
+        ("bound", "so4_alt", "--cutoff", "40"),
+        ("certify", "so4_alt", "--format", "csv"),
+        ("analyze", "so4_alt", "--sweep", "b=0:1:2"),
+        ("report", "so4_twisted"),
+    ],
+)
+def test_each_command_takes_only_its_own_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("bound", "so4_alt"), ("certify", "so4_alt"), ("report", "so4_alt", "--sweep", "b=0:1:2")],
+)
+def test_the_optimizing_commands_take_both_grids(argv):
+    args = sublap.cli.build_parser().parse_args([*argv, "--x-grid", "20", "--rho2-grid", "5"])
+    assert (args.x_grid, args.rho2_grid) == (20, 5)
+
+
 def run_module(*argv):
     """Run ``python -m sublap`` in a fresh interpreter with src importable."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -573,3 +614,21 @@ def test_analyze_matches_golden_file(capsys, name):
     code, out, _ = run(capsys, *ANALYZE_RUNS[name])
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# `sublap --help`, then each command's --help, wrapped at 80 columns.
+HELP_ARGVS = [["--help"]] + [
+    [command, "--help"]
+    for command in ("validate", "classify", "analyze", "bound", "certify", "report")
+]
+
+
+def test_help_matches_golden_file(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to $COLUMNS
+    out = []
+    for argv in HELP_ARGVS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (GOLDEN / "help.txt").read_text(encoding="utf-8")

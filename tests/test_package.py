@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import pytest
+
 import sublap
 from sublap import algebra, bounds, connection, curvature, spectral
 
@@ -27,3 +32,31 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from sublap import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(sublap.__all__)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "sublap").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _unread_imports(tree: ast.Module) -> set[str]:
+    """Names an import binds that the module never reads and does not list
+    in its `__all__`; star imports and `__future__` bind none here."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names if a.name != "*"}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return bound - read - exported
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert _unread_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()

@@ -16,9 +16,8 @@ import pytest
 
 import sublap
 from sublap import load_builtin, optimize, report_csv, report_text, rescale_vertical
-from sublap.cli import main
 
-from conftest import random_orthogonal, rotate_frame
+from conftest import random_orthogonal, rotate_frame, run
 
 SRC = Path(sublap.__file__).resolve().parent
 
@@ -31,12 +30,6 @@ DECLARED = {
         lambda e: e.rho1 / (2 / 3 + 0.75 * (2 * e.omega)),
     ),
 }
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def _builtin_text(name: str) -> str:
