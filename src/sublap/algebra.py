@@ -199,8 +199,9 @@ def validate(space: HomogeneousSpace) -> list[str]:
                 f"max defect {defect:.3e}"
             )
 
-    spanning = np.concatenate((np.eye(d, n), c.reshape(n * n, n).take(horizontal, axis=0)))
-    rank = np.linalg.matrix_rank(spanning, tol=1e-10)
+    # H adds exactly d to the rank, and [H, H] the rank of its vertical part at its own scale.
+    block = c.reshape(n * n, n).take(horizontal, axis=0)[:, d:]
+    rank = d + np.linalg.matrix_rank(block, tol=1e-10 * np.abs(block).max(initial=0.0))
     if rank < n:
         problems.append(
             f"step-2 generation fails: span(H + [H,H]) has rank {rank} < {n}"

@@ -74,10 +74,10 @@ from .connection import (
 from .curvature import (
     SeminormGrams,
     StructureFlags,
-    _classify,
-    _sub_ricci,
+    classify,
     rigidity,
     seminorm_grams,
+    sub_ricci,
 )
 
 __all__ = [
@@ -220,7 +220,7 @@ def invariants(space: HomogeneousSpace) -> Invariants:
     trnt = trace_nabla_torsion(conn)
     trt2 = trace_tor2(conn)
     outer = _tor2_outer(conn)
-    src = _sub_ricci(conn, outer, trt2)
+    src = sub_ricci(conn)
     grams = seminorm_grams(conn)
     rig = rigidity(conn)
 
@@ -245,7 +245,7 @@ def invariants(space: HomogeneousSpace) -> Invariants:
     kappa = float(np.linalg.eigvalsh(grams.tau_hv[:d, :d])[-1])
     inv = Invariants(
         space=space,
-        flags=_classify(conn, rig),
+        flags=classify(conn),
         src=src,
         grams=grams,
         rig=rig,
@@ -264,7 +264,7 @@ def invariants(space: HomogeneousSpace) -> Invariants:
         q_tt2=tt,
         tt2=bool(np.any(tt)),
     )
-    for a in (src, rig, t1, dist.t2, *vars(grams).values(), inv.q_src, inv.q_nt, tt):
+    for a in (t1, dist.t2, inv.q_src, inv.q_nt, tt):
         a.flags.writeable = False
     return inv
 

@@ -9,6 +9,8 @@ The pipeline reads only traces and blocks of the torsion derivative and of
 the iterated torsion, and contracts them straight from the coefficients and
 the torsion.  The full n^4 tensors, `nabla_torsion` and `tor2`, live in the
 test suite's `tests/oracles.py` as the reference for these contractions.
+`trace_tor2` and `_tor2_outer` are kept for the most recent connection
+object and returned again, read-only.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Connection:
     """Connection coefficients on the adapted frame.
 
     ``gamma[i, j, k]`` is the inner product of the covariant derivative of
     frame vector j along frame vector i with frame vector k.  ``tor`` is
     ``torsion`` of these coefficients, computed once on construction.
+    Connections compare by identity, so a kept result never serves another.
     """
 
     space: HomogeneousSpace
@@ -81,9 +84,8 @@ def canonical_connection(space: HomogeneousSpace) -> Connection:
         half = 0.5 * (cb.transpose(2, 1, 0) - cb)
         gamma[direction, block, block] = half.transpose(1, 0, 2)
 
-    gamma.flags.writeable = False
-    conn = Connection(space=space, gamma=gamma)
-    conn.tor.flags.writeable = False
+    conn = Connection(space=space, gamma=_read_only(gamma))
+    _read_only(conn.tor)
     problems = verify_connection(conn)
     if problems:
         raise RuntimeError("; ".join(problems))
@@ -105,11 +107,12 @@ def trace_nabla_torsion(conn: Connection) -> np.ndarray:
     return _trace_nabla_tor(conn, slice(0, conn.space.dim_h))
 
 
+@functools.lru_cache(maxsize=1)
 def trace_tor2(conn: Connection) -> np.ndarray:
     """Horizontal trace of the iterated torsion over its first two slots:
     ``out[a, k]`` sums ``t2[i, i, a, k]`` over the horizontal frame."""
     h = conn.tor[: conn.space.dim_h]
-    return np.einsum("ial,ilk->iak", h, h).sum(axis=0)
+    return _read_only(np.einsum("ial,ilk->iak", h, h).sum(axis=0))
 
 
 def trace_nabla_torsion_vertical(conn: Connection) -> np.ndarray:
@@ -150,12 +153,13 @@ def _nabla_tor_vh(conn: Connection) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _tor2_outer(conn: Connection) -> np.ndarray:
     """``out[k, a, b]`` is ``t2[k, a, b, k]`` for k horizontal, where ``t2``
     is `tor2`."""
     t = conn.tor
     d = conn.space.dim_h
-    return np.einsum("abl,klk->kab", t, t[:d, :, :d])
+    return _read_only(np.einsum("abl,klk->kab", t, t[:d, :, :d]))
 
 
 def _tor2_inner_vh(conn: Connection) -> np.ndarray:
@@ -164,6 +168,12 @@ def _tor2_inner_vh(conn: Connection) -> np.ndarray:
     d = conn.space.dim_h
     t = conn.tor
     return np.einsum("bkl,alk->kab", t[:d, :d], t[d:, :, :d]).sum(axis=0)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a kept result is shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def verify_connection(conn: Connection) -> list[str]:

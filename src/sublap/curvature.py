@@ -6,17 +6,19 @@ curvature, the sub-Riemannian Ricci form, the rigidity one-form, and the Gram
 matrices of the three torsion semi-norms.  The horizontal trace and the Ricci
 form are contracted straight from the connection coefficients; the full
 curvature tensor, `riemann`, lives in the test suite's `tests/oracles.py` as
-their reference.
+their reference.  Every result but `trace_rm`'s is kept for the most recent
+connection object and returned again; its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import ZERO_TOL
-from .connection import Connection, _tor2_outer, trace_tor2
+from .connection import Connection, _read_only, _tor2_outer, trace_tor2
 
 __all__ = [
     "SeminormGrams",
@@ -48,6 +50,7 @@ def trace_rm(conn: Connection) -> np.ndarray:
     return rm.sum(axis=0)
 
 
+@functools.lru_cache(maxsize=1)
 def sub_ricci(conn: Connection) -> np.ndarray:
     """Sub-Riemannian Ricci form as a full matrix on the frame.
 
@@ -55,19 +58,14 @@ def sub_ricci(conn: Connection) -> np.ndarray:
     and the curvature trace vanishes because the connection preserves the
     splitting, so the matrix is supported on the horizontal block.
     """
-    return _sub_ricci(conn, _tor2_outer(conn), trace_tor2(conn))
-
-
-def _sub_ricci(conn: Connection, outer: np.ndarray, trt2: np.ndarray) -> np.ndarray:
-    """`sub_ricci` from two contractions of the iterated torsion t2:
-    ``outer[k, a, b]`` is ``t2[k, a, b, k]`` and ``trt2`` is `trace_tor2`."""
     d = conn.space.dim_h
     src = trace_rm(conn)
-    src[:d, :d] -= 0.5 * outer[:, :d, :d].sum(axis=0)
-    src[:d, :d] -= trt2[:d, :d]
-    return src
+    src[:d, :d] -= 0.5 * _tor2_outer(conn)[:, :d, :d].sum(axis=0)
+    src[:d, :d] -= trace_tor2(conn)[:d, :d]
+    return _read_only(src)
 
 
+@functools.lru_cache(maxsize=1)
 def rigidity(conn: Connection) -> np.ndarray:
     """Rigidity one-form on the frame, as the vector of its components.
 
@@ -76,7 +74,7 @@ def rigidity(conn: Connection) -> np.ndarray:
     """
     d = conn.space.dim_h
     t = conn.tor
-    return np.einsum("kak->a", t[:d, :, :d]) + np.einsum("kak->a", t[d:, :, d:])
+    return _read_only(np.einsum("kak->a", t[:d, :, :d]) + np.einsum("kak->a", t[d:, :, d:]))
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,7 @@ class SeminormGrams:
     tau_h: np.ndarray
 
 
+@functools.lru_cache(maxsize=1)
 def seminorm_grams(conn: Connection) -> SeminormGrams:
     d = conn.space.dim_h
     t = conn.tor
@@ -103,9 +102,9 @@ def seminorm_grams(conn: Connection) -> SeminormGrams:
     mixed_hv = t[:, :d, d:]  # <Tor(e_p, E_i), U_k>
     horiz = t[:d, :d, :]  # <Tor(E_i, E_j), e_p>, both orders counted
     return SeminormGrams(
-        tau_vh=np.einsum("pki,qki->pq", mixed_vh, mixed_vh),
-        tau_hv=np.einsum("pik,qik->pq", mixed_hv, mixed_hv),
-        tau_h=np.einsum("ijp,ijq->pq", horiz, horiz),
+        tau_vh=_read_only(np.einsum("pki,qki->pq", mixed_vh, mixed_vh)),
+        tau_hv=_read_only(np.einsum("pik,qik->pq", mixed_hv, mixed_hv)),
+        tau_h=_read_only(np.einsum("ijp,ijq->pq", horiz, horiz)),
     )
 
 
@@ -123,6 +122,7 @@ class StructureFlags:
     almost_strictly_normal: bool
 
 
+@functools.lru_cache(maxsize=1)
 def classify(conn: Connection) -> StructureFlags:
     """Decide the torsion-shape flags used as theorem preconditions.
 
@@ -130,17 +130,11 @@ def classify(conn: Connection) -> StructureFlags:
     respectively horizontal; strictly normal means they vanish outright.
     vm_integrable records whether vertical brackets stay vertical.
     """
-    return _classify(conn, rigidity(conn))
-
-
-def _classify(conn: Connection, r: np.ndarray) -> StructureFlags:
-    """`classify` given the rigidity one-form ``r`` of ``conn``."""
     space = conn.space
     d = space.dim_h
-    scale = max(1.0, float(np.abs(space.c).max()) ** 2)
-    cut = ZERO_TOL * scale
+    cut = ZERO_TOL * max(1.0, float(np.abs(space.c).max()) ** 2)
 
-    t = conn.tor
+    t, r = conn.tor, rigidity(conn)
     h_rigid = bool(np.abs(r[:d]).max(initial=0.0) <= cut)
     v_rigid = bool(np.abs(r[d:]).max(initial=0.0) <= cut)
 

@@ -20,15 +20,20 @@ import pytest
 from sublap import HomogeneousSpace, OracleConfig, OracleFactor, load_builtin, rescale_vertical
 from sublap.bounds import invariants
 from sublap.cli import main
-from sublap.connection import canonical_connection
+from sublap.connection import _tor2_outer, canonical_connection, trace_tor2
+from sublap.curvature import classify, rigidity, seminorm_grams, sub_ricci
+
+# Every function that keeps its result for the most recent space or connection.
+KEPT = (invariants, canonical_connection, trace_tor2, _tor2_outer,
+        sub_ricci, rigidity, seminorm_grams, classify)
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Start every test with empty `invariants` and `canonical_connection`
-    caches, so no test reads a result that an earlier test left behind."""
-    invariants.cache_clear()
-    canonical_connection.cache_clear()
+    """Start every test with the caches of `KEPT` empty, so no test reads a
+    result that an earlier test left behind."""
+    for kept in KEPT:
+        kept.cache_clear()
 
 
 def run(capsys, *argv):
@@ -166,6 +171,18 @@ dim_v 1
 bracket 1 2 = 1 3
 bracket 1 3 = 1 3;
 """
+
+
+def spec_text(space: HomogeneousSpace) -> str:
+    """The space as a spec whose coefficients are the repr of its constants."""
+    n = space.dim
+    lines = [f"dim_h {space.dim_h}", f"dim_v {space.dim_v}"]
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = [f"{float(space.c[i, j, k])!r} {k + 1}" for k in range(n) if space.c[i, j, k]]
+            if terms:
+                lines.append(f"bracket {i + 1} {j + 1} = " + "; ".join(terms))
+    return "\n".join(lines) + "\n"
 
 
 def moved_frame(space: HomogeneousSpace, rng: np.random.Generator) -> HomogeneousSpace:

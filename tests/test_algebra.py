@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib.resources
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sublap import (
 from sublap.algebra import eval_coefficient
 from sublap.spectral import _model_coeffs
 
-from conftest import SOLVABLE_SPEC, free_step2, moved_frame, nilpotent_spaces
+from conftest import SOLVABLE_SPEC, free_step2, moved_frame, nilpotent_spaces, spec_text
 from oracles import validate_problems
 
 SO4_ALT = importlib.resources.files("sublap.data").joinpath("so4_alt.txt").read_text()
@@ -294,21 +295,9 @@ def test_validate_reports_jacobi_violation():
     assert any(p.startswith("Jacobi identity violated on (1,2,3)") for p in problems)
 
 
-def _spec_text(space: HomogeneousSpace) -> str:
-    """The space as a spec whose coefficients are the repr of its constants."""
-    n = space.dim
-    lines = [f"dim_h {space.dim_h}", f"dim_v {space.dim_v}"]
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = [f"{float(space.c[i, j, k])!r} {k + 1}" for k in range(n) if space.c[i, j, k]]
-            if terms:
-                lines.append(f"bracket {i + 1} {j + 1} = " + "; ".join(terms))
-    return "\n".join(lines) + "\n"
-
-
 def test_a_literal_only_spec_parses_without_the_expression_evaluator(monkeypatch):
     frame = moved_frame(free_step2(5), np.random.default_rng(24))
-    text = _spec_text(frame)
+    text = spec_text(frame)
     calls = _counted_ast_parse(monkeypatch)
     space = parse_spec_text(text)
     assert calls == []
@@ -410,7 +399,7 @@ def test_validate_clears_a_parsed_frame_without_the_jacobi_tensor(monkeypatch):
     # frame, so their constants are exactly antisymmetric.
     rng = np.random.default_rng(28)
     spaces = [load_builtin(name) for name in builtin_names()]
-    spaces += [parse_spec_text(_spec_text(moved_frame(s, rng))) for s in nilpotent_spaces()]
+    spaces += [parse_spec_text(spec_text(moved_frame(s, rng))) for s in nilpotent_spaces()]
     calls = _count_tensordot(monkeypatch)
     for space in spaces:
         assert validate(space) == [], space.name
@@ -434,6 +423,33 @@ def test_validate_reports_step2_failure():
     space = HomogeneousSpace("flat", 2, 1, np.zeros((3, 3, 3)))
     problems = validate(space)
     assert any("step-2 generation fails" in p for p in problems)
+
+
+def _step2_failures() -> list[HomogeneousSpace]:
+    """Valid Lie algebras whose horizontal brackets miss a vertical direction:
+    the abelian algebra, so(3) with one horizontal vector, and the shear of the
+    CLI tests at a = 0, the euclidean algebra e(2) with [e1, e2] = 0."""
+    shear = np.zeros((3, 3, 3))
+    shear[0, 2, 1], shear[2, 0, 1] = -1.0, 1.0
+    shear[1, 2, 0], shear[2, 1, 0] = 1.0, -1.0
+    return [
+        HomogeneousSpace("flat", 2, 1, np.zeros((3, 3, 3))),
+        HomogeneousSpace("so3_d1", 1, 2, load_builtin("so3_twisted").c),
+        HomogeneousSpace("shear_a0", 2, 1, shear),
+    ]
+
+
+@pytest.mark.parametrize("k", [-40, -34, 40])
+def test_step2_generation_does_not_depend_on_scale(k):
+    # scaling every constant by s = 2^k gives the same Lie algebra with the
+    # metric scaled by 1/s^2, and it scales every product exactly
+    for name in builtin_names():
+        space = load_builtin(name)
+        assert validate(replace(space, c=space.c * 2.0**k)) == [], name
+    for space in _step2_failures():
+        problems = validate(space)
+        assert [p.startswith("step-2 generation fails") for p in problems] == [True]
+        assert validate(replace(space, c=space.c * 2.0**k)) == problems, space.name
 
 
 def test_validate_reports_shape_mismatch():

@@ -429,6 +429,13 @@ def test_report_sweep_without_frontier(capsys):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_validate_judges_step2_generation_at_the_brackets_own_scale(capsys, tmp_path):
+    # a Heisenberg bracket of size 1e-10 still generates the vertical line
+    path = tmp_path / "small.txt"
+    path.write_text("name small\ndim_h 2\ndim_v 1\nbracket 1 2 = 1e-10 3\n", encoding="utf-8")
+    assert run(capsys, "validate", str(path)) == (0, "small: ok (dim_h=2, dim_v=1)\n", "")
+
+
 def test_step2_nilpotent_spec_has_no_bound(capsys, tmp_path):
     # every Schur complement of Q(x) is the zero matrix at each a, so no
     # theorem applies and the CSV rows carry no values

@@ -20,14 +20,28 @@ from sublap import (
     bound_asn,
     bound_main,
     bound_sntf,
+    builtin_names,
+    classify,
     distortion,
     invariants,
     load_builtin,
     optimize,
+    parse_spec_text,
     rescale_vertical,
+    rigidity,
+    seminorm_grams,
     sub_ricci,
+    trace_tor2,
+    validate,
 )
-from conftest import random_orthogonal, rotate_frame, so4_weighted
+from sublap.connection import _tor2_outer
+from conftest import (
+    nilpotent_spaces,
+    random_orthogonal,
+    rotate_frame,
+    so4_weighted,
+    spec_text,
+)
 
 COUNTED = ("canonical_connection", "torsion")
 # The pipeline builds the connection and its torsion once and contracts the
@@ -111,6 +125,9 @@ def test_cached_arrays_are_read_only():
     arrays = [conn.gamma, conn.tor, inv.src, inv.rig, inv.dist.t1, inv.dist.t2]
     arrays += [inv.grams.tau_vh, inv.grams.tau_hv, inv.grams.tau_h]
     arrays += [inv.q_src, inv.q_nt, inv.q_tauh, inv.q_tt2]
+    # the public curvature results and the contractions they share with it
+    arrays += [sub_ricci(conn), rigidity(conn), *vars(seminorm_grams(conn)).values()]
+    arrays += [trace_tor2(conn), _tor2_outer(conn)]
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -122,6 +139,48 @@ def test_results_are_kept_for_the_last_space_object():
     # another space object, even with the same constants, gets its own
     other = replace(space)
     assert invariants(other) is not inv and invariants(other).space is other
+
+
+# np.einsum, eigvalsh and svd calls of one invariants-scan benchmark item, in
+# its order: parse, validate, canonical_connection, classify, seminorm_grams,
+# sub_ricci, rigidity, distortion and bound_sntf.  The counterpart of
+# optimize_linalg_counts.txt for the invariant layers, where a contraction
+# computed a second time shows.  One line per space: the builtins, then the
+# Heisenberg and free step-2 bases, parsed from their spec text.
+INVARIANT_COUNTS = GOLDEN / "invariants_linalg_counts.txt"
+SCAN = {name: functools.partial(load_builtin, name) for name in builtin_names()}
+SCAN |= {s.name: functools.partial(parse_spec_text, spec_text(s)) for s in nilpotent_spaces()}
+
+
+def _count_kernels(monkeypatch) -> dict[str, int]:
+    """Calls of np.einsum, np.linalg.eigvalsh and np.linalg.svd from here on."""
+    counts = {}
+    for module, name in ((np, "einsum"), (np.linalg, "eigvalsh"), (np.linalg, "svd")):
+        run, counts[name] = getattr(module, name), 0
+
+        def counted(*args, _run=run, _name=name, **kwargs):
+            counts[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("key", SCAN)
+def test_invariants_share_the_public_curvature_results(monkeypatch, key):
+    counts = _count_kernels(monkeypatch)
+    space = SCAN[key]()
+    assert validate(space) == []
+    conn = sublap.canonical_connection(space)
+    flags, grams = classify(conn), seminorm_grams(conn)
+    src, rig = sub_ricci(conn), rigidity(conn)
+    distortion(space)
+    bound_sntf(space)
+    work = "; ".join(f"{k} {c} calls" for k, c in counts.items())
+    lines = INVARIANT_COUNTS.read_text(encoding="utf-8").splitlines()
+    assert work == dict(line.split(" ", 1) for line in lines)[key]
+    inv = invariants(space)
+    assert inv.flags is flags and inv.grams is grams and inv.src is src and inv.rig is rig
 
 
 def test_no_module_defines_or_exports_a_reference_implementation():

@@ -12,6 +12,8 @@ arbitrary coefficient tensors, where every term is generic.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,26 @@ def test_trace_first_contractions_match_the_reference_tensors(space):
     for name, value in got.items():
         _assert_close(name, value, ref[name])
     _assert_close("invariants.src", inv.src, ref["sub_ricci"])
+
+
+@pytest.mark.parametrize("space", [s for _, s in NAMED[:4]], ids=[i for i, _ in NAMED[:4]])
+def test_a_kept_contraction_never_serves_another_connection(space):
+    # sub_ricci, trace_tor2 and _tor2_outer keep their result for the most
+    # recent connection object: connections of one space, and of an equal
+    # copy of it, alternate, and each is asked twice in a row
+    copy = replace(space)
+    conns = [
+        _arbitrary(space, 1),
+        canonical_connection(space),
+        _arbitrary(space, 2),
+        canonical_connection(copy),
+        _arbitrary(copy, 1),
+    ]
+    refs = [_reference(conn) for conn in conns]
+    for conn, ref in [*zip(conns, refs)] * 2:
+        for _ in range(2):
+            for name, value in _contractions(conn).items():
+                _assert_close(name, value, ref[name])
 
 
 @pytest.mark.parametrize("space", [s for _, s in NAMED], ids=[i for i, _ in NAMED])
